@@ -23,14 +23,7 @@
  *     interpreter), and the recovery latency after a hard injected
  *     kernel fault (`fault:recover` — resetAfterError() plus a clean
  *     re-run of the whole body);
- *  4. horizontal batching (DIFFUSE_BATCH, kir::BatchCoalescer): warm
- *     sessions concurrently replaying the same trace epochs, batched
- *     against the unbatched oracle, with the coalescer's occupancy
- *     (sessions per combined job) and saved worker-pool hand-offs
- *     reported (`batch:counters` — reps carries the batch count,
- *     elements_per_s the mean occupancy, bytes_per_s the hand-offs
- *     saved);
- *  5. native JIT artifact cache (DIFFUSE_JIT + DIFFUSE_CACHE_DIR,
+ *  4. native JIT artifact cache (DIFFUSE_JIT + DIFFUSE_CACHE_DIR,
  *     kernel/codegen.h): cold vs warm *process* bring-up, modelled as
  *     two fresh SharedContexts over one cache directory — the warm
  *     one must compile zero kernels, loading every module from disk
@@ -39,8 +32,6 @@
  * Emits BENCH_serving_sessions.json via the harness.
  */
 
-#include <atomic>
-#include <barrier>
 #include <cstdlib>
 #include <filesystem>
 #include <thread>
@@ -48,7 +39,6 @@
 #include "harness.h"
 
 #include "core/context.h"
-#include "kernel/exec.h"
 #include "runtime/fault.h"
 
 namespace {
@@ -281,90 +271,7 @@ main()
         metrics.push_back(recover);
     }
 
-    // ---- 4. Horizontal batching of identical trace epochs -----------
-    {
-        const int clients = 3;
-        const int rounds = smoke ? 6 : 12;
-        WallMetric walls[2];
-        kir::BatchCoalescer::Stats batched_stats;
-        for (int batch : {0, 1}) {
-            // Generous gather window (read once at context
-            // construction): barrier-released clients replaying the
-            // same epoch reliably coalesce.
-            setenv("DIFFUSE_BATCH_WINDOW_US", "200000", 1);
-            auto ctx = SharedContext::create(machine);
-            unsetenv("DIFFUSE_BATCH_WINDOW_US");
-            DiffuseOptions o = servingOpts(1);
-            o.workers = 4;
-            o.batch = batch;
-            std::vector<std::unique_ptr<DiffuseRuntime>> sessions;
-            for (int c = 0; c < clients; c++) {
-                sessions.push_back(ctx->createSession(o));
-                // Warm sequentially: client 0 captures the epochs, the
-                // rest replay — the measured rounds are pure replay.
-                runSessionBody(*sessions.back(), reps, n);
-            }
-            std::string label =
-                std::string("batch:") + (batch ? "on" : "off");
-            std::barrier<> sync(clients + 1);
-            std::atomic<bool> stop{false};
-            std::vector<std::thread> pool;
-            pool.reserve(std::size_t(clients));
-            for (int c = 0; c < clients; c++) {
-                pool.emplace_back([&, c] {
-                    for (;;) {
-                        sync.arrive_and_wait();
-                        if (stop.load(std::memory_order_acquire))
-                            return;
-                        runSessionBody(*sessions[std::size_t(c)], reps,
-                                       n);
-                        sync.arrive_and_wait();
-                    }
-                });
-            }
-            walls[batch] = measureWall(
-                label, rounds, double(n) * reps * clients, 0.0, [&] {
-                    sync.arrive_and_wait();
-                    sync.arrive_and_wait();
-                });
-            stop.store(true, std::memory_order_release);
-            sync.arrive_and_wait();
-            for (std::thread &th : pool)
-                th.join();
-            if (batch == 1)
-                batched_stats = ctx->batcher()->stats();
-        }
-
-        double occupancy =
-            batched_stats.batches > 0
-                ? double(batched_stats.batchedTasks) /
-                      double(batched_stats.batches)
-                : 0.0;
-        std::printf("\n");
-        bench::printWallHeader();
-        bench::printWallRow(walls[0]);
-        bench::printWallRow(walls[1]);
-        std::printf("# %d clients replaying one epoch stream: %llu "
-                    "combined jobs, occupancy %.2f sessions/job (max "
-                    "%llu), %llu pool hand-offs saved, %llu gather "
-                    "timeouts\n",
-                    clients,
-                    (unsigned long long)batched_stats.batches,
-                    occupancy,
-                    (unsigned long long)batched_stats.maxOccupancy,
-                    (unsigned long long)batched_stats.handoffsSaved,
-                    (unsigned long long)batched_stats.timeouts);
-        metrics.push_back(walls[0]);
-        metrics.push_back(walls[1]);
-        WallMetric counters;
-        counters.label = "batch:counters";
-        counters.reps = int(batched_stats.batches);
-        counters.elementsPerSecond = occupancy;
-        counters.bytesPerSecond = double(batched_stats.handoffsSaved);
-        metrics.push_back(counters);
-    }
-
-    // ---- 5. Native JIT artifact cache: cold vs warm process ---------
+    // ---- 4. Native JIT artifact cache: cold vs warm process ---------
     {
         // Two fresh SharedContexts over one DIFFUSE_CACHE_DIR model a
         // process restart: persistent mode never consults the

@@ -10,8 +10,7 @@ SharedContext::SharedContext(Token, const rt::MachineConfig &machine)
       // Lazily started: the pool spawns no threads until a session
       // actually runs parallel work, and sessions requesting more
       // workers reserve() it upward instead of spawning a pool each.
-      pool_(std::make_shared<kir::WorkerPool>(1)),
-      batcher_(std::make_shared<kir::BatchCoalescer>(pool_))
+      pool_(std::make_shared<kir::WorkerPool>(1))
 {
 }
 

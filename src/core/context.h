@@ -121,20 +121,6 @@ class SharedContext
     }
 
     /**
-     * Cross-session batch coalescer (DIFFUSE_BATCH): sessions of this
-     * context concurrently replaying the same trace epoch gather
-     * their identical point tasks into combined worker-pool jobs.
-     * Always constructed (it is pure scheduling state); sessions only
-     * route retirements through it when batching is enabled, and a
-     * private context's coalescer never sees a second session, so it
-     * never gathers.
-     */
-    const std::shared_ptr<kir::BatchCoalescer> &batcher() const
-    {
-        return batcher_;
-    }
-
-    /**
      * Single-task kernel cache (library task variants, keyed on type
      * and signature plus the session's planning fingerprint). On a
      * miss, `build` runs under the key's shard lock — exactly-once
@@ -174,7 +160,6 @@ class SharedContext
     Memoizer memo_;
     TraceCache traceCache_;
     std::shared_ptr<kir::WorkerPool> pool_;
-    std::shared_ptr<kir::BatchCoalescer> batcher_;
     std::array<SingleShard, kSingleShards> singles_;
     std::atomic<std::size_t> singleCount_{0};
     std::atomic<std::uint64_t> sessions_{0};

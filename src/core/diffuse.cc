@@ -74,15 +74,6 @@ DiffuseRuntime::DiffuseRuntime(std::shared_ptr<SharedContext> shared,
     pipelineEnabled_ = options.pipeline >= 0
                            ? options.pipeline != 0
                            : envInt("DIFFUSE_PIPELINE", 0, 0, 1) != 0;
-    // Likewise not in planSalt_: batching only changes *where* a
-    // replayed retirement executes, never what the planner emits —
-    // and the epochs batching keys on must stay shareable across the
-    // DIFFUSE_BATCH oracle pair.
-    bool batch_enabled = options.batch >= 0
-                             ? options.batch != 0
-                             : envInt("DIFFUSE_BATCH", 0, 0, 1) != 0;
-    if (batch_enabled && options.mode == rt::ExecutionMode::Real)
-        low_.setBatchCoalescer(ctx_->batcher());
     if (traceEnabled_) {
         low_.setHostWriteObserver(
             [this](StoreId id) { traceOnHostWrite(id); });
@@ -838,18 +829,6 @@ DiffuseRuntime::traceValidateProbes(const TraceEpoch &epoch) const
 void
 DiffuseRuntime::traceReplay(TraceEpoch &epoch)
 {
-    // Announce this replay to the batch coalescer before the first
-    // submission: sibling sessions replaying the same epoch gather
-    // their retirements; the announcement retracts itself once every
-    // batchable retirement is accounted (runtime/runtime.cc).
-    traceBatchEpoch_ = 0;
-    traceBatchIndex_ = 0;
-    if (low_.batchingEnabled() && epoch.epochId != 0 &&
-        epoch.batchableSubs > 0) {
-        traceBatchEpoch_ = epoch.epochId;
-        low_.beginBatchEpoch(epoch.epochId,
-                             int(epoch.batchableSubs));
-    }
     std::vector<rt::EventId> events;
     std::deque<IndexTask> queue;
     std::size_t ui = 0;
@@ -884,7 +863,6 @@ DiffuseRuntime::traceReplay(TraceEpoch &epoch)
     fusionStats_.windowGrowths += epoch.growths;
     fusionStats_.traceGroupsReplayed += epoch.units.size();
     epoch.replays.fetch_add(1, std::memory_order_relaxed);
-    traceBatchEpoch_ = 0;
 }
 
 void
@@ -907,11 +885,6 @@ DiffuseRuntime::traceReplayUnit(const TraceUnit &unit,
     for (const rt::RecordedSubmission &sub : unit.subs) {
         const std::vector<double> *sc =
             sub.task.kind == rt::TaskKind::Compute ? &scalars : nullptr;
-        if (traceBatchEpoch_ != 0 &&
-            sub.task.kind == rt::TaskKind::Compute) {
-            low_.setNextBatchTag(traceBatchEpoch_,
-                                 traceBatchIndex_++);
-        }
         events.push_back(
             low_.submitRecorded(sub, traceEnc_.slots(), sc, events));
     }

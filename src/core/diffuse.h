@@ -97,19 +97,8 @@ struct DiffuseOptions
      * of this setting.
      */
     int pipeline = -1;
-    /**
-     * Horizontal cross-session batching (kir::BatchCoalescer): when
-     * several sessions of one shared context concurrently replay the
-     * same trace epoch, the identical point tasks they retire gather
-     * — behind a DIFFUSE_BATCH_WINDOW_US gather window — into one
-     * combined worker-pool job with per-session buffer bindings, so
-     * scheduling and pool hand-off are amortized per batch instead of
-     * per session. 1 on, 0 off; < 0 reads DIFFUSE_BATCH (default
-     * off). Real mode only. Results, FusionStats/RuntimeStats/
-     * FaultStats and simulated schedules are bitwise-identical either
-     * way; DIFFUSE_BATCH=0 is the differential oracle.
-     */
-    int batch = -1;
+    /** Ignored: kept so callers that still assign it compile. */
+    int batch = 0;
     /**
      * Share the process-wide caches (compiled kernels, memoized
      * plans, trace epochs) and worker pool when this session is
@@ -389,12 +378,6 @@ class DiffuseRuntime
     void traceReplayUnit(const TraceUnit &unit,
                          std::deque<IndexTask> &queue,
                          std::vector<rt::EventId> &events);
-
-    /** Batch tagging state of the replay in progress: the epoch's
-     * process-unique id (0 when batching is off or the epoch has no
-     * id) and the running index over its Compute submissions. */
-    std::uint64_t traceBatchEpoch_ = 0;
-    std::int32_t traceBatchIndex_ = 0;
 
     /** Host acquired mutable access to `id` (LowRuntime observer).
      * Mid-speculation this drains the deferred prefix eagerly, before

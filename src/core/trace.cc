@@ -130,28 +130,10 @@ TraceCache::candidates(
     return true;
 }
 
-namespace {
-
-/** Process-wide epoch identities (see TraceEpoch::epochId). */
-std::atomic<std::uint64_t> g_nextEpochId{1};
-
-} // namespace
-
 bool
 TraceCache::store(std::shared_ptr<TraceEpoch> epoch)
 {
     diffuse_assert(!epoch->codes.empty(), "empty trace epoch");
-    // Stamp identity and the batchable-submission count before
-    // publication: both are immutable once the epoch is visible.
-    epoch->epochId =
-        g_nextEpochId.fetch_add(1, std::memory_order_relaxed);
-    epoch->batchableSubs = 0;
-    for (const TraceUnit &u : epoch->units) {
-        for (const rt::RecordedSubmission &s : u.subs) {
-            if (s.task.kind == rt::TaskKind::Compute)
-                epoch->batchableSubs++;
-        }
-    }
     Shard &shard = shardFor(epoch->codes.front());
     std::lock_guard<std::mutex> lock(shard.mutex);
     std::vector<std::shared_ptr<TraceEpoch>> &list =

@@ -112,22 +112,6 @@ struct TraceEpoch
     int windowSizeAfter = 0;
     std::uint32_t growths = 0;
     std::atomic<std::uint64_t> replays{0};
-    /**
-     * Process-unique identity, assigned when the epoch enters a
-     * TraceCache (0 until then). Cross-session batching
-     * (kir::BatchCoalescer) keys gather groups on it: sessions
-     * batching under one id replay the *same immutable epoch object*,
-     * so their submissions agree on kernels, plans, point counts and
-     * worker caps by construction. A refreshed or replacing capture
-     * gets a fresh id — sessions still holding the stale epoch keep
-     * replaying it correctly, just never batched with the new one.
-     */
-    std::uint64_t epochId = 0;
-
-    /** Batchable (Compute) submissions across all units, counted once
-     * at store time: replaying sessions pre-announce this many
-     * coalescable retirements. */
-    std::uint32_t batchableSubs = 0;
 };
 
 /**

@@ -1,7 +1,6 @@
 #include "exec.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <unordered_set>
@@ -1315,240 +1314,6 @@ WorkerPool::parallelFor(coord_t n, int max_workers,
             fn(worker, i);
     };
     parallelForChunked(n, 1, max_workers, ranged);
-}
-
-// ---- BatchCoalescer ---------------------------------------------------
-
-BatchCoalescer::BatchCoalescer(std::shared_ptr<WorkerPool> pool,
-                               int window_us)
-    : pool_(std::move(pool)),
-      windowUs_(window_us >= 0
-                    ? window_us
-                    : envInt("DIFFUSE_BATCH_WINDOW_US", 200, 0,
-                             1000000))
-{
-}
-
-void
-BatchCoalescer::announce(std::uint64_t epoch, std::uint64_t session)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    Replayer &r = replayers_[epoch][session];
-    r.instances++;
-    r.watermark = 0; // the new pass replays from the first submission
-}
-
-void
-BatchCoalescer::retract(std::uint64_t epoch, std::uint64_t session)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = replayers_.find(epoch);
-    if (it == replayers_.end())
-        return;
-    auto sit = it->second.find(session);
-    if (sit == it->second.end())
-        return;
-    if (--sit->second.instances <= 0)
-        it->second.erase(sit);
-    if (it->second.empty())
-        replayers_.erase(it);
-    // The session can no longer arrive anywhere on this epoch: a
-    // group waiting for it may hold everyone it can still expect.
-    reapSatisfiedGroups(epoch);
-}
-
-bool
-BatchCoalescer::shouldGather(std::uint64_t epoch) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = replayers_.find(epoch);
-    return it != replayers_.end() && it->second.size() > 1;
-}
-
-void
-BatchCoalescer::passBy(std::uint64_t epoch, std::int32_t index,
-                       std::uint64_t session)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = replayers_.find(epoch);
-    if (it == replayers_.end())
-        return;
-    auto sit = it->second.find(session);
-    if (sit == it->second.end())
-        return;
-    sit->second.watermark =
-        std::max(sit->second.watermark, index + 1);
-    reapSatisfiedGroups(epoch);
-}
-
-std::size_t
-BatchCoalescer::expectedAt(std::uint64_t epoch,
-                           std::int32_t index) const
-{
-    auto it = replayers_.find(epoch);
-    if (it == replayers_.end())
-        return 0;
-    std::size_t n = 0;
-    for (const auto &entry : it->second)
-        if (entry.second.watermark <= index)
-            n++;
-    return n;
-}
-
-void
-BatchCoalescer::reapSatisfiedGroups(std::uint64_t epoch)
-{
-    for (auto it = open_.begin(); it != open_.end();) {
-        Group *group = it->second.get();
-        if (it->first.first != epoch || group->closed) {
-            ++it;
-            continue;
-        }
-        if (group->members.size() >=
-            expectedAt(epoch, it->first.second)) {
-            group->closed = true;
-            stats_.closedByCount++;
-            group->cv.notify_all();
-            it = open_.erase(it);
-        } else {
-            ++it;
-        }
-    }
-}
-
-std::size_t
-BatchCoalescer::activeReplayers(std::uint64_t epoch) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = replayers_.find(epoch);
-    return it == replayers_.end() ? 0 : it->second.size();
-}
-
-BatchCoalescer::Stats
-BatchCoalescer::stats() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return stats_;
-}
-
-void
-BatchCoalescer::runCombined(const std::vector<Member *> &members,
-                            int cap)
-{
-    // Flatten every member's items into one job: item index -> member
-    // by offset table. A member's failure latches its skip flag —
-    // remaining items of that member are credited without running,
-    // while every other member's items proceed untouched; the error
-    // never reaches the pool's job-level cancellation.
-    std::vector<coord_t> offsets(members.size() + 1, 0);
-    for (std::size_t m = 0; m < members.size(); m++)
-        offsets[m + 1] = offsets[m] + members[m]->work.items;
-    coord_t total = offsets.back();
-    if (total == 0)
-        return;
-    pool_->parallelFor(total, cap, [&](int slot, coord_t idx) {
-        std::size_t m =
-            std::size_t(std::upper_bound(offsets.begin(), offsets.end(),
-                                         idx) -
-                        offsets.begin()) -
-            1;
-        Member *mem = members[m];
-        if (mem->failed.load(std::memory_order_acquire))
-            return;
-        try {
-            mem->work.run(slot, idx - offsets[m]);
-        } catch (...) {
-            if (!mem->failed.exchange(true, std::memory_order_acq_rel))
-                mem->error = std::current_exception();
-        }
-    });
-}
-
-std::exception_ptr
-BatchCoalescer::joinAndRun(std::uint64_t epoch, std::int32_t index,
-                           std::uint64_t session, int max_workers,
-                           BatchWork work)
-{
-    Member me;
-    me.work = std::move(work);
-    me.session = session;
-
-    std::unique_lock<std::mutex> lock(mutex_);
-    // Arriving at `index`: the session can still join a group here
-    // but none below (watermark moves to index + 1 once it ran).
-    {
-        auto rit = replayers_.find(epoch);
-        if (rit != replayers_.end()) {
-            auto sit = rit->second.find(session);
-            if (sit != rit->second.end() &&
-                sit->second.watermark < index)
-                sit->second.watermark = index;
-        }
-    }
-    Key key{epoch, index};
-    auto it = open_.find(key);
-    if (it == open_.end()) {
-        // First arrival: become the group leader. Wait until every
-        // session that can still reach this index arrived (their
-        // watermarks say so) or the gather window expires, then run
-        // the combined job.
-        auto group = std::make_shared<Group>();
-        group->cap = max_workers;
-        group->members.push_back(&me);
-        if (expectedAt(epoch, index) > 1 && windowUs_ > 0) {
-            open_.emplace(key, group);
-            auto deadline = std::chrono::steady_clock::now() +
-                            std::chrono::microseconds(windowUs_);
-            while (!group->closed) {
-                if (group->cv.wait_until(lock, deadline) ==
-                        std::cv_status::timeout &&
-                    !group->closed) {
-                    group->closed = true;
-                    open_.erase(key);
-                    stats_.timeouts++;
-                    break;
-                }
-            }
-        } else {
-            group->closed = true;
-        }
-        stats_.batches++;
-        stats_.batchedTasks += group->members.size();
-        stats_.maxOccupancy = std::max<std::uint64_t>(
-            stats_.maxOccupancy, group->members.size());
-        stats_.handoffsSaved += group->members.size() - 1;
-        // Membership is frozen (closed groups left the map), so the
-        // job runs without the lock; the lock hand-offs above give the
-        // workers happens-before on every member's pre-join state.
-        std::vector<Member *> members = group->members;
-        int cap = group->cap;
-        lock.unlock();
-        runCombined(members, cap);
-        lock.lock();
-        // Every member is now past this index; a leader waiting one
-        // submission ahead must not expect anyone at or below it (and
-        // may be complete once the watermarks move).
-        for (Member *m : members)
-            if (auto rit = replayers_.find(epoch);
-                rit != replayers_.end())
-                if (auto sit = rit->second.find(m->session);
-                    sit != rit->second.end() &&
-                    sit->second.watermark <= index)
-                    sit->second.watermark = index + 1;
-        reapSatisfiedGroups(epoch);
-        group->executed = true;
-        group->cv.notify_all();
-        return me.error;
-    }
-
-    std::shared_ptr<Group> group = it->second;
-    group->members.push_back(&me);
-    // Everyone who can still arrive here may be present now: close
-    // early so nobody sleeps out the window.
-    reapSatisfiedGroups(epoch);
-    while (!group->executed)
-        group->cv.wait(lock);
-    return me.error;
 }
 
 } // namespace kir

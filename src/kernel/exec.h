@@ -41,11 +41,9 @@
 #include <deque>
 #include <exception>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <span>
-#include <unordered_map>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -452,171 +450,6 @@ class WorkerPool
     std::atomic<int> target_{1};
     std::atomic<std::uint64_t> steals_{0};
     bool stop_ = false;
-};
-
-/**
- * One batch member's share of a combined job: `items` work items,
- * each executed by `run(slot, item)` on a leased worker slot. The
- * member owns everything the closure touches (bindings scratch,
- * executors, reduction partials); the coalescer only schedules.
- */
-struct BatchWork
-{
-    coord_t items = 1;
-    std::function<void(int slot, coord_t item)> run;
-};
-
-/**
- * Horizontal cross-session batching of identical trace-replay work
- * (DIFFUSE_BATCH): when several sessions concurrently replay the same
- * trace epoch, the point tasks they retire at the same epoch position
- * are gathered — behind a short window (DIFFUSE_BATCH_WINDOW_US) —
- * into *one* work-stealing job with per-session buffer bindings, so
- * job setup and pool hand-off are paid once per batch instead of once
- * per session.
- *
- * Sessions announce()/retract() active replays of an epoch; a member
- * only waits when another session is replaying the same epoch
- * (shouldGather), so solo sessions never see added latency. The first
- * member of a (epoch, submission index) key becomes the group leader:
- * it waits until every announced session arrived or the window
- * expires, then flattens the members' items into one pool job.
- * Exceptions are captured *per member* — one member's kernel fault
- * skips only that member's remaining items; every other member's work
- * completes and each member rethrows only its own error on its own
- * thread, so failure domains stay session-scoped (runtime/runtime.cc
- * poisons only the faulting session's stores and cancels only its
- * hazard edges).
- *
- * Correctness leans on the planning fingerprint: members of one key
- * replay the same immutable TraceEpoch, so their tasks agree on
- * kernel, plan, point count, parallel safety and worker cap — only
- * buffers and scalar values differ, and those live entirely inside
- * each member's closure.
- */
-class BatchCoalescer
-{
-  public:
-    /** Occupancy and amortization counters (tests, bench). */
-    struct Stats
-    {
-        std::uint64_t batches = 0;        ///< combined jobs run
-        std::uint64_t batchedTasks = 0;   ///< member tasks across them
-        std::uint64_t maxOccupancy = 0;   ///< largest member count
-        std::uint64_t closedByCount = 0;  ///< closed early, all arrived
-        std::uint64_t timeouts = 0;       ///< closed by window expiry
-        /** Pool hand-offs amortized away: (members - 1) per batch. */
-        std::uint64_t handoffsSaved = 0;
-    };
-
-    /** `window_us` < 0 reads DIFFUSE_BATCH_WINDOW_US (default 200). */
-    explicit BatchCoalescer(std::shared_ptr<WorkerPool> pool,
-                            int window_us = -1);
-
-    /** A session began replaying `epoch` (retirements incoming). */
-    void announce(std::uint64_t epoch, std::uint64_t session);
-
-    /** The session's replay of `epoch` fully retired (or died). */
-    void retract(std::uint64_t epoch, std::uint64_t session);
-
-    /** Would a member of `epoch` have company right now? False keeps
-     * solo sessions on the unbatched fast path with zero waiting. */
-    bool shouldGather(std::uint64_t epoch) const;
-
-    /**
-     * The session ran submission `index` of `epoch` outside the
-     * coalescer (it was alone when it checked). Advances the session's
-     * progress watermark so open groups at or below `index` stop
-     * expecting it — a session that raced ahead unbatched must never
-     * cost a waiting sibling the full window.
-     */
-    void passBy(std::uint64_t epoch, std::int32_t index,
-                std::uint64_t session);
-
-    /**
-     * Join the gather group for submission `index` of `epoch`, wait
-     * for it to close (every announced session that can still reach
-     * `index` — progress watermark <= index — arrived, or the window
-     * expired), run the combined job, and return this member's error
-     * (nullptr on success). Blocks until this member's items ran or
-     * were skipped by its own failure. `max_workers` caps the job's
-     * worker slots; identical across members of a key by construction.
-     */
-    std::exception_ptr joinAndRun(std::uint64_t epoch,
-                                  std::int32_t index,
-                                  std::uint64_t session,
-                                  int max_workers, BatchWork work);
-
-    Stats stats() const;
-
-    /** Distinct sessions currently replaying `epoch` (tests). */
-    std::size_t activeReplayers(std::uint64_t epoch) const;
-
-  private:
-    struct Member
-    {
-        BatchWork work;
-        /** Owning session: the leader advances members' progress
-         * watermarks past the group's index once the job ran. */
-        std::uint64_t session = 0;
-        /** First exception this member's items raised. Written by the
-         * winning worker (failed_ exchange), read by the member thread
-         * after the job's completion handshake. */
-        std::exception_ptr error;
-        /** Latched by the first failing item; later items of this
-         * member are credited without running. */
-        std::atomic<bool> failed{false};
-    };
-
-    struct Group
-    {
-        /** Frozen once `closed` (arrivals then start a new group). */
-        std::vector<Member *> members;
-        int cap = 1;
-        bool closed = false;
-        bool executed = false;
-        std::condition_variable cv;
-    };
-
-    using Key = std::pair<std::uint64_t, std::int32_t>;
-
-    struct Replayer
-    {
-        /** Active replay passes (pipelining can overlap two). */
-        int instances = 0;
-        /** Next submission index this session could still arrive at:
-         * 0 on announce, `index` while arriving/grouped at `index`,
-         * `index + 1` once it ran past it. Approximate under
-         * overlapped passes — the window timeout is the backstop. */
-        std::int32_t watermark = 0;
-    };
-
-    /** Flatten the (frozen) group's items into one pool job. Called
-     * by the leader with no lock held. */
-    void runCombined(const std::vector<Member *> &members, int cap);
-
-    /** Announced sessions whose watermark says they can still reach
-     * `index` of `epoch` (lock held). */
-    std::size_t expectedAt(std::uint64_t epoch,
-                           std::int32_t index) const;
-
-    /** A watermark or the census moved: close any open group of
-     * `epoch` that now holds everyone it can still expect
-     * (lock held). */
-    void reapSatisfiedGroups(std::uint64_t epoch);
-
-    std::shared_ptr<WorkerPool> pool_;
-    int windowUs_ = 0;
-    /** One mutex guards groups, replayer counts and stats: groups are
-     * few and short-lived, and every hand-off (member publication,
-     * leader collection, wake-ups) rides its happens-before edges. */
-    mutable std::mutex mutex_;
-    std::map<Key, std::shared_ptr<Group>> open_;
-    /** epoch -> (session -> census entry). */
-    std::unordered_map<std::uint64_t,
-                       std::unordered_map<std::uint64_t, Replayer>>
-        replayers_;
-    Stats stats_;
 };
 
 } // namespace kir

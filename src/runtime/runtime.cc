@@ -763,15 +763,6 @@ LowRuntime::submitRecorded(const RecordedSubmission &recorded,
         task.copy.store = slot_stores[std::size_t(task.copy.store)];
     if (scalars)
         task.scalars = *scalars;
-    if (pendingBatchEpoch_ != 0 && task.kind == TaskKind::Compute) {
-        // Batch tag stamped by the replaying middle layer: this
-        // retirement may coalesce with sibling sessions replaying the
-        // same epoch (see executeRetired).
-        task.batchEpoch = pendingBatchEpoch_;
-        task.batchIndex = pendingBatchIndex_;
-        pendingBatchEpoch_ = 0;
-        pendingBatchIndex_ = -1;
-    }
 
     // Recorded cost-model and exchange accounting, verbatim.
     const SubmitStatsDelta &d = recorded.stats;
@@ -950,21 +941,6 @@ LowRuntime::executeRetired(const LaunchedTask &task)
         shards_.executeCopy(task.copy, canonical);
         return;
     }
-    // Batch-tagged retirements count down their epoch's announcement
-    // no matter how execution ends — success, kernel fault, injected
-    // error — so the coalescer's replayer census never leaks a ghost
-    // session (cancelled tasks are accounted in onTaskFailed, the one
-    // path that never reaches here).
-    struct BatchAccount
-    {
-        LowRuntime *rt;
-        std::uint64_t epoch;
-        ~BatchAccount()
-        {
-            if (epoch != 0)
-                rt->accountBatchTask(epoch);
-        }
-    } batch_account{this, task.batchEpoch};
     const kir::KernelFunction &fn = task.kernel->fn;
     const bool scalar_oracle =
         kir::Executor::scalarForced() || task.forceScalar;
@@ -998,26 +974,6 @@ LowRuntime::executeRetired(const LaunchedTask &task)
                 skip = false;
         }
         ensureAllocated(r, skip);
-    }
-
-    // Cross-session batching: a batch-tagged retirement of a healthy
-    // session gathers with sibling sessions replaying the same epoch
-    // into one combined pool job (kir::BatchCoalescer). Everything up
-    // to here (fault sampling, materialization) already ran on this
-    // session's thread; everything observable — results, stats,
-    // FaultStats, the simulated schedule — is bitwise-identical to
-    // the unbatched paths below. Failed sessions fall through: their
-    // remaining work drains solo, excised from pending batches.
-    if (task.batchEpoch != 0 && coalescer_ != nullptr && !failed()) {
-        if (coalescer_->shouldGather(task.batchEpoch)) {
-            executeBatchedCompute(task, scalar_oracle, inject_kernel);
-            return;
-        }
-        // Running unbatched (alone on the epoch right now): advance
-        // the progress watermark so a sibling that announces later
-        // never waits out the window at an index this session passed.
-        coalescer_->passBy(task.batchEpoch, task.batchIndex,
-                           sessionId_);
     }
 
     int np = task.numPoints;
@@ -1213,150 +1169,6 @@ LowRuntime::executeSharded(
 }
 
 void
-LowRuntime::executeBatchedCompute(const LaunchedTask &task,
-                                  bool scalar_oracle,
-                                  bool inject_kernel)
-{
-    const kir::KernelFunction &fn = task.kernel->fn;
-    int np = task.numPoints;
-    // Mirror the unbatched dispatch decision exactly: the sharded
-    // path (and its tasksSharded counter) engages under the same
-    // condition, and the injected fault executes no point either way.
-    bool per_point = task.parallelSafe && workers_ > 1 && np > 1;
-    if (per_point && !inject_kernel)
-        stats_.tasksSharded++;
-
-    // Reduction accumulators divert to per-point slots and merge in
-    // point order below — the unbatched sharded discipline, which is
-    // bit-identical to the sequential combine for every worker count.
-    struct RedSlot
-    {
-        std::size_t arg;
-        coord_t vol;
-        std::vector<double> partials;
-    };
-    std::vector<RedSlot> reds;
-    if (per_point && !inject_kernel) {
-        for (std::size_t i = 0; i < task.args.size(); i++) {
-            const LowArg &arg = task.args[i];
-            if (!privReduces(arg.priv))
-                continue;
-            RedSlot rs;
-            rs.arg = i;
-            rs.vol = rec(arg.store).shape.volume();
-            rs.partials.assign(std::size_t(rs.vol) * std::size_t(np),
-                               reductionIdentity(arg.redop));
-            reds.push_back(std::move(rs));
-        }
-    }
-
-    // This thread blocks inside joinAndRun until its items ran, so
-    // the closures may reference this frame freely. Slot ids are
-    // job-unique and capped at workers_ (identical across members of
-    // a key — the planning fingerprint is part of the epoch code), so
-    // per-slot executors and binding scratch never race or overflow.
-    kir::BatchWork work;
-    if (inject_kernel) {
-        // The unbatched injected fault runs no point and throws from
-        // the last item; here the coalescer captures it for this
-        // member alone — siblings in the batch are untouched.
-        work.items = np;
-        work.run = [&task, np](int, coord_t p) {
-            if (p == coord_t(np - 1))
-                throw DiffuseError(makeError(ErrorCode::KernelFault,
-                                             "injected kernel fault",
-                                             task.name));
-        };
-    } else if (per_point) {
-        work.items = np;
-        work.run = [this, &task, &fn, &reds,
-                    scalar_oracle](int slot, coord_t p) {
-            std::vector<kir::BufferBinding> &b =
-                workerBindings_[std::size_t(slot)];
-            buildBindings(task, int(p), b, true);
-            for (RedSlot &rs : reds) {
-                b[rs.arg].base = rs.partials.data() +
-                                 std::size_t(p) * std::size_t(rs.vol);
-            }
-            if (scalar_oracle || task.kernel->plan == nullptr)
-                executors_[std::size_t(slot)].runScalar(fn, b,
-                                                        task.scalars);
-            else
-                executors_[std::size_t(slot)].run(
-                    fn, *task.kernel->plan, b, task.scalars,
-                    task.kernel->jit.get());
-        };
-    } else {
-        // Sequential reference semantics: this member's points run in
-        // point order on one slot (points may alias), concurrently
-        // only with *sibling sessions'* items — disjoint stores.
-        work.items = 1;
-        work.run = [this, &task, &fn, np, scalar_oracle](int slot,
-                                                         coord_t) {
-            std::vector<kir::BufferBinding> &b =
-                workerBindings_[std::size_t(slot)];
-            for (int p = 0; p < np; p++) {
-                buildBindings(task, p, b, true);
-                if (scalar_oracle || task.kernel->plan == nullptr)
-                    executors_[std::size_t(slot)].runScalar(
-                        fn, b, task.scalars);
-                else
-                    executors_[std::size_t(slot)].run(
-                        fn, *task.kernel->plan, b, task.scalars,
-                        task.kernel->jit.get());
-            }
-        };
-    }
-
-    std::exception_ptr err =
-        coalescer_->joinAndRun(task.batchEpoch, task.batchIndex,
-                               sessionId_, workers_, std::move(work));
-    if (err)
-        std::rethrow_exception(err); // this session's failure alone
-
-    // Merge reduction partials in point order — the unbatched merge,
-    // verbatim: bit-identical for every worker count and occupancy.
-    for (const RedSlot &rs : reds) {
-        const LowArg &arg = task.args[rs.arg];
-        double *dst =
-            reinterpret_cast<double *>(rec(arg.store).data.data());
-        for (coord_t p = 0; p < np; p++) {
-            const double *src = rs.partials.data() +
-                                std::size_t(p) * std::size_t(rs.vol);
-            for (coord_t e = 0; e < rs.vol; e++)
-                dst[e] = applyReduction(arg.redop, dst[e], src[e]);
-        }
-    }
-}
-
-void
-LowRuntime::beginBatchEpoch(std::uint64_t epoch_id, int batchable)
-{
-    if (coalescer_ == nullptr || epoch_id == 0 || batchable <= 0)
-        return;
-    coalescer_->announce(epoch_id, sessionId_);
-    activeBatch_.push_back({epoch_id, batchable});
-}
-
-void
-LowRuntime::accountBatchTask(std::uint64_t epoch_id)
-{
-    // Pipelined replays of one epoch coexist; the counters are
-    // fungible, so the oldest matching announcement absorbs the tick.
-    for (auto it = activeBatch_.begin(); it != activeBatch_.end();
-         ++it) {
-        if (it->epochId != epoch_id)
-            continue;
-        if (--it->remaining <= 0) {
-            if (coalescer_ != nullptr)
-                coalescer_->retract(epoch_id, sessionId_);
-            activeBatch_.erase(it);
-        }
-        return;
-    }
-}
-
-void
 LowRuntime::finishRetired(const LaunchedTask &task)
 {
     for (const LowArg &arg : task.args) {
@@ -1429,11 +1241,6 @@ LowRuntime::onTaskFailed(const LaunchedTask &task, const Error &e,
     }
     if (sessionError_.ok())
         sessionError_ = e;
-    // Cancelled tasks never reach executeRetired: account their batch
-    // tags here so the epoch's replayer announcement still retracts
-    // (executed-and-failed tasks were accounted at execution).
-    if (cancelled && task.batchEpoch != 0)
-        accountBatchTask(task.batchEpoch);
     if (!cancelled)
         diffuse_warn_session(sessionId_, "session %llu: task failed: %s",
                              (unsigned long long)sessionId_,

@@ -275,44 +275,6 @@ class LowRuntime
     /** The worker pool executing sharded nests (possibly shared). */
     kir::WorkerPool &pool() { return *pool_; }
 
-    // ---- Cross-session batching (see kir::BatchCoalescer) -----------
-
-    /**
-     * Enable horizontal batching: Compute retirements carrying a
-     * batch tag (stamped on trace-replayed submissions by the middle
-     * layer) gather with sibling sessions replaying the same epoch
-     * into one combined pool job. Null disables (the default). Real
-     * mode only; results, stats and simulated schedules are bitwise
-     * identical either way.
-     */
-    void setBatchCoalescer(std::shared_ptr<kir::BatchCoalescer> c)
-    {
-        coalescer_ = std::move(c);
-    }
-
-    bool batchingEnabled() const { return coalescer_ != nullptr; }
-    const std::shared_ptr<kir::BatchCoalescer> &batcher() const
-    {
-        return coalescer_;
-    }
-
-    /**
-     * A trace replay of `epoch_id` with `batchable` Compute
-     * submissions begins: announce this session to the coalescer. The
-     * announcement retracts automatically once all `batchable`
-     * retirements are accounted — executed (successfully or not) or
-     * cancelled — so pipelined replays and mid-epoch failures never
-     * leak a ghost replayer.
-     */
-    void beginBatchEpoch(std::uint64_t epoch_id, int batchable);
-
-    /** Stamp the next submitRecorded Compute task with a batch tag. */
-    void setNextBatchTag(std::uint64_t epoch_id, std::int32_t index)
-    {
-        pendingBatchEpoch_ = epoch_id;
-        pendingBatchIndex_ = index;
-    }
-
     /** Synchronous convenience: wait(submit(task)). */
     void execute(const LaunchedTask &task);
 
@@ -513,22 +475,6 @@ class LowRuntime
     void executeRetired(const LaunchedTask &task);
 
     /**
-     * Execute a batch-tagged Compute retirement through the gather
-     * group instead of a private pool job. Per-session preparation
-     * (materialization, reduction diversion, the fault decision) and
-     * post-processing (reduction merge, error rethrow) stay on this
-     * session's thread; only the point work itself runs inside the
-     * combined job, bound through this session's executors and
-     * buffers. Bitwise-identical to the unbatched paths.
-     */
-    void executeBatchedCompute(const LaunchedTask &task,
-                               bool scalar_oracle, bool inject_kernel);
-
-    /** Count down a batch-tagged retirement; retracts the epoch's
-     * announcement when the last one is accounted. */
-    void accountBatchTask(std::uint64_t epoch_id);
-
-    /**
      * Strip-sharded execution of a parallel-safe retired task on the
      * vector plan: workers claim strip (or Gemv/Csr row) ranges
      * flattened across points, nest by nest. `prepare` fills point
@@ -613,20 +559,6 @@ class LowRuntime
     RuntimeStats captureStatsMark_;
     ShardStats captureShardMark_;
     std::function<void(StoreId)> hostWriteObserver_;
-
-    /** Cross-session batching (null = disabled). */
-    std::shared_ptr<kir::BatchCoalescer> coalescer_;
-    /** Active announced replays: epoch id -> unaccounted batchable
-     * retirements. A handful at most (pipelining overlaps two). */
-    struct ActiveBatchEpoch
-    {
-        std::uint64_t epochId = 0;
-        int remaining = 0;
-    };
-    std::vector<ActiveBatchEpoch> activeBatch_;
-    /** One-shot tag consumed by the next Compute submitRecorded. */
-    std::uint64_t pendingBatchEpoch_ = 0;
-    std::int32_t pendingBatchIndex_ = -1;
 
     /** Failure-domain state. */
     FaultInjector faults_;

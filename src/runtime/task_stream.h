@@ -141,18 +141,6 @@ struct LaunchedTask
      * transparent).
      */
     bool forceScalar = false;
-    /**
-     * Cross-session batching tag (DIFFUSE_BATCH, trace replay only):
-     * the TraceEpoch::epochId this submission was replayed from, and
-     * its position among the epoch's batchable (Compute) submissions.
-     * 0 / -1 when the task is not batchable. Tags only route *where*
-     * a retirement executes (kir::BatchCoalescer gather group vs. the
-     * session's own pool job); retirement order, per-session stats
-     * attribution and the simulated schedule — which is computed at
-     * submission — are identical either way.
-     */
-    std::uint64_t batchEpoch = 0;
-    std::int32_t batchIndex = -1;
 };
 
 /** Cost-model inputs of one submitted task (computed at submission). */

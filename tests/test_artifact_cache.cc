@@ -383,6 +383,10 @@ TEST(ArtifactCache, SecondSharedContextWarmStartsFromDisk)
 
     DiffuseOptions opts;
     opts.mode = rt::ExecutionMode::Real;
+    // The checks read each context's own backend: pin shared caching
+    // on so the DIFFUSE_SHARED_CACHE=0 environment matrix cannot hand
+    // out private contexts whose counters these never see.
+    opts.sharedCache = 1;
 
     // Oracle: the identical program with the JIT off.
     opts.jit = 0;

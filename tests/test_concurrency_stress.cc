@@ -55,10 +55,6 @@ struct StressConfig
      * window against submission of the next, on top of the cache
      * races. 0 is the draining oracle. */
     int pipeline = 0;
-    /** Horizontal batching: concurrent sessions replaying the same
-     * trace epoch coalesce their point-tasks into one combined pool
-     * job. 0 is the unbatched oracle. */
-    int batch = 0;
     /** Native JIT codegen: concurrent cold sessions race the backend
      * on the same kernel keys (exactly-once attach under the shard
      * locks). 0 is the interpreter oracle. */
@@ -70,8 +66,7 @@ struct StressConfig
         return "w" + std::to_string(workers) + "/r" +
                std::to_string(ranks) + "/t" + std::to_string(trace) +
                "/s" + std::to_string(sharedCache) + "/p" +
-               std::to_string(pipeline) + "/b" + std::to_string(batch) +
-               "/j" + std::to_string(jit);
+               std::to_string(pipeline) + "/j" + std::to_string(jit);
     }
 };
 
@@ -85,7 +80,6 @@ optionsFor(const StressConfig &cfg)
     o.trace = cfg.trace;
     o.sharedCache = cfg.sharedCache;
     o.pipeline = cfg.pipeline;
-    o.batch = cfg.batch;
     o.jit = cfg.jit;
     return o;
 }
@@ -288,20 +282,18 @@ TEST(ConcurrencyStress, SmokeMixedSessionsBitwiseEqualSerialReference)
 {
     // Tier-1 smoke: a fast subset covering both shared and isolated
     // sessions, trace on/off, the sharded/multi-worker paths, and
-    // horizontally batched replay.
+    // pipelined flushes.
     const std::vector<StressConfig> configs = {
-        {1, 1, 1, 1},       // baseline serving configuration
-        {8, 2, 1, 1},       // workers x ranks over shared caches
-        {8, 1, 0, 1},       // shared caches without the trace layer
-        {1, 2, 1, 0},       // isolated sessions (shared-cache oracle)
-        {8, 2, 1, 1, 1},    // pipelined flushes over the heavy config
-        {8, 1, 0, 1, 1},    // pipelined without the trace layer
-        {8, 1, 1, 1, 0, 1}, // batched replay (racing the coalescer)
-        {8, 2, 1, 1, 1, 1}, // batched + pipelined over workers x ranks
+        {1, 1, 1, 1},    // baseline serving configuration
+        {8, 2, 1, 1},    // workers x ranks over shared caches
+        {8, 1, 0, 1},    // shared caches without the trace layer
+        {1, 2, 1, 0},    // isolated sessions (shared-cache oracle)
+        {8, 2, 1, 1, 1}, // pipelined flushes over the heavy config
+        {8, 1, 0, 1, 1}, // pipelined without the trace layer
         // Native JIT over the heavy config: concurrent cold sessions
         // race the backend's exactly-once attach, then dispatch the
         // same compiled modules.
-        {8, 2, 1, 1, 1, 0, 1},
+        {8, 2, 1, 1, 1, 1},
     };
     runMatrix(configs, 4, 2);
 }
@@ -318,16 +310,8 @@ TEST(ConcurrencyStress, FullMatrixEightThreadsEightSessions)
             for (int trace : {1, 0})
                 for (int shared : {1, 0})
                     for (int pipeline : {0, 1})
-                        for (int batch : {0, 1}) {
-                            // Isolated sessions own private contexts,
-                            // so their coalescer never gathers — skip
-                            // the redundant batch dimension there.
-                            if (batch == 1 && shared == 0)
-                                continue;
-                            configs.push_back({workers, ranks, trace,
-                                               shared, pipeline,
-                                               batch});
-                        }
+                        configs.push_back(
+                            {workers, ranks, trace, shared, pipeline});
     runMatrix(configs, 8, 8);
 }
 

@@ -417,38 +417,30 @@ TEST(Faults, SessionFailureLeavesSiblingsAndSharedCachesBitwiseIntact)
     EXPECT_EQ(runBody(*victim), expect);
 }
 
-TEST(Faults, BatchedPipelinedResetLeavesInFlightSiblingsIntact)
+TEST(Faults, PipelinedResetLeavesInFlightSiblingsIntact)
 {
-    // The hardest failure-domain configuration: pipelined flushes
-    // (retirement of one window racing submission of the next) on top
-    // of horizontal batching (siblings replaying the same epoch may
-    // share one combined pool job). A kernel fault on the victim — and
-    // the victim's resetAfterError(), issued while the siblings' work
-    // is still in flight — must not perturb the siblings at all, and
-    // the recovered victim must rerun bitwise-clean.
+    // Pipelined flushes (retirement of one window racing submission
+    // of the next) in three barrier-released sessions replaying the
+    // same epochs from one shared context. A kernel fault on the
+    // victim — and the victim's resetAfterError(), issued while the
+    // siblings' work is still in flight — must not perturb the
+    // siblings at all, and the recovered victim must rerun
+    // bitwise-clean.
     //
     // gtest assertions are not thread-safe: threads only compute and
     // record into atomics; all comparisons happen on main after join.
     DiffuseOptions o = realOpts(/*workers=*/4);
     o.pipeline = 1;
-    o.batch = 1;
     DiffuseOptions ref = o;
-    ref.batch = 0;
-    ref.pipeline = 0; // the draining, unbatched oracle
+    ref.pipeline = 0; // the draining oracle
     auto expect = cleanReference(ref);
 
-    // Generous gather window (read once at context construction) so
-    // barrier-released siblings can actually coalesce.
-    setenv("DIFFUSE_BATCH_WINDOW_US", "200000", 1);
     auto ctx = SharedContext::create(machine());
-    unsetenv("DIFFUSE_BATCH_WINDOW_US");
-
     auto victim = ctx->createSession(o);
     auto sib_a = ctx->createSession(o);
     auto sib_b = ctx->createSession(o);
 
-    // Warm the trace cache so the concurrent round replays (batching
-    // only coalesces replayed epochs).
+    // Warm the trace cache so the concurrent round replays.
     EXPECT_EQ(runBody(*victim), expect);
     EXPECT_EQ(runBody(*sib_a), expect);
     EXPECT_EQ(runBody(*sib_b), expect);

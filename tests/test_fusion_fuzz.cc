@@ -53,11 +53,6 @@ struct Config
     /** Cross-window pipelining; the reference keeps the draining
      * flush — DIFFUSE_PIPELINE=0 is the oracle. */
     int pipeline = 0;
-    /** Horizontal batching of identical trace epochs. The fuzzer runs
-     * one session per runtime, so a batched replay always finds an
-     * empty census and must take the pass-by fast path bitwise
-     * unchanged — DIFFUSE_BATCH=0 is the oracle. */
-    int batch = 0;
     /** Native JIT codegen (kernel/codegen.h): retired nests dispatch
      * compiled C instead of the tape interpreter. DIFFUSE_JIT=0 is
      * the bitwise oracle. */
@@ -70,8 +65,7 @@ struct Config
                (scalarExec ? "/scalar" : "/vector") + "/w" +
                std::to_string(workers) + "/r" + std::to_string(ranks) +
                "/t" + std::to_string(trace) + "/p" +
-               std::to_string(pipeline) + "/b" +
-               std::to_string(batch) + "/j" + std::to_string(jit);
+               std::to_string(pipeline) + "/j" + std::to_string(jit);
     }
 };
 
@@ -274,7 +268,6 @@ runProgram(std::uint64_t seed, const Config &cfg)
     o.ranks = cfg.ranks;
     o.trace = cfg.trace;
     o.pipeline = cfg.pipeline;
-    o.batch = cfg.batch;
     o.jit = cfg.jit;
     DiffuseRuntime rt(rt::MachineConfig::withGpus(4), o);
     return runProgramBody(rt, seed);
@@ -299,16 +292,11 @@ TEST(FusionFuzz, AllConfigurationsBitwiseEqual)
         {true, false, 8, 4, 1, 1},
         {true, false, 8, 1, 0, 1},
         {false, false, 1, 4, 1, 1},
-        // Batched replay in a solo session: the coalescer's census
-        // sees one replayer, so every retired task takes the pass-by
-        // path — the knob must be a bitwise no-op without siblings.
-        {true, false, 8, 4, 1, 0, 1},
-        {true, false, 8, 4, 1, 1, 1},
         // Native JIT codegen stacked over the heaviest configuration:
         // compiled nests must stay bitwise equal to the interpreter
         // (the in-process module registry keeps repeat tapes to one
         // toolchain invocation each across the whole run).
-        {true, false, 8, 4, 1, 1, 0, 1},
+        {true, false, 8, 4, 1, 1, 1},
     };
     for (int s = 0; s < seeds; s++) {
         std::uint64_t seed = 0xD1FFu + std::uint64_t(s) * 7919;

@@ -8,7 +8,8 @@
  *  - a second session running the identical window stream lowers
  *    zero plans and replays the shared trace wholesale;
  *  - fusion/runtime statistics stay per-session while the
- *    cache-population counters are process-wide;
+ *    cache-population counters are process-wide, also while several
+ *    sessions replay the same epochs concurrently;
  *  - `sharedCache = 0` (the DIFFUSE_SHARED_CACHE opt-out) hands out
  *    fully isolated sessions;
  *  - tearing a session down mid-flight leaves the shared caches
@@ -19,9 +20,11 @@
 
 #include <gtest/gtest.h>
 
+#include <barrier>
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "core/context.h"
@@ -71,10 +74,9 @@ bits(const std::vector<double> &v)
  * sessions.
  */
 std::vector<std::vector<std::uint64_t>>
-runServingBody(DiffuseRuntime &rt, int reps = 3)
+runServingBody(DiffuseRuntime &rt, int reps = 3, coord_t n = 48)
 {
     Context ctx(rt);
-    const coord_t n = 48;
     NDArray a = ctx.random(n, 0xA11CE, -1.0, 1.0);
     NDArray b = ctx.random(n, 0xB0B, -1.0, 1.0);
     for (int rep = 0; rep < reps; rep++) {
@@ -171,6 +173,102 @@ TEST(Sessions, StatsStayPerSessionWhileCacheCountersAreProcessWide)
     EXPECT_EQ(&s1->memoStats(), &s2->memoStats());
     EXPECT_EQ(s1->context(), s2->context());
     EXPECT_EQ(ctx->memo().stats().misses, misses_after_s1);
+}
+
+/** The per-session numbers a shared session must attribute exactly as
+ * an isolated one does (the trace capture/replay split differs between
+ * the first and later sessions of a warm context, so it stays out). */
+struct SessionNumbers
+{
+    double simTime = 0.0;
+    double busyTime = 0.0;
+    std::uint64_t tasksSharded = 0;
+    std::uint64_t tasksSubmitted = 0;
+    std::uint64_t flushes = 0;
+    std::uint64_t groupsLaunched = 0;
+    std::uint64_t fusedGroups = 0;
+
+    bool operator==(const SessionNumbers &) const = default;
+};
+
+SessionNumbers
+numbersOf(DiffuseRuntime &rt)
+{
+    SessionNumbers n;
+    n.simTime = rt.runtimeStats().simTime;
+    n.busyTime = rt.runtimeStats().busyTime;
+    n.tasksSharded = rt.runtimeStats().tasksSharded;
+    n.tasksSubmitted = rt.fusionStats().tasksSubmitted;
+    n.flushes = rt.fusionStats().flushes;
+    n.groupsLaunched = rt.fusionStats().groupsLaunched;
+    n.fusedGroups = rt.fusionStats().fusedGroups;
+    return n;
+}
+
+TEST(Sessions, ConcurrentReplayKeepsPerSessionStatsEqualToIsolated)
+{
+    // Warm sessions of one context replay the same shared epochs from
+    // barrier-released threads, every round. Each session's results
+    // and its own schedule clocks, sharding and fusion counters must
+    // equal an isolated session that ran the identical lifetime: no
+    // stat leaks between sessions that share caches and a pool.
+    //
+    // gtest assertions are not thread-safe: threads only compute; all
+    // comparisons happen on main after join.
+    const int kSessions = 4;
+    const int kRounds = 4;
+    const coord_t kPoints = 1 << 14;
+    using Results = std::vector<std::vector<std::uint64_t>>;
+
+    Results expect;
+    SessionNumbers expect_numbers;
+    {
+        DiffuseRuntime iso(machine(), realOpts(4));
+        expect = runServingBody(iso, 3, kPoints);
+        for (int round = 0; round < kRounds; round++)
+            EXPECT_EQ(runServingBody(iso, 3, kPoints), expect);
+        expect_numbers = numbersOf(iso);
+    }
+    EXPECT_GT(expect_numbers.tasksSharded, 0u);
+
+    auto ctx = SharedContext::create(machine());
+    std::vector<std::unique_ptr<DiffuseRuntime>> sessions;
+    std::vector<Results> warm(static_cast<std::size_t>(kSessions));
+    for (int i = 0; i < kSessions; i++) {
+        // Warm sequentially: session 0 captures the epochs, the rest
+        // already replay — every concurrent round below is pure replay.
+        sessions.push_back(ctx->createSession(realOpts(4)));
+        warm[std::size_t(i)] =
+            runServingBody(*sessions.back(), 3, kPoints);
+    }
+
+    std::barrier sync(kSessions);
+    std::vector<std::vector<Results>> got(
+        static_cast<std::size_t>(kSessions));
+    std::vector<std::thread> threads;
+    for (int i = 0; i < kSessions; i++) {
+        threads.emplace_back([&, i] {
+            for (int round = 0; round < kRounds; round++) {
+                sync.arrive_and_wait();
+                got[std::size_t(i)].push_back(
+                    runServingBody(*sessions[std::size_t(i)], 3, kPoints));
+            }
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+
+    for (int i = 0; i < kSessions; i++) {
+        DiffuseRuntime &session = *sessions[std::size_t(i)];
+        EXPECT_EQ(warm[std::size_t(i)], expect) << "session " << i;
+        ASSERT_EQ(got[std::size_t(i)].size(), std::size_t(kRounds));
+        for (int round = 0; round < kRounds; round++)
+            EXPECT_EQ(got[std::size_t(i)][std::size_t(round)], expect)
+                << "session " << i << " round " << round;
+        EXPECT_EQ(numbersOf(session), expect_numbers) << "session " << i;
+        EXPECT_GT(session.fusionStats().traceEpochsReplayed, 0u)
+            << "session " << i;
+    }
 }
 
 TEST(Sessions, SharedCacheOptOutIsolatesBitForBit)
