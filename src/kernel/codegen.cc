@@ -62,7 +62,7 @@ jitLog(double x)
  * emitted source, the entry-point ABI or the embedded-key format
  * changes, so stale artifacts from older builds miss instead of load.
  */
-constexpr int kJitSchemaVersion = 1;
+constexpr int kJitSchemaVersion = 2;
 
 /** Two independent 64-bit FNV-1a style hashes over `s`. */
 void
@@ -286,12 +286,50 @@ jitFuncTable()
 
 namespace {
 
+/** The operands each op-table shape binds (kernel/ops.h). */
+struct OpShape
+{
+    bool b, c, k, k2;
+    const char *product; ///< a triad's T, or null
+};
+constexpr OpShape kUnary{false, false, false, false, nullptr};
+constexpr OpShape kBinary{true, false, false, false, nullptr};
+constexpr OpShape kTernary{true, true, false, false, nullptr};
+constexpr OpShape kImm{false, false, true, false, nullptr};
+constexpr OpShape kTriad{true, true, false, false, "A * B"};
+constexpr OpShape kTriadK{true, false, true, false, "A * B"};
+constexpr OpShape kScale{false, true, true, false, "A * K"};
+constexpr OpShape kScaleK{false, false, true, true, "A * K"};
+
+/**
+ * Emit one op-table row as a block that binds the shape's operands by
+ * name, computes a triad's product T as its own statement and assigns
+ * the row's expression — the VM's strip-loop body for one element.
+ */
+void
+emitOp(std::string &out, const VecInstr &ins, const OpShape &shape,
+       const char *expr)
+{
+    appendf(out, "      { const double A = r%d", int(ins.a));
+    if (shape.b)
+        appendf(out, ", B = r%d", int(ins.b));
+    if (shape.c)
+        appendf(out, ", C = r%d", int(ins.c));
+    if (shape.k)
+        out += ", K = " + kValue(ins.scalar, ins.imm);
+    if (shape.k2)
+        out += ", K2 = " + kValue(ins.scalar2, ins.imm2);
+    out += ";";
+    if (shape.product != nullptr)
+        appendf(out, " const double T = %s;", shape.product);
+    appendf(out, " r%d = %s; }\n", int(ins.dst), expr);
+}
+
 /**
  * Emit one nest's entry point. The structure mirrors
- * Executor::execStrip exactly: same strip geometry, same per-op
- * expressions (two-statement triads, ternary min/max/select/compare),
- * same element-order reduction folds — see the bitwise-identity
- * argument in codegen.h.
+ * Executor::execStrip exactly: same strip geometry, the same op-table
+ * expressions (two-statement triads), same element-order reduction
+ * folds — see the bitwise-identity argument in codegen.h.
  */
 void
 emitNest(std::string &out, const DensePlan &dp, int width, int index)
@@ -351,13 +389,9 @@ emitNest(std::string &out, const DensePlan &dp, int width, int index)
     }
 
     for (const VecInstr &ins : dp.tape) {
-        const int d = int(ins.dst), a = int(ins.a), b = int(ins.b),
-                  c = int(ins.c);
-        std::string kv = kValue(ins.scalar, ins.imm);
-        const char *k = kv.c_str();
         switch (ins.op) {
           case VecOp::Load:
-            appendf(out, "      r%d = p%d[k * st%d];\n", d,
+            appendf(out, "      r%d = p%d[k * st%d];\n", int(ins.dst),
                     int(ins.access), int(ins.access));
             break;
           case VecOp::Store:
@@ -366,176 +400,19 @@ emitNest(std::string &out, const DensePlan &dp, int width, int index)
             // k*st == 0 writes the single element — the
             // interpreter's `*p = s[len-1]` exactly.
             appendf(out, "      p%d[k * st%d] = r%d;\n",
-                    int(ins.access), int(ins.access), a);
+                    int(ins.access), int(ins.access), int(ins.a));
             break;
           case VecOp::Splat:
             break; // hoisted into the invariant prefix at plan time
-          case VecOp::Copy:
-            appendf(out, "      r%d = r%d;\n", d, a);
+#define DIFFUSE_C_CASE(Name, Shape, Expr)                               \
+          case VecOp::Name:                                             \
+            emitOp(out, ins, k##Shape, #Expr);                          \
             break;
-          case VecOp::Add:
-            appendf(out, "      r%d = r%d + r%d;\n", d, a, b);
-            break;
-          case VecOp::Sub:
-            appendf(out, "      r%d = r%d - r%d;\n", d, a, b);
-            break;
-          case VecOp::Mul:
-            appendf(out, "      r%d = r%d * r%d;\n", d, a, b);
-            break;
-          case VecOp::Div:
-            appendf(out, "      r%d = r%d / r%d;\n", d, a, b);
-            break;
-          case VecOp::Max:
-            appendf(out, "      r%d = r%d > r%d ? r%d : r%d;\n", d, a,
-                    b, a, b);
-            break;
-          case VecOp::Min:
-            appendf(out, "      r%d = r%d < r%d ? r%d : r%d;\n", d, a,
-                    b, a, b);
-            break;
-          case VecOp::Pow:
-            appendf(out, "      r%d = F->pow_(r%d, r%d);\n", d, a, b);
-            break;
-          case VecOp::Neg:
-            appendf(out, "      r%d = -r%d;\n", d, a);
-            break;
-          case VecOp::Sqrt:
-            appendf(out, "      r%d = __builtin_sqrt(r%d);\n", d, a);
-            break;
-          case VecOp::Exp:
-            appendf(out, "      r%d = F->exp_(r%d);\n", d, a);
-            break;
-          case VecOp::Log:
-            appendf(out, "      r%d = F->log_(r%d);\n", d, a);
-            break;
-          case VecOp::Erf:
-            appendf(out, "      r%d = F->erf_(r%d);\n", d, a);
-            break;
-          case VecOp::Abs:
-            appendf(out, "      r%d = __builtin_fabs(r%d);\n", d, a);
-            break;
-          case VecOp::CmpLt:
-            appendf(out, "      r%d = r%d < r%d ? 1.0 : 0.0;\n", d, a,
-                    b);
-            break;
-          case VecOp::CmpGt:
-            appendf(out, "      r%d = r%d > r%d ? 1.0 : 0.0;\n", d, a,
-                    b);
-            break;
-          case VecOp::Select:
-            appendf(out, "      r%d = r%d != 0.0 ? r%d : r%d;\n", d, a,
-                    b, c);
-            break;
-          case VecOp::AddK:
-            appendf(out, "      r%d = r%d + %s;\n", d, a, k);
-            break;
-          case VecOp::SubK:
-            appendf(out, "      r%d = r%d - %s;\n", d, a, k);
-            break;
-          case VecOp::RsubK:
-            appendf(out, "      r%d = %s - r%d;\n", d, k, a);
-            break;
-          case VecOp::MulK:
-            appendf(out, "      r%d = r%d * %s;\n", d, a, k);
-            break;
-          case VecOp::DivK:
-            appendf(out, "      r%d = r%d / %s;\n", d, a, k);
-            break;
-          case VecOp::RdivK:
-            appendf(out, "      r%d = %s / r%d;\n", d, k, a);
-            break;
-          case VecOp::MaxK:
-            appendf(out, "      r%d = r%d > %s ? r%d : %s;\n", d, a, k,
-                    a, k);
-            break;
-          case VecOp::MinK:
-            appendf(out, "      r%d = r%d < %s ? r%d : %s;\n", d, a, k,
-                    a, k);
-            break;
-          case VecOp::PowK:
-            appendf(out, "      r%d = F->pow_(r%d, %s);\n", d, a, k);
-            break;
-          case VecOp::CmpLtK:
-            appendf(out, "      r%d = r%d < %s ? 1.0 : 0.0;\n", d, a,
-                    k);
-            break;
-          case VecOp::CmpGtK:
-            appendf(out, "      r%d = r%d > %s ? 1.0 : 0.0;\n", d, a,
-                    k);
-            break;
-          // Fused triads: the product stays a separate statement so
-          // both IEEE rounding steps survive (-ffp-contract=off
-          // forbids re-fusing them).
-          case VecOp::MulAdd:
-            appendf(out,
-                    "      { double t = r%d * r%d; r%d = t + r%d; }\n",
-                    a, b, d, c);
-            break;
-          case VecOp::AddMul:
-            appendf(out,
-                    "      { double t = r%d * r%d; r%d = r%d + t; }\n",
-                    a, b, d, c);
-            break;
-          case VecOp::MulSub:
-            appendf(out,
-                    "      { double t = r%d * r%d; r%d = t - r%d; }\n",
-                    a, b, d, c);
-            break;
-          case VecOp::SubMul:
-            appendf(out,
-                    "      { double t = r%d * r%d; r%d = r%d - t; }\n",
-                    a, b, d, c);
-            break;
-          case VecOp::MulAddK:
-            appendf(out,
-                    "      { double t = r%d * r%d; r%d = t + %s; }\n",
-                    a, b, d, k);
-            break;
-          case VecOp::MulSubK:
-            appendf(out,
-                    "      { double t = r%d * r%d; r%d = t - %s; }\n",
-                    a, b, d, k);
-            break;
-          case VecOp::MulRsubK:
-            appendf(out,
-                    "      { double t = r%d * r%d; r%d = %s - t; }\n",
-                    a, b, d, k);
-            break;
-          case VecOp::MulKAdd:
-            appendf(out,
-                    "      { double t = r%d * %s; r%d = t + r%d; }\n",
-                    a, k, d, c);
-            break;
-          case VecOp::AddMulK:
-            appendf(out,
-                    "      { double t = r%d * %s; r%d = r%d + t; }\n",
-                    a, k, d, c);
-            break;
-          case VecOp::MulKSub:
-            appendf(out,
-                    "      { double t = r%d * %s; r%d = t - r%d; }\n",
-                    a, k, d, c);
-            break;
-          case VecOp::SubMulK:
-            appendf(out,
-                    "      { double t = r%d * %s; r%d = r%d - t; }\n",
-                    a, k, d, c);
-            break;
-          case VecOp::MulKAddK:
-            appendf(out,
-                    "      { double t = r%d * %s; r%d = t + %s; }\n",
-                    a, k, d, kValue(ins.scalar2, ins.imm2).c_str());
-            break;
-          case VecOp::MulKSubK:
-            appendf(out,
-                    "      { double t = r%d * %s; r%d = t - %s; }\n",
-                    a, k, d, kValue(ins.scalar2, ins.imm2).c_str());
-            break;
-          case VecOp::MulKRsubK:
-            appendf(out,
-                    "      { double t = r%d * %s; r%d = %s - t; }\n",
-                    a, k, d, kValue(ins.scalar2, ins.imm2).c_str());
-            break;
+#define DIFFUSE_C_MIRROR(Name, Shape, Weight, Expr)                     \
+    DIFFUSE_C_CASE(Name, Shape, Expr)
+            DIFFUSE_TAPE_OPS(DIFFUSE_C_MIRROR, DIFFUSE_C_CASE)
+#undef DIFFUSE_C_CASE
+#undef DIFFUSE_C_MIRROR
         }
     }
 
@@ -587,6 +464,13 @@ generateJitSource(const ExecutablePlan &plan,
            "  double (*exp_)(double);\n"
            "  double (*log_)(double);\n"
            "} diffuse_jit_funcs;\n\n";
+    // The op table's function names, bound to the host's code.
+    out += "#define POW(x, y) F->pow_(x, y)\n"
+           "#define EXP(x) F->exp_(x)\n"
+           "#define LOG(x) F->log_(x)\n"
+           "#define ERF(x) F->erf_(x)\n"
+           "#define SQRT(x) __builtin_sqrt(x)\n"
+           "#define FABS(x) __builtin_fabs(x)\n\n";
     // Appended directly: the hex key routinely exceeds appendf's
     // stack buffer.
     out += "const char diffuse_jit_key[] = \"";
@@ -621,7 +505,6 @@ JitBackend::JitBackend() : JitBackend([] {
     c.cacheMaxMB = envInt("DIFFUSE_CACHE_MAX_MB", 512, 1, 1 << 20);
     const char *cc = std::getenv("DIFFUSE_JIT_CC");
     c.cc = cc != nullptr && cc[0] != '\0' ? cc : "cc";
-    c.maxTape = envInt("DIFFUSE_JIT_MAX_TAPE", 4096, 1, 1 << 20);
     return c;
 }())
 {

@@ -8,13 +8,16 @@
  * place of the tape interpreter (src/kernel/exec.cc). Generated code
  * is *bitwise identical* to the interpreter by construction:
  *
+ *  - each tape op's C is its op-table row (kernel/ops.h), the same
+ *    expression the interpreter's strip loop evaluates;
  *  - every tape op is elementwise, and the nests the vector engine
  *    accepts (no scalarFallback) resolve all sites of a buffer to the
  *    same view — so per-element evaluation commutes with the
  *    interpreter's instruction-at-a-time strip execution;
  *  - fused triads keep the interpreter's two-rounding-step shape
- *    (`double t = a*b; d = t OP c;`) and the object is compiled with
- *    -ffp-contract=off, so no FMA contraction can fuse them;
+ *    (`const double T = A * B; d = T OP C;`) and both engines are
+ *    compiled with -ffp-contract=off, so no FMA contraction can fuse
+ *    them;
  *  - transcendentals that are not correctly rounded (pow, exp, log)
  *    and the repo's own fastErf are reached through a function-pointer
  *    table passed at runtime, so the *same library code* executes and
@@ -23,7 +26,7 @@
  *    interpreter's (and the scalar oracle's) exact sequence.
  *
  * Nests the backend cannot express (Gemv/Csr fixed-function forms,
- * tapes over DIFFUSE_JIT_MAX_TAPE) and kernels whose compile fails
+ * tapes longer than Config::maxTape) and kernels whose compile fails
  * (toolchain missing, DIFFUSE_JIT_CC=/bin/false, unwritable scratch)
  * fall back per-nest to the tape interpreter — the same degradation
  * ladder as injected compile faults, and `DIFFUSE_JIT=0` stays the

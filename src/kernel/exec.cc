@@ -439,190 +439,106 @@ Executor::execStrip(const DensePlan &dp, const ResolvedNest &rn,
           case VecOp::Splat:
             // Hoisted into the invariant prefix at plan time.
             break;
-#define DIFFUSE_KV                                                      \
-    double kv = ins.scalar >= 0 ? scalars[std::size_t(ins.scalar)]      \
-                                : ins.imm
-#define DIFFUSE_VEC_UNOP(EXPR)                                          \
-    {                                                                   \
-        double *__restrict d = vr + std::size_t(ins.dst) * w;           \
-        const double *__restrict va = vr + std::size_t(ins.a) * w;      \
-        for (int k = 0; k < len; k++)                                   \
-            d[k] = (EXPR);                                              \
-    }                                                                   \
-    break
-#define DIFFUSE_VEC_KOP(EXPR)                                           \
-    {                                                                   \
-        DIFFUSE_KV;                                                     \
-        double *__restrict d = vr + std::size_t(ins.dst) * w;           \
-        const double *__restrict va = vr + std::size_t(ins.a) * w;      \
-        for (int k = 0; k < len; k++)                                   \
-            d[k] = (EXPR);                                              \
-    }                                                                   \
-    break
-#define DIFFUSE_VEC_BINOP(EXPR)                                         \
-    {                                                                   \
-        double *__restrict d = vr + std::size_t(ins.dst) * w;           \
-        const double *__restrict va = vr + std::size_t(ins.a) * w;      \
-        const double *__restrict vb = vr + std::size_t(ins.b) * w;      \
-        for (int k = 0; k < len; k++)                                   \
-            d[k] = (EXPR);                                              \
-    }                                                                   \
-    break
-// Fused triads: the product is a separate statement, so both IEEE
-// rounding steps survive (no FP contraction across statements) and
-// results match the unfused pair bitwise.
-#define DIFFUSE_VEC_TRIOP(EXPR)                                         \
-    {                                                                   \
-        double *__restrict d = vr + std::size_t(ins.dst) * w;           \
-        const double *__restrict va = vr + std::size_t(ins.a) * w;      \
-        const double *__restrict vb = vr + std::size_t(ins.b) * w;      \
-        const double *__restrict vc = vr + std::size_t(ins.c) * w;      \
-        for (int k = 0; k < len; k++) {                                 \
-            double t = va[k] * vb[k];                                   \
-            d[k] = (EXPR);                                              \
-        }                                                               \
-    }                                                                   \
-    break
-#define DIFFUSE_VEC_TRIKOP(EXPR)                                        \
-    {                                                                   \
-        DIFFUSE_KV;                                                     \
-        double *__restrict d = vr + std::size_t(ins.dst) * w;           \
-        const double *__restrict va = vr + std::size_t(ins.a) * w;      \
-        const double *__restrict vb = vr + std::size_t(ins.b) * w;      \
-        for (int k = 0; k < len; k++) {                                 \
-            double t = va[k] * vb[k];                                   \
-            d[k] = (EXPR);                                              \
-        }                                                               \
-    }                                                                   \
-    break
-          case VecOp::Copy:
-            DIFFUSE_VEC_UNOP(va[k]);
-          case VecOp::Add:
-            DIFFUSE_VEC_BINOP(va[k] + vb[k]);
-          case VecOp::Sub:
-            DIFFUSE_VEC_BINOP(va[k] - vb[k]);
-          case VecOp::Mul:
-            DIFFUSE_VEC_BINOP(va[k] * vb[k]);
-          case VecOp::Div:
-            DIFFUSE_VEC_BINOP(va[k] / vb[k]);
-          case VecOp::Max:
-            DIFFUSE_VEC_BINOP(va[k] > vb[k] ? va[k] : vb[k]);
-          case VecOp::Min:
-            DIFFUSE_VEC_BINOP(va[k] < vb[k] ? va[k] : vb[k]);
-          case VecOp::Pow:
-            DIFFUSE_VEC_BINOP(std::pow(va[k], vb[k]));
-          case VecOp::Neg:
-            DIFFUSE_VEC_UNOP(-va[k]);
-          case VecOp::Sqrt:
-            DIFFUSE_VEC_UNOP(std::sqrt(va[k]));
-          case VecOp::Exp:
-            DIFFUSE_VEC_UNOP(std::exp(va[k]));
-          case VecOp::Log:
-            DIFFUSE_VEC_UNOP(std::log(va[k]));
-          case VecOp::Erf:
-            DIFFUSE_VEC_UNOP(fastErf(va[k]));
-          case VecOp::Abs:
-            DIFFUSE_VEC_UNOP(std::fabs(va[k]));
-          case VecOp::CmpLt:
-            DIFFUSE_VEC_BINOP(va[k] < vb[k] ? 1.0 : 0.0);
-          case VecOp::CmpGt:
-            DIFFUSE_VEC_BINOP(va[k] > vb[k] ? 1.0 : 0.0);
-          case VecOp::Select: {
-            double *__restrict d = vr + std::size_t(ins.dst) * w;
-            const double *__restrict va = vr + std::size_t(ins.a) * w;
-            const double *__restrict vb = vr + std::size_t(ins.b) * w;
-            const double *__restrict vc = vr + std::size_t(ins.c) * w;
-            for (int k = 0; k < len; k++)
-                d[k] = va[k] != 0.0 ? vb[k] : vc[k];
-            break;
+// The op table's rows (kernel/ops.h), one strip loop per shape. Each
+// loop binds the shape's operands by name and evaluates the row's
+// expression per element. A triad's product T is a statement of its
+// own and the build forbids FP contraction (-ffp-contract=off), so
+// both IEEE rounding steps survive.
+#define POW std::pow
+#define EXP std::exp
+#define LOG std::log
+#define ERF fastErf
+#define SQRT std::sqrt
+#define FABS std::fabs
+#define DIFFUSE_VM_REG(R) (vr + std::size_t(ins.R) * w)
+#define DIFFUSE_VM_IMM(S, I)                                            \
+    (ins.S >= 0 ? scalars[std::size_t(ins.S)] : ins.I)
+#define DIFFUSE_VM_Unary(EXPR)                                          \
+    const double *__restrict va = DIFFUSE_VM_REG(a);                    \
+    for (int i = 0; i < len; i++) {                                     \
+        const double A = va[i];                                         \
+        d[i] = (EXPR);                                                  \
+    }
+#define DIFFUSE_VM_Binary(EXPR)                                         \
+    const double *__restrict va = DIFFUSE_VM_REG(a);                    \
+    const double *__restrict vb = DIFFUSE_VM_REG(b);                    \
+    for (int i = 0; i < len; i++) {                                     \
+        const double A = va[i], B = vb[i];                              \
+        d[i] = (EXPR);                                                  \
+    }
+#define DIFFUSE_VM_Ternary(EXPR)                                        \
+    const double *__restrict va = DIFFUSE_VM_REG(a);                    \
+    const double *__restrict vb = DIFFUSE_VM_REG(b);                    \
+    const double *__restrict vc = DIFFUSE_VM_REG(c);                    \
+    for (int i = 0; i < len; i++) {                                     \
+        const double A = va[i], B = vb[i], C = vc[i];                   \
+        d[i] = (EXPR);                                                  \
+    }
+#define DIFFUSE_VM_Imm(EXPR)                                            \
+    const double K = DIFFUSE_VM_IMM(scalar, imm);                       \
+    DIFFUSE_VM_Unary(EXPR)
+#define DIFFUSE_VM_Triad(EXPR)                                          \
+    const double *__restrict va = DIFFUSE_VM_REG(a);                    \
+    const double *__restrict vb = DIFFUSE_VM_REG(b);                    \
+    const double *__restrict vc = DIFFUSE_VM_REG(c);                    \
+    for (int i = 0; i < len; i++) {                                     \
+        const double A = va[i], B = vb[i], C = vc[i];                   \
+        const double T = A * B;                                         \
+        d[i] = (EXPR);                                                  \
+    }
+#define DIFFUSE_VM_TriadK(EXPR)                                         \
+    const double K = DIFFUSE_VM_IMM(scalar, imm);                       \
+    const double *__restrict va = DIFFUSE_VM_REG(a);                    \
+    const double *__restrict vb = DIFFUSE_VM_REG(b);                    \
+    for (int i = 0; i < len; i++) {                                     \
+        const double A = va[i], B = vb[i];                              \
+        const double T = A * B;                                         \
+        d[i] = (EXPR);                                                  \
+    }
+#define DIFFUSE_VM_Scale(EXPR)                                          \
+    const double K = DIFFUSE_VM_IMM(scalar, imm);                       \
+    const double *__restrict va = DIFFUSE_VM_REG(a);                    \
+    const double *__restrict vc = DIFFUSE_VM_REG(c);                    \
+    for (int i = 0; i < len; i++) {                                     \
+        const double A = va[i], C = vc[i];                              \
+        const double T = A * K;                                         \
+        d[i] = (EXPR);                                                  \
+    }
+#define DIFFUSE_VM_ScaleK(EXPR)                                         \
+    const double K = DIFFUSE_VM_IMM(scalar, imm);                       \
+    const double K2 = DIFFUSE_VM_IMM(scalar2, imm2);                    \
+    const double *__restrict va = DIFFUSE_VM_REG(a);                    \
+    for (int i = 0; i < len; i++) {                                     \
+        const double A = va[i];                                         \
+        const double T = A * K;                                         \
+        d[i] = (EXPR);                                                  \
+    }
+#define DIFFUSE_VM_CASE(Name, Shape, Expr)                              \
+          case VecOp::Name: {                                           \
+            double *__restrict d = DIFFUSE_VM_REG(dst);                 \
+            DIFFUSE_VM_##Shape(Expr) break;                             \
           }
-          case VecOp::AddK:
-            DIFFUSE_VEC_KOP(va[k] + kv);
-          case VecOp::SubK:
-            DIFFUSE_VEC_KOP(va[k] - kv);
-          case VecOp::RsubK:
-            DIFFUSE_VEC_KOP(kv - va[k]);
-          case VecOp::MulK:
-            DIFFUSE_VEC_KOP(va[k] * kv);
-          case VecOp::DivK:
-            DIFFUSE_VEC_KOP(va[k] / kv);
-          case VecOp::RdivK:
-            DIFFUSE_VEC_KOP(kv / va[k]);
-          case VecOp::MaxK:
-            DIFFUSE_VEC_KOP(va[k] > kv ? va[k] : kv);
-          case VecOp::MinK:
-            DIFFUSE_VEC_KOP(va[k] < kv ? va[k] : kv);
-          case VecOp::PowK:
-            DIFFUSE_VEC_KOP(std::pow(va[k], kv));
-          case VecOp::CmpLtK:
-            DIFFUSE_VEC_KOP(va[k] < kv ? 1.0 : 0.0);
-          case VecOp::CmpGtK:
-            DIFFUSE_VEC_KOP(va[k] > kv ? 1.0 : 0.0);
-          case VecOp::MulAdd:
-            DIFFUSE_VEC_TRIOP(t + vc[k]);
-          case VecOp::AddMul:
-            DIFFUSE_VEC_TRIOP(vc[k] + t);
-          case VecOp::MulSub:
-            DIFFUSE_VEC_TRIOP(t - vc[k]);
-          case VecOp::SubMul:
-            DIFFUSE_VEC_TRIOP(vc[k] - t);
-          case VecOp::MulAddK:
-            DIFFUSE_VEC_TRIKOP(t + kv);
-          case VecOp::MulSubK:
-            DIFFUSE_VEC_TRIKOP(t - kv);
-          case VecOp::MulRsubK:
-            DIFFUSE_VEC_TRIKOP(kv - t);
-// Scale-accumulate: product of a register and an immediate, combined
-// with a register (SCALEOP) or a second immediate (SCALEKOP). Same
-// two-rounding-step contract as the triads above.
-#define DIFFUSE_VEC_SCALEOP(EXPR)                                       \
-    {                                                                   \
-        DIFFUSE_KV;                                                     \
-        double *__restrict d = vr + std::size_t(ins.dst) * w;           \
-        const double *__restrict va = vr + std::size_t(ins.a) * w;      \
-        const double *__restrict vc = vr + std::size_t(ins.c) * w;      \
-        for (int k = 0; k < len; k++) {                                 \
-            double t = va[k] * kv;                                      \
-            d[k] = (EXPR);                                              \
-        }                                                               \
-    }                                                                   \
-    break
-#define DIFFUSE_VEC_SCALEKOP(EXPR)                                      \
-    {                                                                   \
-        DIFFUSE_KV;                                                     \
-        double kv2 = ins.scalar2 >= 0                                   \
-                         ? scalars[std::size_t(ins.scalar2)]            \
-                         : ins.imm2;                                    \
-        double *__restrict d = vr + std::size_t(ins.dst) * w;           \
-        const double *__restrict va = vr + std::size_t(ins.a) * w;      \
-        for (int k = 0; k < len; k++) {                                 \
-            double t = va[k] * kv;                                      \
-            d[k] = (EXPR);                                              \
-        }                                                               \
-    }                                                                   \
-    break
-          case VecOp::MulKAdd:
-            DIFFUSE_VEC_SCALEOP(t + vc[k]);
-          case VecOp::AddMulK:
-            DIFFUSE_VEC_SCALEOP(vc[k] + t);
-          case VecOp::MulKSub:
-            DIFFUSE_VEC_SCALEOP(t - vc[k]);
-          case VecOp::SubMulK:
-            DIFFUSE_VEC_SCALEOP(vc[k] - t);
-          case VecOp::MulKAddK:
-            DIFFUSE_VEC_SCALEKOP(t + kv2);
-          case VecOp::MulKSubK:
-            DIFFUSE_VEC_SCALEKOP(t - kv2);
-          case VecOp::MulKRsubK:
-            DIFFUSE_VEC_SCALEKOP(kv2 - t);
-#undef DIFFUSE_KV
-#undef DIFFUSE_VEC_UNOP
-#undef DIFFUSE_VEC_KOP
-#undef DIFFUSE_VEC_BINOP
-#undef DIFFUSE_VEC_TRIOP
-#undef DIFFUSE_VEC_TRIKOP
-#undef DIFFUSE_VEC_SCALEOP
-#undef DIFFUSE_VEC_SCALEKOP
+#define DIFFUSE_VM_MIRROR(Name, Shape, Weight, Expr)                    \
+    DIFFUSE_VM_CASE(Name, Shape, Expr)
+            DIFFUSE_TAPE_OPS(DIFFUSE_VM_MIRROR, DIFFUSE_VM_CASE)
+#undef POW
+#undef EXP
+#undef LOG
+#undef ERF
+#undef SQRT
+#undef FABS
+#undef DIFFUSE_VM_REG
+#undef DIFFUSE_VM_IMM
+#undef DIFFUSE_VM_Unary
+#undef DIFFUSE_VM_Binary
+#undef DIFFUSE_VM_Ternary
+#undef DIFFUSE_VM_Imm
+#undef DIFFUSE_VM_Triad
+#undef DIFFUSE_VM_TriadK
+#undef DIFFUSE_VM_Scale
+#undef DIFFUSE_VM_ScaleK
+#undef DIFFUSE_VM_CASE
+#undef DIFFUSE_VM_MIRROR
         }
     }
 
@@ -1262,8 +1178,16 @@ WorkerPool::runJob(coord_t n, coord_t chunk, int cap,
                        "job vanished from the scheduler registry");
         activeJobs_.erase(it);
     }
-    if (job->error)
-        std::rethrow_exception(job->error);
+    // Move the error out under the job's lock: once the job holds no
+    // reference, a helper dropping the last Job reference cannot free
+    // the exception while the caller's handler copies it.
+    std::exception_ptr error;
+    {
+        std::lock_guard<std::mutex> lock(job->m);
+        error = std::move(job->error);
+    }
+    if (error)
+        std::rethrow_exception(error);
 }
 
 void

@@ -6,69 +6,32 @@
 namespace diffuse {
 namespace kir {
 
+namespace {
+
+#define DIFFUSE_OP_NAME(Name, ...) #Name,
+#define DIFFUSE_OP_WEIGHT(Name, Shape, Weight, Expr) Weight,
+// Indexed by Op: the addressing ops, then the op table's mirrors.
+constexpr const char *kOpNames[] = {
+    "LoadBuf", "StoreBuf", "LoadScalar", "Const",
+    DIFFUSE_TAPE_OPS(DIFFUSE_OP_NAME, DIFFUSE_OP_SKIP)};
+constexpr double kOpWeights[] = {
+    0.0, 0.0, 0.0, 0.0,
+    DIFFUSE_TAPE_OPS(DIFFUSE_OP_WEIGHT, DIFFUSE_OP_SKIP)};
+#undef DIFFUSE_OP_NAME
+#undef DIFFUSE_OP_WEIGHT
+
+} // namespace
+
 double
 opFlopWeight(Op op)
 {
-    switch (op) {
-      case Op::LoadBuf:
-      case Op::StoreBuf:
-      case Op::LoadScalar:
-      case Op::Const:
-      case Op::Copy:
-        return 0.0;
-      case Op::Add:
-      case Op::Sub:
-      case Op::Mul:
-      case Op::Neg:
-      case Op::Abs:
-      case Op::Max:
-      case Op::Min:
-      case Op::CmpLt:
-      case Op::CmpGt:
-      case Op::Select:
-        return 1.0;
-      case Op::Div:
-        return 4.0;
-      case Op::Sqrt:
-        return 4.0;
-      case Op::Exp:
-      case Op::Log:
-        return 16.0;
-      case Op::Erf:
-        return 24.0;
-      case Op::Pow:
-        return 32.0;
-    }
-    return 1.0;
+    return kOpWeights[std::size_t(op)];
 }
 
 const char *
 opName(Op op)
 {
-    switch (op) {
-      case Op::LoadBuf: return "load";
-      case Op::StoreBuf: return "store";
-      case Op::LoadScalar: return "scalar";
-      case Op::Const: return "const";
-      case Op::Copy: return "copy";
-      case Op::Add: return "add";
-      case Op::Sub: return "sub";
-      case Op::Mul: return "mul";
-      case Op::Div: return "div";
-      case Op::Max: return "max";
-      case Op::Min: return "min";
-      case Op::Pow: return "pow";
-      case Op::Neg: return "neg";
-      case Op::Sqrt: return "sqrt";
-      case Op::Exp: return "exp";
-      case Op::Log: return "log";
-      case Op::Erf: return "erf";
-      case Op::Abs: return "abs";
-      case Op::CmpLt: return "cmplt";
-      case Op::CmpGt: return "cmpgt";
-      case Op::Select: return "select";
-    }
-    return "?";
+    return kOpNames[std::size_t(op)];
 }
 
 int

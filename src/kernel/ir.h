@@ -28,33 +28,21 @@
 
 #include "common/geometry.h"
 #include "common/types.h"
+#include "kernel/ops.h"
 
 namespace diffuse {
 namespace kir {
 
-/** Per-element operations. Arity is implied by the opcode. */
+/**
+ * Per-element operations: four addressing ops, then one op per MIRROR
+ * row of the op table (kernel/ops.h). Arity is implied by the opcode.
+ */
 enum class Op : std::uint8_t {
     LoadBuf,    ///< dst = buf[idx]
     StoreBuf,   ///< buf[idx] = a
     LoadScalar, ///< dst = scalars[scalar]
     Const,      ///< dst = imm
-    Copy,       ///< dst = a
-    Add,        ///< dst = a + b
-    Sub,        ///< dst = a - b
-    Mul,        ///< dst = a * b
-    Div,        ///< dst = a / b
-    Max,        ///< dst = max(a, b)
-    Min,        ///< dst = min(a, b)
-    Pow,        ///< dst = a ** b
-    Neg,        ///< dst = -a
-    Sqrt,       ///< dst = sqrt(a)
-    Exp,        ///< dst = exp(a)
-    Log,        ///< dst = log(a)
-    Erf,        ///< dst = erf(a)
-    Abs,        ///< dst = |a|
-    CmpLt,      ///< dst = a < b ? 1 : 0
-    CmpGt,      ///< dst = a > b ? 1 : 0
-    Select,     ///< dst = a != 0 ? b : c
+    DIFFUSE_TAPE_OPS(DIFFUSE_OP_ENUM, DIFFUSE_OP_SKIP)
 };
 
 /**

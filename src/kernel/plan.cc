@@ -114,30 +114,13 @@ allocateSlots(DensePlan &plan, int ssa_regs)
 VecOp
 mirrorOp(Op op)
 {
-    switch (op) {
-      case Op::LoadBuf:    return VecOp::Load;
-      case Op::StoreBuf:   return VecOp::Store;
-      case Op::LoadScalar:
-      case Op::Const:      return VecOp::Splat;
-      case Op::Copy:       return VecOp::Copy;
-      case Op::Add:        return VecOp::Add;
-      case Op::Sub:        return VecOp::Sub;
-      case Op::Mul:        return VecOp::Mul;
-      case Op::Div:        return VecOp::Div;
-      case Op::Max:        return VecOp::Max;
-      case Op::Min:        return VecOp::Min;
-      case Op::Pow:        return VecOp::Pow;
-      case Op::Neg:        return VecOp::Neg;
-      case Op::Sqrt:       return VecOp::Sqrt;
-      case Op::Exp:        return VecOp::Exp;
-      case Op::Log:        return VecOp::Log;
-      case Op::Erf:        return VecOp::Erf;
-      case Op::Abs:        return VecOp::Abs;
-      case Op::CmpLt:      return VecOp::CmpLt;
-      case Op::CmpGt:      return VecOp::CmpGt;
-      case Op::Select:     return VecOp::Select;
-    }
-    return VecOp::Copy;
+#define DIFFUSE_OP_MIRROR(Name, ...) VecOp::Name,
+    // Indexed by Op: the addressing ops, then the op table's mirrors.
+    static constexpr VecOp kMirror[] = {
+        VecOp::Load, VecOp::Store, VecOp::Splat, VecOp::Splat,
+        DIFFUSE_TAPE_OPS(DIFFUSE_OP_MIRROR, DIFFUSE_OP_SKIP)};
+#undef DIFFUSE_OP_MIRROR
+    return kMirror[std::size_t(op)];
 }
 
 /**
@@ -305,8 +288,8 @@ cseLoads(DensePlan &plan, const KernelFunction &fn)
  *  - Mul / MulK feeding an add/sub (either side, register or
  *    immediate) becomes a multiply-accumulate triad. BOTH rounding
  *    steps are preserved — the executor computes the product as a
- *    separate statement, so no FP contraction can occur and results
- *    match the unfused pair bitwise.
+ *    separate statement under -ffp-contract=off, so no FP contraction
+ *    can occur and results match the unfused pair bitwise.
  *  - Neg feeding an add/sub is folded algebraically where IEEE
  *    defines the identity exactly: y + (-x) = y - x, y - (-x) =
  *    y + x, (-x) + k = k - x, k - (-x) = k + x.

@@ -56,8 +56,9 @@ struct AccessSite
 };
 
 /**
- * The tape ISA. A superset of the scalar Op set: besides the
- * one-to-one mirrors, lowering strength-reduces
+ * The tape ISA: Load, Store and Splat, which handle addressing, then
+ * one op per row of the op table (kernel/ops.h). Besides the mirrors
+ * of the scalar Op set, lowering strength-reduces
  *  - binops with a loop-invariant operand (Const/LoadScalar) into
  *    immediate forms (AddK, MulK, RsubK = k-x, ...), which read one
  *    register vector instead of two and need no splat; and
@@ -69,42 +70,10 @@ struct AccessSite
  * bit-identical.
  */
 enum class VecOp : std::uint8_t {
-    Load,    ///< dst = access[k]
-    Store,   ///< access[k] = a
-    Splat,   ///< invariant prefix only: dst = broadcast(imm | scalar)
-    Copy,
-    Add, Sub, Mul, Div, Max, Min, Pow,
-    Neg, Sqrt, Exp, Log, Erf, Abs,
-    CmpLt, CmpGt, Select,
-    // Immediate forms; k = imm or scalars[scalar].
-    AddK,    ///< dst = a + k
-    SubK,    ///< dst = a - k
-    RsubK,   ///< dst = k - a
-    MulK,    ///< dst = a * k
-    DivK,    ///< dst = a / k
-    RdivK,   ///< dst = k / a
-    MaxK,    ///< dst = max(a, k)
-    MinK,    ///< dst = min(a, k)
-    PowK,    ///< dst = a ** k
-    CmpLtK,  ///< dst = a < k ? 1 : 0
-    CmpGtK,  ///< dst = a > k ? 1 : 0
-    // Fused multiply-accumulate triads (two rounding steps each).
-    MulAdd,  ///< dst = (a * b) + c
-    AddMul,  ///< dst = c + (a * b)
-    MulSub,  ///< dst = (a * b) - c
-    SubMul,  ///< dst = c - (a * b)
-    MulAddK, ///< dst = (a * b) + k
-    MulSubK, ///< dst = (a * b) - k
-    MulRsubK,///< dst = k - (a * b)
-    // Scale-accumulate: the product has an immediate factor. k is the
-    // first immediate; k2 (imm2/scalar2) the second where present.
-    MulKAdd, ///< dst = (a * k) + c
-    AddMulK, ///< dst = c + (a * k)
-    MulKSub, ///< dst = (a * k) - c
-    SubMulK, ///< dst = c - (a * k)
-    MulKAddK,///< dst = (a * k) + k2
-    MulKSubK,///< dst = (a * k) - k2
-    MulKRsubK,///< dst = k2 - (a * k)
+    Load,  ///< dst = access[k]
+    Store, ///< access[k] = a
+    Splat, ///< invariant prefix only: dst = broadcast(imm | scalar)
+    DIFFUSE_TAPE_OPS(DIFFUSE_OP_ENUM, DIFFUSE_OP_ENUM)
 };
 
 /**
