@@ -514,7 +514,6 @@ DiffuseRuntime::traceBeginEpoch()
     low_.markStreamEpoch();
     traceMode_ = TraceMode::Idle;
     traceEnc_.reset(windowSize_);
-    epochCodes_.clear();
     traceSigs_.clear();
     tracePending_.clear();
     traceCands_.clear();
@@ -537,15 +536,17 @@ DiffuseRuntime::traceOnEvent(TraceEvent ev)
     // code is built (events always carry registered types).
     if (traceEvent_ == 0)
         traceEnc_.setSalt(cacheSalt());
-    std::vector<StoreId> fresh;
-    std::string code = traceEnc_.encode(ev, stores_, &fresh);
     int idx = traceEvent_++;
-    epochCodes_.push_back(code);
+    if (epochCodes_.size() <= std::size_t(idx))
+        epochCodes_.emplace_back();
+    std::string &code = epochCodes_[std::size_t(idx)];
+    traceFresh_.clear();
+    traceEnc_.encode(ev, stores_, &traceFresh_, code);
     // Fresh slots' runtime state is snapshotted before anything in
     // this epoch can have touched them: a store is only mutated by
     // processing events in which it already appeared.
     std::size_t sig_base = traceSigs_.size();
-    for (StoreId sid : fresh)
+    for (StoreId sid : traceFresh_)
         traceSigs_.push_back(low_.storeStateSignature(sid));
 
     auto sigs_match = [&](const TraceEpoch *c) {
@@ -757,7 +758,8 @@ DiffuseRuntime::traceFinalizeCapture()
                     traceEvent_ <= kTraceMaxEvents &&
                     traceLogMark_ == traceLog_.size();
     if (storable) {
-        traceRec_->codes = std::move(epochCodes_);
+        traceRec_->codes.assign(epochCodes_.begin(),
+                                epochCodes_.begin() + traceEvent_);
         traceRec_->slotSigs = traceSigs_;
         traceRec_->windowSizeAfter = windowSize_;
         // Counted per-epoch, not by FusionStats delta: the app may
@@ -803,22 +805,26 @@ DiffuseRuntime::traceValidateProbes(const TraceEpoch &epoch) const
 {
     // Reconstruct each probed store's application refcount at its
     // unit's decision point: the current (epoch-entry) value plus the
-    // deferred retain/release deltas of all earlier events.
+    // deferred retain/release deltas of every event up to the unit's
+    // endEvent, clamped to the deferred events. Units are in endEvent
+    // order, so one pass over the events with per-slot running deltas
+    // serves every probe.
+    std::vector<int> delta(traceEnc_.slots().size(), 0);
+    const int last = int(tracePending_.size()) - 1;
+    int next = 0; // first event not yet counted
     for (const TraceUnit &u : epoch.units) {
+        if (u.probes.empty())
+            continue;
+        for (int upto = std::min(u.endEvent, last); next <= upto; next++) {
+            const TraceEvent &ev = tracePending_[std::size_t(next)];
+            if (ev.kind != TraceEventKind::Submit)
+                delta[std::size_t(traceEnc_.slotOf(ev.store))] +=
+                    ev.kind == TraceEventKind::Retain ? 1 : -1;
+        }
         for (const TraceProbe &p : u.probes) {
             StoreId sid = traceEnc_.slots()[std::size_t(p.slot)];
-            int refs = stores_.get(sid).appRefs;
-            int upto = std::min<int>(u.endEvent,
-                                     int(tracePending_.size()) - 1);
-            for (int e = 0; e <= upto; e++) {
-                const TraceEvent &ev = tracePending_[std::size_t(e)];
-                if (ev.store != sid)
-                    continue;
-                if (ev.kind == TraceEventKind::Retain)
-                    refs++;
-                else if (ev.kind == TraceEventKind::Release)
-                    refs--;
-            }
+            int refs =
+                stores_.get(sid).appRefs + delta[std::size_t(p.slot)];
             if ((refs > 0) != p.appLive)
                 return false;
         }
@@ -829,15 +835,16 @@ DiffuseRuntime::traceValidateProbes(const TraceEpoch &epoch) const
 void
 DiffuseRuntime::traceReplay(TraceEpoch &epoch)
 {
-    std::vector<rt::EventId> events;
-    std::deque<IndexTask> queue;
+    traceEvents_.clear();
+    traceQueue_.clear();
+    traceQueueHead_ = 0;
     std::size_t ui = 0;
     for (int i = 0; i <= traceEvent_; i++) {
         if (i < traceEvent_) {
             TraceEvent &ev = tracePending_[std::size_t(i)];
             switch (ev.kind) {
               case TraceEventKind::Submit:
-                queue.push_back(std::move(ev.task));
+                traceQueue_.push_back(std::move(ev.task));
                 break;
               case TraceEventKind::Retain:
                 stores_.retainApp(ev.store);
@@ -849,12 +856,14 @@ DiffuseRuntime::traceReplay(TraceEpoch &epoch)
         }
         while (ui < epoch.units.size() &&
                epoch.units[ui].endEvent == i) {
-            traceReplayUnit(epoch.units[ui++], queue, events);
+            traceReplayUnit(epoch.units[ui++]);
         }
     }
-    diffuse_assert(ui == epoch.units.size() && queue.empty(),
+    diffuse_assert(ui == epoch.units.size() &&
+                       traceQueueHead_ == traceQueue_.size(),
                    "trace replay consumed %zu of %zu units",
                    ui, epoch.units.size());
+    traceQueue_.clear();
     tracePending_.clear();
     if (windowSize_ != epoch.windowSizeAfter) {
         windowSize_ = epoch.windowSizeAfter;
@@ -866,27 +875,27 @@ DiffuseRuntime::traceReplay(TraceEpoch &epoch)
 }
 
 void
-DiffuseRuntime::traceReplayUnit(const TraceUnit &unit,
-                                std::deque<IndexTask> &queue,
-                                std::vector<rt::EventId> &events)
+DiffuseRuntime::traceReplayUnit(const TraceUnit &unit)
 {
-    diffuse_assert(int(queue.size()) >= unit.prefixLen,
+    std::size_t end = traceQueueHead_ + std::size_t(unit.prefixLen);
+    diffuse_assert(end <= traceQueue_.size(),
                    "replay unit needs %d tasks, window has %zu",
-                   unit.prefixLen, queue.size());
+                   unit.prefixLen, traceQueue_.size() - traceQueueHead_);
     // A fused group's scalar block is the prefix's scalars in task
     // order (memo.h instantiates the same way) — the loop-variant
     // half of the rebinding; stores are the other.
-    std::vector<double> scalars;
-    for (int t = 0; t < unit.prefixLen; t++) {
-        const IndexTask &task = queue[std::size_t(t)];
-        scalars.insert(scalars.end(), task.scalars.begin(),
-                       task.scalars.end());
+    traceScalars_.clear();
+    for (std::size_t t = traceQueueHead_; t < end; t++) {
+        const IndexTask &task = traceQueue_[t];
+        traceScalars_.insert(traceScalars_.end(), task.scalars.begin(),
+                             task.scalars.end());
     }
     for (const rt::RecordedSubmission &sub : unit.subs) {
         const std::vector<double> *sc =
-            sub.task.kind == rt::TaskKind::Compute ? &scalars : nullptr;
-        events.push_back(
-            low_.submitRecorded(sub, traceEnc_.slots(), sc, events));
+            sub.task.kind == rt::TaskKind::Compute ? &traceScalars_
+                                                   : nullptr;
+        traceEvents_.push_back(low_.submitRecorded(
+            sub, traceEnc_.slots(), sc, traceEvents_));
     }
     fusionStats_.groupsLaunched++;
     if (unit.fused)
@@ -895,10 +904,8 @@ DiffuseRuntime::traceReplayUnit(const TraceUnit &unit,
         fusionStats_.singleTasks++;
     fusionStats_.tempsEliminated += unit.temps;
     fusionStats_.blocks[std::size_t(unit.block)]++;
-    for (int t = 0; t < unit.prefixLen; t++) {
-        releaseTaskRefs(queue.front());
-        queue.pop_front();
-    }
+    for (; traceQueueHead_ < end; traceQueueHead_++)
+        releaseTaskRefs(traceQueue_[traceQueueHead_]);
 }
 
 } // namespace diffuse

@@ -27,7 +27,6 @@
 #define DIFFUSE_CORE_DIFFUSE_H
 
 #include <array>
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -375,9 +374,8 @@ class DiffuseRuntime
 
     void traceReplay(TraceEpoch &epoch);
 
-    void traceReplayUnit(const TraceUnit &unit,
-                         std::deque<IndexTask> &queue,
-                         std::vector<rt::EventId> &events);
+    /** Resubmit one unit, consuming its tasks from traceQueue_. */
+    void traceReplayUnit(const TraceUnit &unit);
 
     /** Host acquired mutable access to `id` (LowRuntime observer).
      * Mid-speculation this drains the deferred prefix eagerly, before
@@ -422,8 +420,12 @@ class DiffuseRuntime
     bool traceEnabled_ = false;
     TraceMode traceMode_ = TraceMode::Idle;
     EpochEncoder traceEnc_;
-    /** Canonical codes of every event this epoch. */
+    /** Canonical codes of this epoch's events: the first traceEvent_
+     * entries. Entries beyond stay allocated, so encoding a repeating
+     * event stream reuses their capacity instead of allocating. */
     std::vector<std::string> epochCodes_;
+    /** New stores of the event being encoded (reused scratch). */
+    std::vector<StoreId> traceFresh_;
     /** Per-slot runtime state signatures (first appearance). */
     std::vector<std::uint64_t> traceSigs_;
     /** Deferred events while speculating. */
@@ -439,7 +441,7 @@ class DiffuseRuntime
     std::size_t traceLogMark_ = 0;
     /** Probes collected by the wrapped liveness callback. */
     std::vector<TraceProbe> traceProbes_;
-    /** Events received this epoch (== epochCodes_.size()). */
+    /** Events received this epoch (live prefix of epochCodes_). */
     int traceEvent_ = 0;
     /** Index of the event currently being applied (capture). */
     int traceCurEvent_ = 0;
@@ -447,6 +449,13 @@ class DiffuseRuntime
     bool traceCaptureUnits_ = false;
     /** Window growths this epoch (immune to FusionStats::reset). */
     std::uint32_t traceEpochGrowths_ = 0;
+    /** traceReplay's scratch, reused across epochs: the deferred
+     * tasks (consumed from traceQueueHead_ on), the replayed
+     * submissions' events, and one fused group's scalars. */
+    std::vector<IndexTask> traceQueue_;
+    std::size_t traceQueueHead_ = 0;
+    std::vector<rt::EventId> traceEvents_;
+    std::vector<double> traceScalars_;
     /** Submission-side wall seconds accumulated this epoch. */
     double traceEpochSeconds_ = 0.0;
 };

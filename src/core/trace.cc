@@ -27,7 +27,8 @@ appendRect(std::string &out, const Rect &r)
 void
 EpochEncoder::reset(int window_size)
 {
-    slotOf_.clear();
+    while (!slotOf_.empty())
+        slotNodes_.erase(slotOf_, slotOf_.begin());
     slots_.clear();
     windowSize_ = window_size;
     first_ = true;
@@ -45,7 +46,12 @@ EpochEncoder::slotFor(StoreId id, const StoreTable &stores,
                       std::string &code,
                       std::vector<StoreId> *new_stores)
 {
-    auto [it, fresh] = slotOf_.emplace(id, int(slots_.size()));
+    auto it = slotOf_.find(id);
+    bool fresh = it == slotOf_.end();
+    if (fresh) {
+        it = slotNodes_.insert(slotOf_, id);
+        it->second = int(slots_.size());
+    }
     append64(code, std::uint64_t(it->second));
     if (fresh) {
         slots_.push_back(id);
@@ -64,12 +70,11 @@ EpochEncoder::slotFor(StoreId id, const StoreTable &stores,
     return it->second;
 }
 
-std::string
+void
 EpochEncoder::encode(const TraceEvent &ev, const StoreTable &stores,
-                     std::vector<StoreId> *new_stores)
+                     std::vector<StoreId> *new_stores, std::string &code)
 {
-    std::string code;
-    code.reserve(64);
+    code.clear();
     if (first_) {
         // The entry window size shapes every processing decision, and
         // the planning fingerprint scopes shared caches to epochs
@@ -100,7 +105,6 @@ EpochEncoder::encode(const TraceEvent &ev, const StoreTable &stores,
         slotFor(ev.store, stores, code, new_stores);
         break;
     }
-    return code;
 }
 
 TraceCache::Shard &

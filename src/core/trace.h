@@ -36,6 +36,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/node_recycler.h"
 #include "core/constraints.h"
 #include "core/index_task.h"
 #include "core/store.h"
@@ -140,12 +141,13 @@ class EpochEncoder
     void setSalt(std::uint64_t salt) { salt_ = salt; }
 
     /**
-     * Encode one event. New stores are assigned slots and appended to
+     * Encode one event into `code` (overwritten; its capacity is
+     * reused). New stores are assigned slots and appended to
      * `new_stores` (callers snapshot their runtime state signatures
      * immediately — nothing in the epoch has touched them yet).
      */
-    std::string encode(const TraceEvent &ev, const StoreTable &stores,
-                       std::vector<StoreId> *new_stores);
+    void encode(const TraceEvent &ev, const StoreTable &stores,
+                std::vector<StoreId> *new_stores, std::string &code);
 
     /** Slot of a store, or -1 when it has not appeared this epoch. */
     int slotOf(StoreId id) const;
@@ -157,7 +159,10 @@ class EpochEncoder
     int slotFor(StoreId id, const StoreTable &stores, std::string &code,
                 std::vector<StoreId> *new_stores);
 
-    std::unordered_map<StoreId, int> slotOf_;
+    using SlotMap = std::unordered_map<StoreId, int>;
+    SlotMap slotOf_;
+    /** reset() keeps the slot map's nodes for the next epoch. */
+    NodeRecycler<SlotMap> slotNodes_{kTraceMaxEvents};
     std::vector<StoreId> slots_;
     int windowSize_ = 0;
     std::uint64_t salt_ = 0;

@@ -283,18 +283,27 @@ PointContext::bind(const KernelFunction &fn, const ExecutablePlan &plan,
     scalars_ = scalars;
     bindLocalBuffers(fn, bindings, all_, arena_);
 
-    nests_.resize(plan.nests.size());
+    if (nests_.size() < plan.nests.size())
+        nests_.resize(plan.nests.size());
+    nestCount_ = int(plan.nests.size());
     for (std::size_t n = 0; n < plan.nests.size(); n++) {
         const NestPlan &np = plan.nests[n];
         ResolvedNest &rn = nests_[n];
         rn.scalarFallback = false;
         if (np.kind == NestKind::Gemv) {
-            rn.rows = all_[std::size_t(fn.nests[n].gemvA)].extent[0];
+            const BufferBinding &a = all_[std::size_t(fn.nests[n].gemvA)];
+            rn.rows = a.extent[0];
+            rn.work = double(a.extent[0]) * double(a.extent[1]);
             rn.stripParallel = np.rowParallel;
             continue;
         }
         if (np.kind == NestKind::Csr) {
+            const BufferBinding &vals =
+                all_[std::size_t(fn.nests[n].csrVals)];
             rn.rows = all_[std::size_t(fn.nests[n].csrY)].extent[0];
+            rn.work = double(rn.rows) +
+                      double(vals.irregular >= 0 ? vals.irregular
+                                                 : vals.volume());
             rn.stripParallel = np.rowParallel;
             continue;
         }
@@ -310,6 +319,7 @@ PointContext::bind(const KernelFunction &fn, const ExecutablePlan &plan,
         rn.stripsPerRow =
             rn.inner > 0 ? (rn.inner + w - 1) / coord_t(w) : 0;
         rn.strips = rn.outer > 0 ? rn.outer * rn.stripsPerRow : 0;
+        rn.work = double(rn.strips) * w * (1.0 + dp.flopsPerElem);
 
         rn.accesses.resize(dp.accesses.size());
         for (std::size_t s = 0; s < dp.accesses.size(); s++) {
@@ -1188,56 +1198,6 @@ WorkerPool::runJob(coord_t n, coord_t chunk, int cap,
     }
     if (error)
         std::rethrow_exception(error);
-}
-
-void
-WorkerPool::parallelForChunked(
-    coord_t n, coord_t chunk,
-    const std::function<void(int, coord_t, coord_t)> &fn)
-{
-    parallelForChunked(n, chunk, workers(), fn);
-}
-
-void
-WorkerPool::parallelForChunked(
-    coord_t n, coord_t chunk, int max_workers,
-    const std::function<void(int, coord_t, coord_t)> &fn)
-{
-    if (n <= 0)
-        return;
-    if (chunk <= 0)
-        chunk = 1;
-    int cap = std::min(max_workers, workers());
-    if (cap <= 1 || n <= chunk) {
-        fn(0, 0, n);
-        return;
-    }
-    runJob(n, chunk, cap, fn);
-}
-
-void
-WorkerPool::parallelFor(coord_t n,
-                        const std::function<void(int, coord_t)> &fn)
-{
-    parallelFor(n, workers(), fn);
-}
-
-void
-WorkerPool::parallelFor(coord_t n, int max_workers,
-                        const std::function<void(int, coord_t)> &fn)
-{
-    if (n <= 0)
-        return;
-    if (std::min(max_workers, workers()) <= 1 || n == 1) {
-        for (coord_t i = 0; i < n; i++)
-            fn(0, i);
-        return;
-    }
-    auto ranged = [&fn](int worker, coord_t begin, coord_t end) {
-        for (coord_t i = begin; i < end; i++)
-            fn(worker, i);
-    };
-    parallelForChunked(n, 1, max_workers, ranged);
 }
 
 } // namespace kir

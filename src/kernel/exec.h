@@ -34,6 +34,7 @@
 #ifndef DIFFUSE_KERNEL_EXEC_H
 #define DIFFUSE_KERNEL_EXEC_H
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
@@ -131,6 +132,12 @@ struct ResolvedNest
     coord_t strips = 0;       ///< outer * stripsPerRow
     coord_t rows = 0;         ///< Gemv/Csr row count (sharding)
     /**
+     * Estimated work of this instance, for the runtime's fan-out
+     * grain: Dense, strips * stripWidth * (1 + flopsPerElem); Gemv,
+     * its matrix elements; Csr, rows plus nonzeros.
+     */
+    double work = 0.0;
+    /**
      * This nest instance must run on the scalar oracle: a store site
      * resolved to a genuinely shifted aliasing view or to a broadcast
      * (extent-1) target with more than one iteration.
@@ -171,7 +178,7 @@ class PointContext
     {
         return nests_[std::size_t(i)];
     }
-    int nestCount() const { return int(nests_.size()); }
+    int nestCount() const { return nestCount_; }
 
   private:
     friend class Executor;
@@ -182,7 +189,10 @@ class PointContext
     std::span<const double> scalars_;
     std::vector<BufferBinding> all_;
     std::vector<double> arena_; ///< local-temporary storage, reused
+    /** The first nestCount_ entries are the bound plan's; entries
+     * beyond stay allocated for plans with more nests. */
     std::vector<ResolvedNest> nests_;
+    int nestCount_ = 0;
 };
 
 /**
@@ -350,23 +360,54 @@ class WorkerPool
      * index scratch state. Must not be called re-entrantly from
      * inside a job.
      */
-    void parallelFor(coord_t n,
-                     const std::function<void(int, coord_t)> &fn);
-    void parallelFor(coord_t n, int max_workers,
-                     const std::function<void(int, coord_t)> &fn);
+    template <typename Fn>
+    void
+    parallelFor(coord_t n, int max_workers, Fn &&fn)
+    {
+        parallelForChunked(n, 1, max_workers,
+                           [&fn](int worker, coord_t begin, coord_t end) {
+                               for (coord_t i = begin; i < end; i++)
+                                   fn(worker, i);
+                           });
+    }
+    template <typename Fn>
+    void
+    parallelFor(coord_t n, Fn &&fn)
+    {
+        parallelFor(n, workers(), fn);
+    }
 
     /**
      * Run `fn(worker, begin, end)` over [0, n) in chunks of `chunk`
      * items claimed dynamically; blocks until all chunks complete.
      * This is how workers split strip ranges: claiming ranges instead
-     * of single items keeps the claim counter off the hot path.
+     * of single items keeps the claim counter off the hot path. A
+     * range of one chunk (or a one-worker cap) runs inline on the
+     * calling thread: no job, and no copy of `fn`.
      */
+    template <typename Fn>
     void
-    parallelForChunked(coord_t n, coord_t chunk,
-                       const std::function<void(int, coord_t, coord_t)> &fn);
+    parallelForChunked(coord_t n, coord_t chunk, int max_workers, Fn &&fn)
+    {
+        if (n <= 0)
+            return;
+        if (chunk <= 0)
+            chunk = 1;
+        int cap = std::min(max_workers, workers());
+        if (cap <= 1 || n <= chunk) {
+            fn(0, coord_t(0), n);
+            return;
+        }
+        // By reference: wrapping a reference_wrapper never allocates.
+        runJob(n, chunk, cap,
+               std::function<void(int, coord_t, coord_t)>(std::ref(fn)));
+    }
+    template <typename Fn>
     void
-    parallelForChunked(coord_t n, coord_t chunk, int max_workers,
-                       const std::function<void(int, coord_t, coord_t)> &fn);
+    parallelForChunked(coord_t n, coord_t chunk, Fn &&fn)
+    {
+        parallelForChunked(n, chunk, workers(), fn);
+    }
 
     /**
      * Worker count from the environment: DIFFUSE_WORKERS when set (>=

@@ -1,0 +1,105 @@
+/**
+ * @file
+ * The recycling pool behind every Real-mode host allocation of the
+ * low-level runtime: canonical store buffers and per-rank shard
+ * buffers alike.
+ *
+ * Iterative apps create and destroy same-shaped stores every step.
+ * Reusing their warm, already-faulted buffers keeps the executor off
+ * the kernel's page-fault path and the allocator off the submission
+ * path (a replayed sharded step otherwise allocates a fresh shard
+ * buffer for every rank of every new temporary). One pool serves both
+ * kinds of buffer, so one cap (kMaxPooledBytes) bounds what it holds
+ * and one eviction (evictAll, under DIFFUSE_MEM_BUDGET pressure)
+ * releases it.
+ */
+
+#ifndef DIFFUSE_RUNTIME_BUFFER_POOL_H
+#define DIFFUSE_RUNTIME_BUFFER_POOL_H
+
+#include <cstddef>
+#include <cstdint>
+#include <memory>
+#include <unordered_map>
+#include <vector>
+
+namespace diffuse {
+namespace rt {
+
+struct RuntimeStats;
+struct FaultStats;
+
+/**
+ * A host allocation. Unlike std::vector, alloc() leaves memory
+ * uninitialized, so a store whose first use is a fully-covering write
+ * never pays an init pass (the kernel overwrites every element).
+ */
+struct RawBuffer
+{
+    std::unique_ptr<std::byte[]> p;
+    std::size_t n = 0;
+
+    bool empty() const { return n == 0; }
+    std::size_t size() const { return n; }
+    std::byte *data() { return p.get(); }
+    const std::byte *data() const { return p.get(); }
+    void
+    alloc(std::size_t bytes)
+    {
+        p.reset(new std::byte[bytes]);
+        n = bytes;
+    }
+};
+
+/**
+ * Size-keyed pool of recycled RawBuffers. Single-threaded: a runtime
+ * allocates and releases buffers only on its submitting/retiring
+ * thread, never from pool workers. Hits and misses count into
+ * RuntimeStats::bufferPoolHits/Misses, evictions into
+ * FaultStats::budgetEvictions.
+ */
+class BufferPool
+{
+  public:
+    /** Bytes the pool may hold; beyond that, returned buffers free. */
+    static constexpr std::size_t kMaxPooledBytes = 256u << 20;
+
+    BufferPool(RuntimeStats &stats, FaultStats &faults)
+        : stats_(stats), faults_(faults)
+    {}
+
+    /** Would take(bytes) be served from the pool? */
+    bool
+    holds(std::size_t bytes) const
+    {
+        auto it = free_.find(bytes);
+        return it != free_.end() && !it->second.empty();
+    }
+
+    /**
+     * A buffer of exactly `bytes`: a pooled one when available (a
+     * hit), else a fresh allocation (a miss). The contents are
+     * unspecified either way; callers initialize what they read.
+     */
+    RawBuffer take(std::size_t bytes);
+
+    /** Return a buffer (empty ones are ignored). It is pooled while
+     * the pool stays within kMaxPooledBytes, else freed at once. */
+    void give(RawBuffer &&buf);
+
+    /** Free every pooled buffer, counting each as a budget eviction. */
+    void evictAll();
+
+    std::size_t pooledBytes() const { return pooledBytes_; }
+
+  private:
+    RuntimeStats &stats_;
+    FaultStats &faults_;
+    std::unordered_map<std::size_t, std::vector<RawBuffer>> free_;
+    std::size_t pooledBytes_ = 0;
+};
+
+} // namespace rt
+} // namespace diffuse
+
+#endif // DIFFUSE_RUNTIME_BUFFER_POOL_H

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <span>
 #include <thread>
 
 #include "common/env.h"
@@ -62,8 +63,10 @@ LowRuntime::LowRuntime(const MachineConfig &machine, ExecutionMode mode,
       pool_(std::move(shared_pool)),
       executors_(std::size_t(workers_)),
       workerBindings_(std::size_t(workers_)),
+      buffers_(stats_, faultStats_),
       shards_(mode,
-              ranks > 0 ? ranks : envInt("DIFFUSE_RANKS", 1, 1, 4096)),
+              ranks > 0 ? ranks : envInt("DIFFUSE_RANKS", 1, 1, 4096),
+              buffers_),
       stream_(machine)
 {
     if (pool_ == nullptr)
@@ -87,12 +90,17 @@ StoreId
 LowRuntime::createStore(const Point &shape, DType dtype, double init)
 {
     StoreId id = nextStore_++;
-    StoreRec store;
+    // A recycled record keeps its vectors' capacity: reset every field.
+    StoreRec &store = storeNodes_.insert(stores_, id)->second;
     store.shape = Rect::fromShape(shape);
     store.dtype = dtype;
     store.init = init;
+    store.lastWriteLayout = 0;
+    store.lastWritePieces.clear();
+    store.replicatedValid = true;
+    store.pendingUses = 0;
+    store.zombie = false;
     shards_.onStoreCreated(id, store.shape, dtype);
-    stores_.emplace(id, std::move(store));
     return id;
 }
 
@@ -113,18 +121,8 @@ LowRuntime::writeCoversStore(const LowArg &arg, const StoreRec &store)
 void
 LowRuntime::recycleAllocation(StoreRec &store)
 {
-    if (store.data.empty())
-        return;
-    std::size_t bytes = store.data.size();
-    liveBytes_ -= bytes;
-    if (pooledBytes_ + bytes <= kMaxPooledBytes) {
-        pooledBytes_ += bytes;
-        bufferPool_[bytes].push_back(std::move(store.data));
-    }
-    // Pool full: free eagerly. Either way the store ends up with no
-    // allocation (a moved-from RawBuffer keeps its stale size, so a
-    // reset is required for callers that keep the StoreRec alive).
-    store.data = RawBuffer();
+    liveBytes_ -= store.data.size();
+    buffers_.give(std::move(store.data));
 }
 
 void
@@ -137,33 +135,23 @@ LowRuntime::ensureAllocated(StoreRec &store, bool skip_init)
     if (faults_.enabled() && faults_.shouldFault(FaultKind::Alloc))
         throw DiffuseError(makeError(ErrorCode::AllocFailed,
                                      "injected allocation fault"));
-    auto pooled = bufferPool_.find(bytes);
-    if (pooled != bufferPool_.end() && !pooled->second.empty()) {
-        // Reuse transfers pooled -> live: total memory is unchanged,
-        // so the budget needs no check.
-        store.data = std::move(pooled->second.back());
-        pooled->second.pop_back();
-        pooledBytes_ -= bytes;
-    } else {
-        if (memBudgetBytes_ != 0 &&
-            liveBytes_ + pooledBytes_ + bytes > memBudgetBytes_) {
-            // Memory pressure: drop the recycling pool (warm-page
-            // reuse is a luxury) before giving up; only if live
-            // allocations alone still exceed the budget does the
-            // allocation fail — structurally, not as an OOM abort.
-            for (const auto &[sz, bufs] : bufferPool_)
-                faultStats_.budgetEvictions += bufs.size();
-            bufferPool_.clear();
-            pooledBytes_ = 0;
-            if (liveBytes_ + bytes > memBudgetBytes_)
-                throw DiffuseError(makeError(
-                    ErrorCode::MemBudgetExceeded,
-                    strprintf("allocation of %zu bytes would exceed "
-                              "DIFFUSE_MEM_BUDGET (%zu live of %zu)",
-                              bytes, liveBytes_, memBudgetBytes_)));
-        }
-        store.data.alloc(bytes);
+    // A pool hit transfers pooled -> live: total memory is unchanged,
+    // so the budget needs no check.
+    if (memBudgetBytes_ != 0 && !buffers_.holds(bytes) &&
+        liveBytes_ + buffers_.pooledBytes() + bytes > memBudgetBytes_) {
+        // Memory pressure: drop the recycling pool (warm-page reuse is
+        // a luxury) before giving up; only if live allocations alone
+        // still exceed the budget does the allocation fail —
+        // structurally, not as an OOM abort.
+        buffers_.evictAll();
+        if (liveBytes_ + bytes > memBudgetBytes_)
+            throw DiffuseError(makeError(
+                ErrorCode::MemBudgetExceeded,
+                strprintf("allocation of %zu bytes would exceed "
+                          "DIFFUSE_MEM_BUDGET (%zu live of %zu)",
+                          bytes, liveBytes_, memBudgetBytes_)));
     }
+    store.data = buffers_.take(bytes);
     liveBytes_ += bytes;
     stats_.storesMaterialized++;
     stats_.bytesMaterialized += double(store.data.size());
@@ -211,7 +199,7 @@ LowRuntime::destroyStore(StoreId id)
         return;
     }
     recycleAllocation(it->second);
-    stores_.erase(it);
+    storeNodes_.erase(stores_, it);
     poisoned_.erase(id);
     shards_.onStoreDestroyed(id);
     stream_.forgetStore(id);
@@ -624,12 +612,11 @@ LowRuntime::submit(LaunchedTask task)
     EventId id;
     if (captureLog_) {
         LaunchedTask task_copy = task;
-        TaskTiming timing_copy = timing;
         SubmitTrace trace;
-        id = stream_.submit(std::move(task), std::move(timing), &trace);
-        recordSubmission(task_copy, timing_copy, trace, id);
+        id = stream_.submit(std::move(task), timing, &trace);
+        recordSubmission(std::move(task_copy), timing, trace, id);
     } else {
-        id = stream_.submit(std::move(task), std::move(timing));
+        id = stream_.submit(std::move(task), timing);
     }
     foldScheduleClocks();
     return id;
@@ -692,12 +679,11 @@ LowRuntime::endSubmitCapture()
 }
 
 void
-LowRuntime::recordSubmission(const LaunchedTask &task,
-                             const TaskTiming &timing,
+LowRuntime::recordSubmission(LaunchedTask task, const TaskTiming &timing,
                              const SubmitTrace &trace, EventId id)
 {
     RecordedSubmission rec;
-    rec.task = task;
+    rec.task = std::move(task);
     rec.timing = timing;
     rec.rawDeps = trace.rawDeps;
     rec.warDeps = trace.warDeps;
@@ -752,7 +738,11 @@ LowRuntime::submitRecorded(const RecordedSubmission &recorded,
                            const std::vector<double> *scalars,
                            const std::vector<EventId> &epoch_events)
 {
-    LaunchedTask task = recorded.task;
+    // Copy-assign into retired storage of the same shape: once the
+    // stream has retired a window's worth of tasks, the copy reuses
+    // every vector and allocates nothing.
+    LaunchedTask task = stream_.recycledTask(recorded.task.args.size());
+    task = recorded.task;
     for (LowArg &a : task.args) {
         diffuse_assert(a.store < slot_stores.size(),
                        "recorded slot %llu out of range",
@@ -792,11 +782,11 @@ LowRuntime::submitRecorded(const RecordedSubmission &recorded,
     for (const LowArg &arg : task.args)
         rec(arg.store).pendingUses++;
 
-    SubmitTrace trace;
+    SubmitTrace &trace = replayTrace_;
     trace.rawDeps = recorded.rawDeps;
     trace.warDeps = recorded.warDeps;
     trace.wawDeps = recorded.wawDeps;
-    trace.deps.reserve(recorded.deps.size());
+    trace.deps.clear();
     for (std::uint32_t idx : recorded.deps) {
         diffuse_assert(idx < epoch_events.size(),
                        "recorded dependency %u outside replay epoch",
@@ -868,13 +858,11 @@ LowRuntime::submitCopy(const CopyDesc &c)
     rec(c.store).pendingUses++;
     if (captureLog_) {
         LaunchedTask task_copy = t;
-        TaskTiming timing_copy = timing;
         SubmitTrace trace;
-        EventId id =
-            stream_.submit(std::move(t), std::move(timing), &trace);
-        recordSubmission(task_copy, timing_copy, trace, id);
+        EventId id = stream_.submit(std::move(t), timing, &trace);
+        recordSubmission(std::move(task_copy), timing, trace, id);
     } else {
-        stream_.submit(std::move(t), std::move(timing));
+        stream_.submit(std::move(t), timing);
     }
 }
 
@@ -1013,24 +1001,20 @@ LowRuntime::executeRetired(const LaunchedTask &task)
     // after execution, keeping sums bit-identical for every worker
     // count.
     stats_.tasksSharded++;
-    struct RedSlot
-    {
-        std::size_t arg;
-        coord_t vol;
-        std::vector<double> partials;
-    };
-    std::vector<RedSlot> reds;
+    std::size_t nreds = 0;
     for (std::size_t i = 0; i < task.args.size(); i++) {
         const LowArg &arg = task.args[i];
         if (!privReduces(arg.priv))
             continue;
-        RedSlot rs;
+        if (redSlots_.size() == nreds)
+            redSlots_.emplace_back();
+        RedSlot &rs = redSlots_[nreds++];
         rs.arg = i;
         rs.vol = rec(arg.store).shape.volume();
         rs.partials.assign(std::size_t(rs.vol) * std::size_t(np),
                            reductionIdentity(arg.redop));
-        reds.push_back(std::move(rs));
     }
+    std::span<RedSlot> reds(redSlots_.data(), nreds);
 
     if (scalar_oracle || task.kernel->plan == nullptr) {
         // Oracle path: whole points shard across workers, private
@@ -1073,11 +1057,9 @@ LowRuntime::executeRetired(const LaunchedTask &task)
     }
 }
 
+template <typename Prepare>
 void
-LowRuntime::executeSharded(
-    const LaunchedTask &task,
-    const std::function<void(int, std::vector<kir::BufferBinding> &)>
-        &prepare)
+LowRuntime::executeSharded(const LaunchedTask &task, Prepare &&prepare)
 {
     const kir::KernelFunction &fn = task.kernel->fn;
     const kir::ExecutablePlan &plan = *task.kernel->plan;
@@ -1095,11 +1077,29 @@ LowRuntime::executeSharded(
                                         task.kernel->jit.get());
     }
 
+    // Items per chunk of a nest with `items` work items and estimated
+    // `work`: an even split into workers*8 chunks, but never less
+    // work per chunk than kFanOutGrain — so a nest below the grain is
+    // a single chunk, which parallelForChunked runs inline on this
+    // thread without submitting a pool job. DIFFUSE_CHUNK bypasses
+    // the grain (`fixed`).
+    auto chunk_for = [&](coord_t items, double work, coord_t fixed) {
+        if (chunkOverride_ > 0)
+            return fixed;
+        coord_t even =
+            std::max<coord_t>(1, items / (coord_t(workers_) * 8));
+        if (work <= 0.0)
+            return std::max(even, items);
+        double grain = std::ceil(kFanOutGrain * double(items) / work);
+        return std::max(even, coord_t(grain));
+    };
+
     // Nests execute in order with a barrier between them (a later nest
     // may consume what an earlier one produced). Within a nest,
     // workers claim strip (or row) ranges flattened across points —
     // points are independent here, so any interleaving is sound.
-    std::vector<coord_t> offsets(std::size_t(np) + 1, 0);
+    std::vector<coord_t> &offsets = shardOffsets_;
+    offsets.assign(std::size_t(np) + 1, 0);
     for (std::size_t n = 0; n < plan.nests.size(); n++) {
         const kir::NestPlan &npn = plan.nests[n];
         bool dense = npn.kind == kir::NestKind::Dense;
@@ -1109,15 +1109,21 @@ LowRuntime::executeSharded(
         // scalar oracle keep interleaved semantics. Both run whole
         // nests per point (still concurrently across points).
         bool ranged = !dense || npn.dense.reductions.empty();
-        for (int p = 0; ranged && p < np; p++) {
-            if (!pointCtxs_[std::size_t(p)].nest(int(n)).stripParallel)
-                ranged = false;
+        double work = 0.0;
+        for (int p = 0; p < np; p++) {
+            const kir::ResolvedNest &rn =
+                pointCtxs_[std::size_t(p)].nest(int(n));
+            ranged = ranged && rn.stripParallel;
+            work += rn.work;
         }
         if (!ranged) {
-            pool_->parallelFor(np, workers_, [&](int worker, coord_t p) {
-                executors_[std::size_t(worker)].runNest(
-                    pointCtxs_[std::size_t(p)], int(n));
-            });
+            pool_->parallelForChunked(
+                np, chunk_for(np, work, 1), workers_,
+                [&](int worker, coord_t begin, coord_t end) {
+                    for (coord_t p = begin; p < end; p++)
+                        executors_[std::size_t(worker)].runNest(
+                            pointCtxs_[std::size_t(p)], int(n));
+                });
             continue;
         }
 
@@ -1132,10 +1138,7 @@ LowRuntime::executeSharded(
         if (total == 0)
             continue;
 
-        coord_t chunk =
-            chunkOverride_ > 0
-                ? coord_t(chunkOverride_)
-                : std::max<coord_t>(1, total / (coord_t(workers_) * 8));
+        coord_t chunk = chunk_for(total, work, coord_t(chunkOverride_));
         std::uint64_t epoch = ++stripEpoch_;
         pool_->parallelForChunked(total, chunk, workers_,
                                   [&](int worker,
@@ -1185,7 +1188,7 @@ LowRuntime::finishRetired(const LaunchedTask &task)
             StoreId sid = arg.store;
             zombies_--;
             recycleAllocation(r);
-            stores_.erase(it);
+            storeNodes_.erase(stores_, it);
             poisoned_.erase(sid);
             shards_.onStoreDestroyed(sid);
             stream_.forgetStore(sid);

@@ -44,9 +44,11 @@
 
 #include "common/error.h"
 #include "common/geometry.h"
+#include "common/node_recycler.h"
 #include "common/types.h"
 #include "kernel/compiler.h"
 #include "kernel/exec.h"
+#include "runtime/buffer_pool.h"
 #include "runtime/fault.h"
 #include "runtime/machine.h"
 #include "runtime/shard.h"
@@ -93,6 +95,10 @@ struct RuntimeStats
     double exchangeBytes = 0.0;
     /** Copy tasks submitted to the stream (including free pulls). */
     std::uint64_t copyTasks = 0;
+    /** Host buffers (canonical and shard) served by the recycling
+     * pool vs. freshly allocated (runtime/buffer_pool.h). */
+    std::uint64_t bufferPoolHits = 0;
+    std::uint64_t bufferPoolMisses = 0;
 
     void reset() { *this = RuntimeStats(); }
 };
@@ -111,7 +117,8 @@ struct FaultStats
     std::uint64_t scalarFallbacks = 0;
     /** Stores poisoned by failed or cancelled tasks. */
     std::uint64_t storesPoisoned = 0;
-    /** Recycled buffers dropped under DIFFUSE_MEM_BUDGET pressure. */
+    /** Recycled buffers (canonical or shard) dropped under
+     * DIFFUSE_MEM_BUDGET pressure. */
     std::uint64_t budgetEvictions = 0;
 };
 
@@ -184,6 +191,38 @@ struct ImageData
 class LowRuntime
 {
   public:
+    /**
+     * Fan-out grain of sharded nests, in kir::ResolvedNest::work units
+     * (about one element operation each). A nest whose work over all
+     * points falls below it runs inline on the retiring thread and
+     * submits no pool job; no chunk of a larger nest holds less work.
+     * Handing a chunk to a parked pool helper costs more than the
+     * kernels of a small nest. DIFFUSE_CHUNK > 0 bypasses the grain.
+     *
+     * Measured sweep: perfbench p50 in ms on a shared 4-vCPU host,
+     * median of 10 s runs; (a) 2 runs on an earlier build of this
+     * rule, (b) 3 runs on this one.
+     *
+     *   grain   solvers_small    serving_mix     apps_dram (a)
+     *   none    a 24.5           a 2.71          578
+     *   16K     a 20.3           a 2.57          635
+     *   32K     b 12.1           b 2.11
+     *   64K     a 19.5  b 11.7   a 2.17  b 2.37  560
+     *   128K    b 14.7           b 2.07
+     *   256K    a 15.0  b 15.0   a 2.31  b 2.13  598
+     *   1M      a 20.6           a 2.58          602
+     *
+     * Every grain from 32K to 256K beats none (every nest fans out)
+     * and 1M (the largest serving requests run inline) by more than
+     * the run-to-run spread; inside that band the differences are
+     * noise, and 64K sits in its middle. At 64K a solvers_small step
+     * (4096-element vectors and operators on 4 ranks) submits no pool
+     * job at all, while serving_mix's 136^2 Black-Scholes and SpMV
+     * nests still fan out. apps_dram's nests are far above every
+     * candidate, so its column is noise.
+     */
+    static constexpr double kFanOutGrain = 65536.0;
+
     /**
      * @param workers Point-task worker threads; <= 0 reads
      *        DIFFUSE_WORKERS from the environment (default 1).
@@ -329,6 +368,9 @@ class LowRuntime
     int workers() const { return workers_; }
     int ranks() const { return shards_.ranks(); }
     const ShardManager &shards() const { return shards_; }
+    /** Bytes held by the buffer-recycling pool (bounded by
+     * BufferPool::kMaxPooledBytes). */
+    std::size_t pooledBytes() const { return buffers_.pooledBytes(); }
 
     /** Live store count, excluding zombies (leak checks in tests). */
     std::size_t liveStores() const { return stores_.size() - zombies_; }
@@ -383,29 +425,6 @@ class LowRuntime
     }
 
   private:
-    /**
-     * A store allocation. Unlike std::vector, alloc() leaves memory
-     * uninitialized, so a store whose first use is a fully-covering
-     * write never pays an init pass (the kernel overwrites every
-     * element anyway).
-     */
-    struct RawBuffer
-    {
-        std::unique_ptr<std::byte[]> p;
-        std::size_t n = 0;
-
-        bool empty() const { return n == 0; }
-        std::size_t size() const { return n; }
-        std::byte *data() { return p.get(); }
-        const std::byte *data() const { return p.get(); }
-        void
-        alloc(std::size_t bytes)
-        {
-            p.reset(new std::byte[bytes]);
-            n = bytes;
-        }
-    };
-
     struct StoreRec
     {
         Rect shape;
@@ -455,8 +474,7 @@ class LowRuntime
     void foldScheduleClocks();
 
     /** Capture hook: record one stream submission (post-analysis). */
-    void recordSubmission(const LaunchedTask &task,
-                          const TaskTiming &timing,
+    void recordSubmission(LaunchedTask task, const TaskTiming &timing,
                           const SubmitTrace &trace, EventId id);
 
     /** Build executor bindings for point `p`. */
@@ -477,13 +495,21 @@ class LowRuntime
     /**
      * Strip-sharded execution of a parallel-safe retired task on the
      * vector plan: workers claim strip (or Gemv/Csr row) ranges
-     * flattened across points, nest by nest. `prepare` fills point
-     * `p`'s external bindings (including reduction-slot diversion).
+     * flattened across points, nest by nest. `prepare(p, bindings)`
+     * fills point `p`'s external bindings (including reduction-slot
+     * diversion).
      */
-    void executeSharded(
-        const LaunchedTask &task,
-        const std::function<void(int, std::vector<kir::BufferBinding> &)>
-            &prepare);
+    template <typename Prepare>
+    void executeSharded(const LaunchedTask &task, Prepare &&prepare);
+
+    /** A reduction argument's per-point partial accumulators on the
+     * sharded path (merged in point order after the loop). */
+    struct RedSlot
+    {
+        std::size_t arg = 0;
+        coord_t vol = 0;
+        std::vector<double> partials;
+    };
 
     /** Drop per-task runtime state once a task has retired. */
     void finishRetired(const LaunchedTask &task);
@@ -504,23 +530,20 @@ class LowRuntime
     MachineConfig machine_;
     ExecutionMode mode_;
     RuntimeStats stats_;
-    std::unordered_map<StoreId, StoreRec> stores_;
-    /**
-     * Recycled allocations keyed by byte size. Iterative apps create
-     * and destroy same-shaped stores every step; reusing their warm,
-     * already-faulted pages keeps the executor off the kernel's
-     * page-fault path. Bounded by kMaxPooledBytes (beyond that,
-     * buffers free eagerly).
-     */
-    std::unordered_map<std::size_t, std::vector<RawBuffer>> bufferPool_;
-    std::size_t pooledBytes_ = 0;
-    static constexpr std::size_t kMaxPooledBytes = 256u << 20;
-    /** Bytes currently held by store allocations (canonical buffers;
-     * shard buffers are the ShardManager's). */
+    using StoreMap = std::unordered_map<StoreId, StoreRec>;
+    StoreMap stores_;
+    /** Records of destroyed stores, reused by createStore. */
+    NodeRecycler<StoreMap> storeNodes_{1024};
+    /** Bytes currently held by canonical store allocations. Shard
+     * buffers come from the same pool (buffers_) but are not counted
+     * here, so DIFFUSE_MEM_BUDGET only refuses canonical
+     * allocations. */
     std::size_t liveBytes_ = 0;
-    /** DIFFUSE_MEM_BUDGET in bytes; 0 = unlimited. Fresh allocations
-     * that would exceed it first evict the recycling pool, then fail
-     * with a structured MemBudgetExceeded instead of OOM-aborting. */
+    /** DIFFUSE_MEM_BUDGET in bytes; 0 = unlimited. Fresh canonical
+     * allocations that would exceed it (with the pooled bytes) first
+     * evict the whole recycling pool, shard buffers included, then
+     * fail with a structured MemBudgetExceeded instead of
+     * OOM-aborting. */
     std::size_t memBudgetBytes_ = 0;
     /** Destroyed-but-in-flight stores still held in stores_. */
     std::size_t zombies_ = 0;
@@ -530,9 +553,11 @@ class LowRuntime
      * scratch sizing use it, never the (possibly larger, shared)
      * pool's thread target. */
     int workers_ = 1;
-    /** DIFFUSE_CHUNK: fixed chunk size for sharded nests (0 = auto,
-     * total/(workers*8)). Small values force steal-heavy schedules in
-     * the determinism tests; results are chunk-invariant by design. */
+    /** DIFFUSE_CHUNK: fixed chunk size for sharded nests, which also
+     * bypasses the fan-out grain (0 = auto: total/(workers*8), but no
+     * chunk below the grain). Small values force steal-heavy schedules
+     * in the determinism tests; results are chunk-invariant by
+     * design. */
     int chunkOverride_ = 0;
     std::shared_ptr<kir::WorkerPool> pool_;
     /** Per-worker executor state (executors are not thread-safe). */
@@ -540,9 +565,17 @@ class LowRuntime
     std::vector<std::vector<kir::BufferBinding>> workerBindings_;
     /** Per-point plan resolutions for the strip-sharded path. */
     std::vector<kir::PointContext> pointCtxs_;
+    /** Sharded-path scratch, reused across tasks: per-point work-item
+     * offsets of a nest, and reduction slots (the first ones a task
+     * needs are live; the rest keep their capacity). */
+    std::vector<coord_t> shardOffsets_;
+    std::vector<RedSlot> redSlots_;
     /** Identifies strip dispatches so workers splat loop invariants
      * into their register files exactly once per dispatch. */
     std::uint64_t stripEpoch_ = 0;
+    /** Recycled canonical and shard buffers (one cap, one eviction
+     * path); declared before shards_, which returns buffers to it. */
+    BufferPool buffers_;
     /** Per-rank shard buffers and exchange planning (ranks > 1). */
     ShardManager shards_;
     TaskStream stream_;
@@ -558,6 +591,8 @@ class LowRuntime
     /** Stat snapshots for per-submission delta attribution. */
     RuntimeStats captureStatsMark_;
     ShardStats captureShardMark_;
+    /** submitRecorded's rebound hazard edges, reused across calls. */
+    SubmitTrace replayTrace_;
     std::function<void(StoreId)> hostWriteObserver_;
 
     /** Failure-domain state. */

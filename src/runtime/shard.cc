@@ -94,8 +94,9 @@ boundingBox(const Rect &a, const Rect &b)
 
 } // namespace
 
-ShardManager::ShardManager(ExecutionMode mode, int ranks)
-    : mode_(mode), ranks_(ranks)
+ShardManager::ShardManager(ExecutionMode mode, int ranks,
+                           BufferPool &buffers)
+    : mode_(mode), ranks_(ranks), buffers_(buffers)
 {
     diffuse_assert(ranks_ >= 1, "need at least one rank");
 }
@@ -105,20 +106,34 @@ ShardManager::onStoreCreated(StoreId id, const Rect &shape, DType dtype)
 {
     if (!active())
         return;
-    StoreState s;
+    // A recycled state keeps its lists' capacity: reset every field
+    // (its shard buffers went back to the pool on destruction).
+    StoreState &s = storeNodes_.insert(stores_, id)->second;
     s.shape = shape;
     s.dtype = dtype;
+    s.hasOwner = false;
+    s.ownerPart = PartitionDesc();
+    s.ownerDomain = Rect();
+    s.ownerPieces.clear();
     s.shards.resize(std::size_t(ranks_));
+    for (Shard &sh : s.shards) {
+        sh.rect = Rect();
+        sh.valid.clear();
+    }
     // A fresh store's init fill is host-side setup: the canonical
     // copy owns everything and is resident on every rank for free.
-    s.hostValid = {shape};
-    stores_.emplace(id, std::move(s));
+    s.hostValid.assign(1, shape);
 }
 
 void
 ShardManager::onStoreDestroyed(StoreId id)
 {
-    stores_.erase(id);
+    auto it = stores_.find(id);
+    if (it == stores_.end())
+        return;
+    for (Shard &sh : it->second.shards)
+        buffers_.give(std::move(sh.data));
+    storeNodes_.erase(stores_, it);
 }
 
 void
@@ -145,11 +160,20 @@ ShardManager::state(StoreId id)
 void
 ShardManager::invalidate(std::vector<Rect> &list, const Rect &r)
 {
-    std::vector<Rect> next;
-    next.reserve(list.size());
-    for (const Rect &v : list)
-        rectSubtract(v, r, next);
-    list = std::move(next);
+    // Entries before the first one `r` touches survive verbatim
+    // (rectSubtract would re-append each unchanged); only the tail
+    // from there on is rebuilt, in order.
+    std::size_t first = 0;
+    while (first < list.size() && !list[first].empty() &&
+           list[first].intersect(r).empty())
+        first++;
+    if (first == list.size())
+        return;
+    scratch_.clear();
+    for (std::size_t i = first; i < list.size(); i++)
+        rectSubtract(list[i], r, scratch_);
+    list.resize(first);
+    list.insert(list.end(), scratch_.begin(), scratch_.end());
 }
 
 void
@@ -165,11 +189,20 @@ std::vector<Rect>
 ShardManager::uncovered(const std::vector<Rect> &list, const Rect &r)
 {
     std::vector<Rect> need;
-    if (r.empty())
-        return need;
+    if (covers(list, r))
+        return need; // the common case, and no allocation
     need.push_back(r);
     consumeCovered(need, list, [](const Rect &) {});
     return need;
+}
+
+bool
+ShardManager::covers(const std::vector<Rect> &list, const Rect &r)
+{
+    coord_t covered = 0;
+    for (const Rect &v : list)
+        covered += v.intersect(r).volume();
+    return covered == r.volume();
 }
 
 void
@@ -183,7 +216,10 @@ ShardManager::ensureShardCovers(StoreState &s, int rank, const Rect &rect)
     Rect grown = boundingBox(sh.rect, rect);
     if (mode_ == ExecutionMode::Real) {
         std::size_t esize = dtypeSize(s.dtype);
-        std::vector<std::byte> data(std::size_t(grown.volume()) * esize);
+        // Recycled or fresh, a shard buffer starts zero-filled.
+        RawBuffer data =
+            buffers_.take(std::size_t(grown.volume()) * esize);
+        std::memset(data.data(), 0, data.size());
         // Preserve everything already resident. Pending tasks bind
         // their pointers at retirement, so they observe the grown
         // buffer; only already-written bytes need moving.
@@ -191,6 +227,7 @@ ShardManager::ensureShardCovers(StoreState &s, int rank, const Rect &rect)
             copyRect(data.data(), grown, sh.data.data(), sh.rect,
                      sh.rect, esize);
         }
+        buffers_.give(std::move(sh.data));
         sh.data = std::move(data);
     }
     sh.rect = grown;
@@ -462,7 +499,7 @@ ShardManager::replayTask(const LaunchedTask &task)
             // *representation* (not just its coverage) stays equal to
             // the analyzed path — state signatures compare lists.
             if ((privReads(a.priv) || privReduces(a.priv)) &&
-                !uncovered(s.hostValid, s.shape).empty()) {
+                !covers(s.hostValid, s.shape)) {
                 s.hostValid = {s.shape};
             }
             continue;
@@ -475,7 +512,7 @@ ShardManager::replayTask(const LaunchedTask &task)
             ensureShardCovers(s, r, piece);
             if (privReads(a.priv)) {
                 Shard &dst = s.shards[std::size_t(r)];
-                if (!uncovered(dst.valid, piece).empty())
+                if (!covers(dst.valid, piece))
                     markValid(dst.valid, piece);
             }
         }

@@ -47,7 +47,9 @@
 #include <vector>
 
 #include "common/geometry.h"
+#include "common/node_recycler.h"
 #include "common/types.h"
+#include "runtime/buffer_pool.h"
 #include "runtime/machine.h"
 #include "runtime/task_stream.h"
 
@@ -82,7 +84,9 @@ struct ShardView
 class ShardManager
 {
   public:
-    ShardManager(ExecutionMode mode, int ranks);
+    /** Shard buffers come from, and return to, `buffers` (the
+     * runtime's recycling pool, which must outlive this manager). */
+    ShardManager(ExecutionMode mode, int ranks, BufferPool &buffers);
 
     int ranks() const { return ranks_; }
     bool active() const { return ranks_ > 1; }
@@ -169,7 +173,7 @@ class ShardManager
     struct Shard
     {
         Rect rect; ///< allocated bounding box (empty: no buffer yet)
-        std::vector<std::byte> data;
+        RawBuffer data;
         /** Disjoint rectangles currently holding up-to-date data. */
         std::vector<Rect> valid;
     };
@@ -191,15 +195,26 @@ class ShardManager
 
     StoreState &state(StoreId id);
 
-    /** Remove `r` from every rectangle of `list` (exact subtract). */
-    static void invalidate(std::vector<Rect> &list, const Rect &r);
+    /**
+     * Remove `r` from every rectangle of `list` (exact subtract),
+     * keeping the list's order: state signatures hash it in order.
+     * Allocates nothing when `r` hits no entry.
+     */
+    void invalidate(std::vector<Rect> &list, const Rect &r);
     /** Add `r` to `list`, keeping entries disjoint. */
-    static void markValid(std::vector<Rect> &list, const Rect &r);
-    /** The parts of `r` not covered by `list`. */
+    void markValid(std::vector<Rect> &list, const Rect &r);
+    /** The parts of `r` not covered by `list`. Allocates nothing when
+     * `list` covers `r`. */
     static std::vector<Rect> uncovered(const std::vector<Rect> &list,
                                        const Rect &r);
+    /** Does `list` cover all of `r`? Allocation-free: its entries are
+     * disjoint, so they cover `r` exactly when their overlaps with it
+     * add up to its volume. */
+    static bool covers(const std::vector<Rect> &list, const Rect &r);
 
-    /** Grow rank `rank`'s shard to cover `rect` (preserving data). */
+    /** Grow rank `rank`'s shard to cover `rect` (preserving data). The
+     * grown buffer comes zero-filled from the pool; the old one
+     * returns to it. */
     void ensureShardCovers(StoreState &s, int rank, const Rect &rect);
 
     /** Plan pulls making `piece` resident in `rank`'s shard. */
@@ -212,8 +227,14 @@ class ShardManager
 
     ExecutionMode mode_;
     int ranks_;
-    std::unordered_map<StoreId, StoreState> stores_;
+    BufferPool &buffers_;
+    using StoreMap = std::unordered_map<StoreId, StoreState>;
+    StoreMap stores_;
+    /** States of destroyed stores, reused by onStoreCreated. */
+    NodeRecycler<StoreMap> storeNodes_{1024};
     ShardStats stats_;
+    /** invalidate()'s rebuilt tail, reused across calls. */
+    std::vector<Rect> scratch_;
 };
 
 } // namespace rt

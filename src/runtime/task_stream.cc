@@ -24,7 +24,7 @@ TaskStream::overlaps(bool a_replicated, const std::vector<Rect> &a_pieces,
     for (const Rect &ra : a_pieces) {
         if (ra.empty())
             continue;
-        for (const Rect &rb : b.pieces) {
+        for (const Rect &rb : *b.pieces) {
             if (!ra.intersect(rb).empty())
                 return true;
         }
@@ -53,8 +53,62 @@ TaskStream::compactHistory(StoreHistory &h)
     prune(h.reads, h.readFinishFloor);
 }
 
+TaskStream::StoreHistory &
+TaskStream::historyFor(StoreId id)
+{
+    auto it = history_.find(id);
+    if (it != history_.end())
+        return it->second;
+    StoreHistory &h = historyNodes_.insert(history_, id)->second;
+    h.writes.clear();
+    h.reads.clear();
+    h.writeFinishFloor = 0.0;
+    h.readFinishFloor = 0.0;
+    return h;
+}
+
+void
+TaskStream::forgetStore(StoreId id)
+{
+    auto it = history_.find(id);
+    if (it != history_.end())
+        historyNodes_.erase(history_, it);
+}
+
+LaunchedTask
+TaskStream::recycledTask(std::size_t num_args)
+{
+    if (num_args >= spareTasks_.size() || spareTasks_[num_args].empty())
+        return LaunchedTask();
+    LaunchedTask task = std::move(spareTasks_[num_args].back());
+    spareTasks_[num_args].pop_back();
+    spareTaskCount_--;
+    return task;
+}
+
+void
+TaskStream::recycle(PendingMap::node_type node)
+{
+    // Spare task storage is bounded by one in-flight window in all:
+    // the most a replay can take before the next retirement returns
+    // some. Tasks with many arguments are rare and not kept.
+    constexpr std::size_t kMaxRecycledArgs = 16;
+    LaunchedTask &task = node.mapped().task;
+    std::size_t nargs = task.args.size();
+    if (nargs < kMaxRecycledArgs && spareTaskCount_ < maxPending_) {
+        if (spareTasks_.size() <= nargs)
+            spareTasks_.resize(nargs + 1);
+        task.kernel.reset();
+        spareTasks_[nargs].push_back(std::move(task));
+        spareTaskCount_++;
+    }
+    // The spare node keeps no task storage beyond that bound.
+    task = LaunchedTask();
+    pendingNodes_.keep(std::move(node));
+}
+
 EventId
-TaskStream::submit(LaunchedTask task, TaskTiming timing,
+TaskStream::submit(LaunchedTask task, const TaskTiming &timing,
                    SubmitTrace *trace_out)
 {
     // ---- Hazard detection against the access history ----------------
@@ -73,7 +127,8 @@ TaskStream::submit(LaunchedTask task, TaskTiming timing,
     // and their hazard edges, kept so retirement order and failure
     // cancellation stay correct across windows, are left out of the
     // dep-kind statistics a fenced run would never have counted.
-    std::vector<EventId> deps;
+    std::vector<EventId> &deps = deps_;
+    deps.clear();
     std::uint32_t raw = 0, war = 0, waw = 0;
     double dep_finish = 0.0;
     auto add_edge = [&](const AccessRec &a) {
@@ -131,12 +186,11 @@ TaskStream::submit(LaunchedTask task, TaskTiming timing,
         trace_out->warDeps = war;
         trace_out->wawDeps = waw;
     }
-    return finishSubmit(std::move(task), std::move(timing),
-                        std::move(deps), dep_finish);
+    return finishSubmit(std::move(task), timing, dep_finish);
 }
 
 EventId
-TaskStream::submitPrelinked(LaunchedTask task, TaskTiming timing,
+TaskStream::submitPrelinked(LaunchedTask task, const TaskTiming &timing,
                             const SubmitTrace &trace)
 {
     // The recorded edges replace the history scan. Floors still apply:
@@ -153,7 +207,8 @@ TaskStream::submitPrelinked(LaunchedTask task, TaskTiming timing,
     // uncounted overlap edges so retirement order and failure
     // cancellation propagate across the window boundary.
     double dep_finish = 0.0;
-    std::vector<EventId> deps;
+    std::vector<EventId> &deps = deps_;
+    deps.clear();
     auto add_old_edge = [&](const AccessRec &a) {
         if (pending_.count(a.id) &&
             std::find(deps.begin(), deps.end(), a.id) == deps.end())
@@ -199,13 +254,12 @@ TaskStream::submitPrelinked(LaunchedTask task, TaskTiming timing,
     stats_.rawDeps += trace.rawDeps;
     stats_.warDeps += trace.warDeps;
     stats_.wawDeps += trace.wawDeps;
-    return finishSubmit(std::move(task), std::move(timing),
-                        std::move(deps), dep_finish);
+    return finishSubmit(std::move(task), timing, dep_finish);
 }
 
 EventId
-TaskStream::finishSubmit(LaunchedTask task, TaskTiming timing,
-                         std::vector<EventId> deps, double dep_finish)
+TaskStream::finishSubmit(LaunchedTask task, const TaskTiming &timing,
+                         double dep_finish)
 {
     diffuse_assert(int(timing.pointSeconds.size()) == task.numPoints,
                    "timing for %zu of %d points",
@@ -238,14 +292,20 @@ TaskStream::finishSubmit(LaunchedTask task, TaskTiming timing,
     stats_.collectiveTime += timing.collectiveSeconds;
     stats_.criticalPathTime = std::max(stats_.criticalPathTime, finish);
 
+    // ---- Enqueue ------------------------------------------------------
+    PendingTask &pt = pendingNodes_.insert(pending_, id)->second;
+    pt.task = std::move(task);
+    pt.deps.assign(deps_.begin(), deps_.end());
+    pt.finish = finish;
+
     // ---- Access-history update --------------------------------------
-    for (const LowArg &arg : task.args) {
-        StoreHistory &h = history_[arg.store];
+    for (const LowArg &arg : pt.task.args) {
+        StoreHistory &h = historyFor(arg.store);
         AccessRec rec;
         rec.id = id;
         rec.finish = finish;
         rec.replicated = arg.replicated;
-        rec.pieces = arg.pieces;
+        rec.pieces = &arg.pieces;
         if (privWrites(arg.priv) || privReduces(arg.priv)) {
             // A replicated (whole-store) write supersedes everything
             // before it: later tasks ordering after it are transitively
@@ -263,11 +323,6 @@ TaskStream::finishSubmit(LaunchedTask task, TaskTiming timing,
         }
     }
 
-    PendingTask pt;
-    pt.task = std::move(task);
-    pt.deps = std::move(deps);
-    pt.finish = finish;
-    pending_.emplace(id, std::move(pt));
     stats_.maxPendingSeen =
         std::max(stats_.maxPendingSeen, pending_.size());
 
@@ -284,22 +339,30 @@ TaskStream::retireOne(EventId id)
     diffuse_assert(it != pending_.end(), "retire of unknown event %llu",
                    (unsigned long long)id);
     // Retire dependencies first, in submission order (EventIds are a
-    // topological order of the hazard DAG).
-    std::vector<EventId> deps = it->second.deps;
-    std::sort(deps.begin(), deps.end());
-    for (EventId d : deps) {
-        if (pending_.count(d))
-            retireOne(d);
+    // topological order of the hazard DAG): always the smallest one
+    // still pending, which leaves the recorded edge order untouched.
+    for (;;) {
+        EventId next = NO_EVENT;
+        for (EventId d : it->second.deps) {
+            if ((next == NO_EVENT || d < next) && pending_.count(d))
+                next = d;
+        }
+        if (next == NO_EVENT)
+            break;
+        retireOne(next);
+        it = pending_.find(id);
+        diffuse_assert(it != pending_.end(),
+                       "event %llu retired during its own dependency "
+                       "drain",
+                       (unsigned long long)id);
     }
-    it = pending_.find(id);
-    diffuse_assert(it != pending_.end(), "event %llu retired during its "
-                   "own dependency drain", (unsigned long long)id);
     if (!pending_.empty() && pending_.begin()->first < id)
         stats_.retiredOutOfOrder++;
-    // Move the task out so callbacks may submit follow-on work.
-    LaunchedTask task = std::move(it->second.task);
-    std::vector<EventId> task_deps = std::move(it->second.deps);
-    pending_.erase(it);
+    // Take the node out so callbacks may submit follow-on work; it is
+    // recycled once the task has retired.
+    PendingMap::node_type node = pending_.extract(it);
+    const LaunchedTask &task = node.mapped().task;
+    const std::vector<EventId> &task_deps = node.mapped().deps;
     stats_.retired++;
 
     // Failure propagates along the hazard edges: if any dependency
@@ -332,6 +395,7 @@ TaskStream::retireOne(EventId id)
         stats_.tasksCancelled++;
         if (retireFn_)
             retireFn_(task);
+        recycle(std::move(node));
         return;
     }
 
@@ -362,6 +426,7 @@ TaskStream::retireOne(EventId id)
     }
     if (retireFn_)
         retireFn_(task);
+    recycle(std::move(node));
 }
 
 void

@@ -30,6 +30,7 @@
 
 #include "common/error.h"
 #include "common/geometry.h"
+#include "common/node_recycler.h"
 #include "common/types.h"
 // PartitionDesc is a pure value type over common/geometry.h; carrying
 // it on lowered arguments lets the shard manager plan exchanges
@@ -233,7 +234,7 @@ class TaskStream
      * @param trace_out When non-null, receives the derived dependence
      *        edges so a trace can replay them without re-analysis.
      */
-    EventId submit(LaunchedTask task, TaskTiming timing,
+    EventId submit(LaunchedTask task, const TaskTiming &timing,
                    SubmitTrace *trace_out = nullptr);
 
     /**
@@ -244,8 +245,17 @@ class TaskStream
      * history update and retirement behaviour are identical to
      * `submit`, so simulated time matches the analyzed path exactly.
      */
-    EventId submitPrelinked(LaunchedTask task, TaskTiming timing,
+    EventId submitPrelinked(LaunchedTask task, const TaskTiming &timing,
                             const SubmitTrace &trace);
+
+    /**
+     * Storage of a retired task with `num_args` arguments, for the
+     * caller to copy-assign a new task into: its vectors and strings
+     * keep their capacity, so a replayed submission copies its
+     * recorded task without allocating. Contents are unspecified; an
+     * empty task when none is spare.
+     */
+    LaunchedTask recycledTask(std::size_t num_args);
 
     /**
      * Mark an epoch boundary: submissions from here on belong to a
@@ -297,18 +307,24 @@ class TaskStream
     std::size_t pending() const { return pending_.size(); }
 
     /** Drop dependence history of a destroyed store. */
-    void forgetStore(StoreId id) { history_.erase(id); }
+    void forgetStore(StoreId id);
 
     const StreamStats &stats() const { return stats_; }
 
   private:
-    /** One access to a store, remembered for hazard detection. */
+    /**
+     * One access to a store, remembered for hazard detection. `pieces`
+     * points into the argument of the pending task that made the
+     * access: a record is only read while that task is pending (every
+     * scan compacts retired records out first), and a pending task's
+     * arguments neither move nor change.
+     */
     struct AccessRec
     {
         EventId id = NO_EVENT;
         double finish = 0.0;
         bool replicated = false;
-        std::vector<Rect> pieces;
+        const std::vector<Rect> *pieces = nullptr;
     };
 
     /**
@@ -337,6 +353,14 @@ class TaskStream
         std::vector<EventId> deps;
         double finish = 0.0;
     };
+    using PendingMap = std::map<EventId, PendingTask>;
+    using HistoryMap = std::unordered_map<StoreId, StoreHistory>;
+
+    /** The history of `id`, created (from a spare node) on first use. */
+    StoreHistory &historyFor(StoreId id);
+
+    /** Keep a retired task's map node and storage for reuse. */
+    void recycle(PendingMap::node_type node);
 
     /** Any-pair piece overlap between two accesses of one store. */
     static bool overlaps(bool a_replicated,
@@ -348,11 +372,12 @@ class TaskStream
 
     /**
      * The shared submission tail: place the task on the simulated
-     * schedule (no earlier than `dep_finish`), append its accesses to
-     * the history, enqueue it pending, and retire overflow.
+     * schedule (no earlier than `dep_finish`), enqueue it pending with
+     * the dependencies gathered in `deps_`, append its accesses to the
+     * history, and retire overflow.
      */
-    EventId finishSubmit(LaunchedTask task, TaskTiming timing,
-                         std::vector<EventId> deps, double dep_finish);
+    EventId finishSubmit(LaunchedTask task, const TaskTiming &timing,
+                         double dep_finish);
 
     MachineConfig machine_;
     std::size_t maxPending_;
@@ -361,8 +386,23 @@ class TaskStream
     FailFn failFn_;
 
     /** Ordered by EventId == submission order (a topological order). */
-    std::map<EventId, PendingTask> pending_;
-    std::unordered_map<StoreId, StoreHistory> history_;
+    PendingMap pending_;
+    HistoryMap history_;
+    /**
+     * Recycled allocations, so a steady stream of submissions (trace
+     * replay above all) reaches the allocator rarely: map nodes of
+     * retired tasks and destroyed stores' histories, and retired task
+     * storage bucketed by argument count (a copy-assignment into a task
+     * of the same shape reuses every vector).
+     */
+    static constexpr std::size_t kMaxSpare = 1024;
+    NodeRecycler<PendingMap> pendingNodes_{kMaxSpare};
+    NodeRecycler<HistoryMap> historyNodes_{kMaxSpare};
+    std::vector<std::vector<LaunchedTask>> spareTasks_;
+    std::size_t spareTaskCount_ = 0;
+    /** Dependencies of the submission in progress (submit and
+     * submitPrelinked gather, finishSubmit consumes). */
+    std::vector<EventId> deps_;
     /** Events that retired unsuccessfully, with their errors. Bounded
      * by clearFailures(): a failed session drains, surfaces the error
      * and resets — failures never accumulate across healthy epochs. */

@@ -3,12 +3,12 @@
  * Concurrent multi-session serving stress: N threads × M sessions per
  * thread submit randomized mixed application windows (the fuzzer's
  * seeded DAG recipe: element-wise chains, aliasing slice writes,
- * reductions fed back as coefficients, scalar read-backs) against one
- * SharedContext, racing on the shared compile/memo/trace caches and
- * the one worker pool. Every session's live arrays must be **bitwise**
- * identical to that seed's single-threaded, fully isolated reference
- * run — across workers 1/8 × ranks 1/2 × trace on/off × shared-cache
- * on/off.
+ * reductions fed back as coefficients, scalar read-backs, plus one
+ * array large enough to fan out) against one SharedContext, racing
+ * on the shared compile/memo/trace caches and the one worker pool.
+ * Every session's live arrays must be **bitwise** identical to that
+ * seed's single-threaded, fully isolated reference run — across
+ * workers 1/8 × ranks 1/2 × trace on/off × shared-cache on/off.
  *
  * Seeds repeat across threads deliberately: concurrent sessions race
  * on the *same* cold cache keys (exactly-once compile under the shard
@@ -26,6 +26,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -107,6 +108,14 @@ runStressBody(DiffuseRuntime &rt, std::uint64_t seed)
     const coord_t n = 24 + coord_t(rng.below(17)); // 24..40
     NDArray a = ctx.random(n, seed ^ 0x5eedULL, -1.0, 1.0);
     NDArray b = ctx.random(n, seed ^ 0xfeedULL, -1.0, 1.0);
+    // The small arrays' nests run inline below the fan-out grain. In
+    // multi-worker sessions one more array, whose axpy nest (about
+    // three operations per element) weighs 1.5 grains, keeps handing
+    // chunks to the shared pool.
+    NDArray big;
+    if (rt.low().workers() > 1)
+        big = ctx.zeros(coord_t(rt::LowRuntime::kFanOutGrain / 2),
+                        1.0 + double(seed % 7));
 
     const int steps = 6 + int(rng.below(5));
     std::vector<int> ops;
@@ -152,9 +161,17 @@ runStressBody(DiffuseRuntime &rt, std::uint64_t seed)
                 break;
             }
         }
+        if (big.valid()) {
+            NDArray t = ctx.axpy(big, coef[0] / double(rep + 2), big);
+            ctx.assign(big, t);
+        }
         rt.flushWindow();
     }
-    return {bits(ctx.toHost(a)), bits(ctx.toHost(b))};
+    std::vector<std::vector<std::uint64_t>> out = {
+        bits(ctx.toHost(a)), bits(ctx.toHost(b))};
+    if (big.valid())
+        out.push_back(bits(ctx.toHost(big)));
+    return out;
 }
 
 /**
@@ -208,6 +225,9 @@ runMatrix(const std::vector<StressConfig> &configs, int threads,
         got.resize(std::size_t(threads));
         for (std::vector<Results> &row : got)
             row.resize(std::size_t(sessions_per_thread));
+        // Helper threads any session's pool spawned (pools start them
+        // lazily, on the first job that can use them).
+        std::atomic<int> spawned{0};
         std::vector<std::thread> pool;
         pool.reserve(std::size_t(threads));
         for (int t = 0; t < threads; t++) {
@@ -217,11 +237,17 @@ runMatrix(const std::vector<StressConfig> &configs, int threads,
                         ctx->createSession(optionsFor(cfg));
                     got[std::size_t(t)][std::size_t(m)] =
                         runStressBody(*session, seedFor(t, m));
+                    spawned.fetch_add(
+                        session->low().pool().threadsSpawned());
                 }
             });
         }
         for (std::thread &th : pool)
             th.join();
+        // Multi-worker sessions must still race pool jobs, not only
+        // the caches: the big array's nests exceed the fan-out grain.
+        if (cfg.workers > 1)
+            EXPECT_GT(spawned.load(), 0) << "config " << cfg.label();
 
         for (int t = 0; t < threads; t++) {
             for (int m = 0; m < sessions_per_thread; m++) {

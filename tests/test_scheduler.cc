@@ -159,17 +159,29 @@ struct ChunkGuard
     ~ChunkGuard() { unsetenv("DIFFUSE_CHUNK"); }
 };
 
+/** Vector length whose element-wise nests run inline at any worker
+ * count: below the fan-out grain. */
+constexpr coord_t kBelowGrain = 2048;
+/** Vector length whose element-wise nests fan out over the pool:
+ * twice the grain in elements, so even a copy nest spans two chunks. */
+constexpr coord_t kAboveGrain = coord_t(2 * rt::LowRuntime::kFanOutGrain);
+
 std::vector<double>
 schedulerProgram(const DiffuseOptions &base, int chunk,
                  rt::StreamStats *stats_out = nullptr,
-                 std::uint64_t *steals_out = nullptr)
+                 std::uint64_t *steals_out = nullptr,
+                 coord_t n = kBelowGrain, int *spawned_out = nullptr)
 {
     ChunkGuard guard(chunk);
     DiffuseOptions o = base;
     o.mode = rt::ExecutionMode::Real;
     DiffuseRuntime rt(rt::MachineConfig::withGpus(4), o);
+    // Counting helper threads pins the default engine: an ambient
+    // compile fault would degrade a task to the scalar oracle, which
+    // shards whole points over the pool whatever their size.
+    if (spawned_out)
+        rt.low().faults().configure(1, 0, 0);
     Context ctx(rt);
-    const coord_t n = 2048;
     NDArray x = ctx.random(n, 0x5eed, -1.0, 1.0);
     NDArray y = ctx.random(n, 0xfeed, -1.0, 1.0);
     for (int i = 0; i < 4; i++) {
@@ -190,6 +202,8 @@ schedulerProgram(const DiffuseOptions &base, int chunk,
     }
     if (steals_out)
         *steals_out = rt.low().pool().steals();
+    if (spawned_out)
+        *spawned_out = rt.low().pool().threadsSpawned();
     return out;
 }
 
@@ -228,30 +242,56 @@ TEST(Scheduler, ResultsAndSchedulesBitwiseAcrossWorkersChunkPipeline)
         {1, 0, 1}, {8, 0, 0}, {8, 0, 1},
         {8, 1, 0}, {8, 1, 1}, {1, 1, 1},
     };
-    auto run = [](const Case &c, rt::StreamStats *st,
-                  std::uint64_t *steals) {
-        DiffuseOptions o;
-        o.workers = c.workers;
-        o.pipeline = c.pipeline;
-        return schedulerProgram(o, c.chunk, st, steals);
-    };
-    rt::StreamStats refStats;
-    auto expect = run(reference, &refStats, nullptr);
-    for (const Case &c : cases) {
-        std::string label = "workers " + std::to_string(c.workers) +
-                            " chunk " + std::to_string(c.chunk) +
-                            " pipeline " + std::to_string(c.pipeline);
-        rt::StreamStats st;
-        std::uint64_t steals = 0;
-        auto got = run(c, &st, &steals);
-        ASSERT_EQ(got, expect) << label;
-        expectScheduleParity(st, refStats, label);
-        // Whether helpers actually stole here is a host-scheduling
-        // race (on a loaded single-core runner the caller can drain
-        // every chunk first); HelpersAcquireWorkByStealing pins the
-        // steal path deterministically by parking the caller.
-        (void)steals;
+    // Below the fan-out grain every nest runs inline at any worker
+    // count; above it the default chunking fans out over the pool.
+    for (coord_t n : {kBelowGrain, kAboveGrain}) {
+        auto run = [n](const Case &c, rt::StreamStats *st,
+                       std::uint64_t *steals) {
+            DiffuseOptions o;
+            o.workers = c.workers;
+            o.pipeline = c.pipeline;
+            return schedulerProgram(o, c.chunk, st, steals, n);
+        };
+        rt::StreamStats refStats;
+        auto expect = run(reference, &refStats, nullptr);
+        for (const Case &c : cases) {
+            std::string label = "n " + std::to_string(n) + " workers " +
+                                std::to_string(c.workers) + " chunk " +
+                                std::to_string(c.chunk) + " pipeline " +
+                                std::to_string(c.pipeline);
+            rt::StreamStats st;
+            std::uint64_t steals = 0;
+            auto got = run(c, &st, &steals);
+            ASSERT_EQ(got, expect) << label;
+            expectScheduleParity(st, refStats, label);
+            // Whether helpers actually stole here is a host-scheduling
+            // race (on a loaded single-core runner the caller can
+            // drain every chunk first); HelpersAcquireWorkByStealing
+            // pins the steal path deterministically by parking the
+            // caller.
+            (void)steals;
+        }
     }
+}
+
+TEST(Scheduler, NestsBelowTheGrainNeverReachThePool)
+{
+    // Each runtime here owns a private pool, which spawns its helper
+    // threads lazily on the first job that can use them: a program
+    // whose nests all stay below the fan-out grain must run inline
+    // and spawn none, even at workers=8.
+    DiffuseOptions o;
+    o.workers = 8;
+    o.pipeline = 0;
+    int spawned = -1;
+    schedulerProgram(o, 0, nullptr, nullptr, kBelowGrain, &spawned);
+    EXPECT_EQ(spawned, 0);
+    // Above the grain the same program hands chunks to helpers...
+    schedulerProgram(o, 0, nullptr, nullptr, kAboveGrain, &spawned);
+    EXPECT_GT(spawned, 0);
+    // ...and DIFFUSE_CHUNK=1 fans out every nest, grain or not.
+    schedulerProgram(o, 1, nullptr, nullptr, kBelowGrain, &spawned);
+    EXPECT_GT(spawned, 0);
 }
 
 // ---------------------------------------------------------------------

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 
 #include "core/partition.h"
 #include "cunumeric/ndarray.h"
@@ -307,6 +308,100 @@ TEST(ShardExchange, InterferingAliasedAssignStaysBitIdentical)
         return ctx.toHost(a);
     };
     EXPECT_EQ(run(4), run(1));
+}
+
+// ---------------------------------------------------------------------
+// The shared buffer pool: canonical and shard buffers, one cap
+// ---------------------------------------------------------------------
+
+TEST(BufferPool, HoldsAtMostTheCapAndCountsHitsMissesEvictions)
+{
+    rt::RuntimeStats stats;
+    rt::FaultStats faults;
+    rt::BufferPool pool(stats, faults);
+    // Never touched, these buffers cost address space, not memory.
+    const std::size_t half = rt::BufferPool::kMaxPooledBytes / 2 + 1;
+    rt::RawBuffer a = pool.take(half);
+    rt::RawBuffer b = pool.take(half);
+    EXPECT_EQ(stats.bufferPoolMisses, 2u);
+    pool.give(std::move(a));
+    pool.give(std::move(b)); // would overflow the cap: freed instead
+    EXPECT_TRUE(b.empty());
+    EXPECT_EQ(pool.pooledBytes(), half);
+    ASSERT_TRUE(pool.holds(half));
+    rt::RawBuffer c = pool.take(half);
+    EXPECT_EQ(stats.bufferPoolHits, 1u);
+    EXPECT_EQ(pool.pooledBytes(), 0u);
+    pool.give(std::move(c));
+    pool.evictAll();
+    EXPECT_EQ(faults.budgetEvictions, 1u);
+    EXPECT_EQ(pool.pooledBytes(), 0u);
+}
+
+TEST(BufferPool, ShardedTemporariesReuseBuffersAfterWarmup)
+{
+    // Unfused, every temporary of this ranks-4 loop lives in per-rank
+    // shard buffers. Destroyed temporaries return them to the
+    // runtime's one buffer pool, so once the loop is warm it
+    // allocates no fresh buffer at all. Flushes drain (no pipelining),
+    // so each iteration's temporaries are destroyed within it.
+    DiffuseOptions o = realOpts(4);
+    o.pipeline = 0;
+    DiffuseRuntime rt(rt::MachineConfig::withGpus(4), o);
+    Context ctx(rt);
+    NDArray x = ctx.random(4096, 3);
+    NDArray y = ctx.random(4096, 4);
+    std::uint64_t warm_misses = 0, warm_hits = 0;
+    for (int i = 0; i < 40; i++) {
+        NDArray t = ctx.add(x, y);
+        NDArray u = ctx.mul(t, y);
+        ctx.assign(x, ctx.mulScalar(0.5, u));
+        rt.flushWindow();
+        EXPECT_LE(rt.low().pooledBytes(),
+                  rt::BufferPool::kMaxPooledBytes);
+        if (i == 9) {
+            warm_misses = rt.runtimeStats().bufferPoolMisses;
+            warm_hits = rt.runtimeStats().bufferPoolHits;
+        }
+    }
+    EXPECT_EQ(rt.runtimeStats().bufferPoolMisses, warm_misses);
+    EXPECT_GT(rt.runtimeStats().bufferPoolHits, warm_hits);
+    EXPECT_GT(rt.low().pooledBytes(), 0u);
+}
+
+TEST(BufferPool, MemBudgetEvictsPooledShardBuffers)
+{
+    setenv("DIFFUSE_MEM_BUDGET", "2", 1); // 2 MiB
+    {
+        DiffuseOptions o = realOpts(4);
+        o.pipeline = 0; // draining flushes destroy the temporaries
+        DiffuseRuntime rt(rt::MachineConfig::withGpus(4), o);
+        Context ctx(rt);
+        // The only canonical allocations: x and y, host-initialized.
+        const coord_t n = 16384;
+        NDArray x = ctx.random(n, 5);
+        NDArray y = ctx.random(n, 6);
+        for (int i = 0; i < 3; i++) {
+            NDArray t = ctx.add(x, y); // shard-resident temporaries
+            ctx.assign(x, ctx.mulScalar(0.5, t));
+            rt.flushWindow();
+        }
+        const std::size_t pooled = rt.low().pooledBytes();
+        ASSERT_GT(pooled, 0u);
+        ASSERT_EQ(rt.low().faultStats().budgetEvictions, 0u);
+        // A canonical allocation that fits next to x and y, but not
+        // next to the pooled shard buffers too: the pool is evicted,
+        // shard buffers and all, and the allocation succeeds.
+        const std::size_t live = 2 * std::size_t(n) * sizeof(double);
+        const std::size_t room =
+            (std::size_t(2) << 20) - live - pooled / 2;
+        NDArray z = ctx.zeros(coord_t(room / sizeof(double)), 1.0);
+        (void)ctx.toHost(z);
+        EXPECT_FALSE(rt.failed());
+        EXPECT_GT(rt.low().faultStats().budgetEvictions, 0u);
+        EXPECT_EQ(rt.low().pooledBytes(), 0u);
+    }
+    unsetenv("DIFFUSE_MEM_BUDGET");
 }
 
 } // namespace

@@ -285,6 +285,53 @@ TEST(TraceReplay, LivenessChangeFailsValidationNotCorrectness)
     rt.releaseApp(sid3);
 }
 
+TEST(TraceReplay, ProbeDecisionPointIgnoresLaterReleases)
+{
+    // A two-task window fills mid-epoch: the fused unit's liveness
+    // probes are decided at event 1, while t is still held; t's
+    // release is event 2, after that decision point. Validation must
+    // reconstruct t's refcount at the decision point (alive), not at
+    // the end of the deferred events (released) — counting one event
+    // too many would fail validation on every repeat.
+    auto run = [](int trace, FusionStats *fs) {
+        DiffuseOptions o = realOpts(trace);
+        o.initialWindow = 2;
+        o.maxWindow = 2;
+        DiffuseRuntime rt(rt::MachineConfig::withGpus(4), o);
+        Context ctx(rt);
+        NDArray x = ctx.random(64, 81);
+        NDArray y = ctx.random(64, 82);
+        std::vector<std::vector<std::uint64_t>> out;
+        for (int i = 0; i < 8; i++) {
+            NDArray t = ctx.add(x, y);  // event 0
+            NDArray u = ctx.mul(t, y);  // event 1: window full, fused
+            t = NDArray();              // event 2: release of t
+            ctx.assign(x, u);
+            u = NDArray();
+            rt.flushWindow();
+            out.push_back(bits(ctx.toHost(x)));
+            if (i == 2 && fs)
+                *fs = rt.fusionStats();
+        }
+        if (fs) {
+            const FusionStats &end = rt.fusionStats();
+            fs->traceEpochsReplayed =
+                end.traceEpochsReplayed - fs->traceEpochsReplayed;
+            fs->traceValidationFailures = end.traceValidationFailures;
+            fs->traceAborts = end.traceAborts - fs->traceAborts;
+        }
+        return out;
+    };
+    FusionStats fs;
+    auto expect = run(0, nullptr);
+    auto got = run(1, &fs);
+    EXPECT_EQ(got, expect);
+    // Iterations 3..7 are steady state: every one replays.
+    EXPECT_EQ(fs.traceEpochsReplayed, 5u);
+    EXPECT_EQ(fs.traceAborts, 0u);
+    EXPECT_EQ(fs.traceValidationFailures, 0u);
+}
+
 TEST(TraceReplay, HostWritePoisonsSpeculationNotResults)
 {
     // A host write through the low-level runtime to a store with
@@ -493,6 +540,81 @@ TEST(TraceReplay, ShardedRanksReplayBitwise)
     for (int i = 0; i < 6; i++)
         r1 = solverishIteration(rt1, ctx1, x, y);
     EXPECT_EQ(bits(r1), got);
+}
+
+TEST(TraceReplay, ShardedSolverReplayKeepsPlacementState)
+{
+    // Replay re-derives shard placement (validity lists, shard boxes)
+    // without planning; it must leave every store in exactly the state
+    // the analyzed path does — list order included, since state
+    // signatures hash it. A reordered list keeps results bitwise but
+    // turns later replays into recaptures, which the steady-state
+    // counts below would catch.
+    struct Run
+    {
+        std::vector<std::vector<std::uint64_t>> results;
+        std::vector<std::vector<std::uint64_t>> sigs;
+        double exchange = 0.0;
+        std::uint64_t copies = 0;
+        std::uint64_t flushes = 0, replays = 0, aborts = 0;
+        std::uint64_t failures = 0;
+    };
+    const int reps = 6, warm = 2;
+    auto run = [&](int trace, int ranks) {
+        Run r;
+        DiffuseRuntime rt(rt::MachineConfig::withGpus(4),
+                          realOpts(trace, ranks));
+        Context ctx(rt);
+        sp::SparseContext sctx(ctx);
+        solvers::SolverContext sol(ctx, sctx);
+        sp::CsrMatrix a = sctx.poisson2d(12, 12);
+        solvers::GmgHierarchy h = sol.buildHierarchy1d(128, 3);
+        NDArray b2 = ctx.random(144, 91, -1.0, 1.0);
+        NDArray b1 = ctx.random(128, 92, -1.0, 1.0);
+        std::vector<NDArray> xs;
+        FusionStats mark;
+        for (int rep = 0; rep < reps; rep++) {
+            if (rep == warm)
+                mark = rt.fusionStats();
+            for (int which = 0; which < 3; which++) {
+                NDArray x = which == 0   ? sol.cg(a, b2, 4)
+                            : which == 1 ? sol.bicgstab(a, b2, 4)
+                                         : sol.gmgPcg(h, b1, 4);
+                rt.flushWindow();
+                xs.push_back(x);
+                std::vector<std::uint64_t> sig;
+                for (const NDArray &v : xs)
+                    sig.push_back(rt.low().storeStateSignature(v.store()));
+                sig.push_back(rt.low().storeStateSignature(b1.store()));
+                sig.push_back(rt.low().storeStateSignature(b2.store()));
+                r.sigs.push_back(sig);
+            }
+        }
+        const FusionStats &fs = rt.fusionStats();
+        r.flushes = fs.flushes - mark.flushes;
+        r.replays = fs.traceEpochsReplayed - mark.traceEpochsReplayed;
+        r.aborts = fs.traceAborts - mark.traceAborts;
+        r.failures = fs.traceValidationFailures;
+        r.exchange = rt.runtimeStats().exchangeBytes;
+        r.copies = rt.runtimeStats().copyTasks;
+        for (const NDArray &v : xs)
+            r.results.push_back(bits(ctx.toHost(v)));
+        return r;
+    };
+    for (int ranks : {3, 4}) {
+        Run off = run(0, ranks);
+        Run on = run(1, ranks);
+        std::string label = "ranks " + std::to_string(ranks);
+        EXPECT_EQ(on.results, off.results) << label;
+        EXPECT_EQ(on.exchange, off.exchange) << label;
+        EXPECT_EQ(on.copies, off.copies) << label;
+        EXPECT_EQ(on.sigs, off.sigs) << label;
+        // After warm-up every flush replays.
+        EXPECT_EQ(on.flushes, std::uint64_t(3 * (reps - warm))) << label;
+        EXPECT_EQ(on.replays, on.flushes) << label;
+        EXPECT_EQ(on.aborts, 0u) << label;
+        EXPECT_EQ(on.failures, 0u) << label;
+    }
 }
 
 TEST(TraceReplay, SimulatedModeTimingParity)
