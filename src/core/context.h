@@ -10,10 +10,11 @@
  * shard placement, statistics. Everything whose identity is the
  * *program shape* — compiled kernels and executable plans (the
  * JitCompiler), canonicalized fused-group plans (the Memoizer),
- * captured window epochs (the TraceCache), and the worker-thread pool
- * — lives here, behind sharded locks, so fusion analysis, kernel
- * compilation and trace capture are paid once per unique program
- * point *process-wide*, not once per session.
+ * captured window epochs (the TraceCache), image-partition pieces
+ * (the ImageTable), and the worker-thread pool — lives here, behind
+ * sharded locks, so fusion analysis, kernel compilation and trace
+ * capture are paid once per unique program point *process-wide*, not
+ * once per session.
  *
  * Sessions created through createSession() share this context;
  * constructing a DiffuseRuntime directly gives it a private context
@@ -39,6 +40,7 @@
 
 #include <array>
 #include <atomic>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -58,10 +60,39 @@ struct DiffuseOptions;
 class DiffuseRuntime;
 
 /**
+ * Image partitions interned by content: one append-only table per
+ * context. An id names its pieces, volumes and addressing mode, not
+ * the call that registered them, so equal ids mean equal pieces in
+ * every session of the context, and a rebuilt operator keys (memo
+ * keys, trace codes, layout keys all mix the id) exactly like the
+ * one it replaces. Entries are never freed; references stay valid
+ * for the table's lifetime. Thread-safe under one mutex.
+ */
+class ImageTable
+{
+  public:
+    /** Id of the entry equal to `data`, appended on first sight. */
+    ImageId intern(rt::ImageData data);
+
+    /** The entry behind an id. */
+    const rt::ImageData &get(ImageId id) const;
+
+    /** Distinct images interned so far. */
+    std::size_t size() const;
+
+  private:
+    mutable std::mutex mutex_;
+    /** Indexed by id; a deque keeps references stable as it grows. */
+    std::deque<rt::ImageData> images_;
+    std::unordered_multimap<std::uint64_t, ImageId> byHash_;
+};
+
+/**
  * Process-wide shared state for a set of runtime sessions: one
  * compiler, one memoizer, one trace cache, one single-task kernel
- * cache, one lazily-started worker pool. Thread-safe throughout;
- * always held by shared_ptr (sessions keep their context alive).
+ * cache, one image table, one lazily-started worker pool. Thread-safe
+ * throughout; always held by shared_ptr (sessions keep their context
+ * alive).
  */
 class SharedContext
     : public std::enable_shared_from_this<SharedContext>
@@ -107,6 +138,7 @@ class SharedContext
     kir::JitCompiler &compiler() { return compiler_; }
     Memoizer &memo() { return memo_; }
     TraceCache &traceCache() { return traceCache_; }
+    ImageTable &images() { return images_; }
     /**
      * Native JIT backend (src/kernel/codegen.h): compiles plans to
      * shared objects and persists artifacts across processes
@@ -159,6 +191,7 @@ class SharedContext
     kir::JitBackend jit_;
     Memoizer memo_;
     TraceCache traceCache_;
+    ImageTable images_;
     std::shared_ptr<kir::WorkerPool> pool_;
     std::array<SingleShard, kSingleShards> singles_;
     std::atomic<std::size_t> singleCount_{0};

@@ -110,7 +110,7 @@ DiffuseRuntime::createStore(const Point &shape, DType dtype, double init,
 void
 DiffuseRuntime::retainApp(StoreId id)
 {
-    if (traceRouting()) {
+    if (traceOwns(id)) {
         TraceEvent ev;
         ev.kind = TraceEventKind::Retain;
         ev.store = id;
@@ -123,7 +123,7 @@ DiffuseRuntime::retainApp(StoreId id)
 void
 DiffuseRuntime::releaseApp(StoreId id)
 {
-    if (traceRouting()) {
+    if (traceOwns(id)) {
         TraceEvent ev;
         ev.kind = TraceEventKind::Release;
         ev.store = id;
@@ -467,7 +467,7 @@ DiffuseRuntime::scheduleGroup(const ExecutionGroup &group)
     // Submission is asynchronous: the group executes once its
     // dependencies retire (or at the next fence), letting the window
     // pipeline run ahead of the task stream.
-    low_.submit(lowerGroup(group, stores_, low_));
+    low_.submit(lowerGroup(group, stores_, ctx_->images()));
     fusionStats_.groupsLaunched++;
 }
 
@@ -500,6 +500,21 @@ bool
 DiffuseRuntime::traceRouting() const
 {
     return traceEnabled_ && traceMode_ != TraceMode::Bypassed;
+}
+
+bool
+DiffuseRuntime::traceOwns(StoreId id) const
+{
+    // A retain or release of a store with no slot yet is foreign to
+    // the open epoch: nothing buffered, deferred or recorded in it
+    // references the store, so the event commutes with every deferred
+    // one and applies at once, exactly as with tracing off. Left out
+    // of the code stream, the releases a previous request leaves
+    // behind no longer open the next request's epoch. Should the
+    // store appear later in the epoch, its refcount-decided liveness
+    // bits are probes, rechecked at replay against the refcount this
+    // event already moved.
+    return traceRouting() && traceEnc_.slotOf(id) >= 0;
 }
 
 void

@@ -272,10 +272,12 @@ class DiffuseRuntime
         return ctx_;
     }
 
+    /** Intern an image partition's pieces in the context's table
+     * (core/context.h): equal content yields the same id. */
     ImageId
     registerImage(rt::ImageData data)
     {
-        return low_.registerImage(std::move(data));
+        return ctx_->images().intern(std::move(data));
     }
 
     // ---- Statistics ---------------------------------------------------
@@ -337,6 +339,10 @@ class DiffuseRuntime
 
     /** Tracing routes events (not disabled, not bypassed)? */
     bool traceRouting() const;
+
+    /** Tracing routes app retain/release events of `id`: the store
+     * already has a slot in the open epoch. */
+    bool traceOwns(StoreId id) const;
 
     /** Reset all per-epoch trace state; called after every flush. */
     void traceBeginEpoch();

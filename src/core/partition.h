@@ -14,9 +14,13 @@
  *    of one dimensionality index tiles of another (paper Fig 3d).
  *  - Image: a partition whose pieces are computed from store contents
  *    (Legate Sparse's CSR ranges). The IR carries only an opaque id;
- *    the scale-aware pieces live in legion-mini. This is one of the
- *    "more partition kinds with no additional technical insights" the
- *    paper's implementation supports.
+ *    the scale-aware pieces live in the context's image table
+ *    (core/context.h), which interns them by content: equal ids mean
+ *    equal pieces, so comparing and hashing the id compares and
+ *    hashes the pieces, and a rebuilt operator keys like the one it
+ *    replaces. This is one of the "more partition kinds with no
+ *    additional technical insights" the paper's implementation
+ *    supports.
  *
  * The critical property (paper §4.2.1): two partitions can be compared
  * for (in)equality in constant time, by structure alone, without
@@ -122,7 +126,7 @@ struct PartitionDesc
     /**
      * Sub-store bounds for launch point p (paper Fig 3e), clamped to
      * the viewed region and the store bounds. Only meaningful for
-     * None and Tiling kinds; Image pieces live in the runtime.
+     * None and Tiling kinds; Image pieces live in the image table.
      */
     Rect boundsFor(const Point &p, const Rect &store_shape) const;
 

@@ -1,12 +1,13 @@
 #include "scheduler.h"
 
 #include "common/logging.h"
+#include "core/context.h"
 
 namespace diffuse {
 
 rt::LaunchedTask
 lowerGroup(const ExecutionGroup &group, const StoreTable &stores,
-           rt::LowRuntime &runtime)
+           const ImageTable &images)
 {
     const IndexTask &task = group.task;
     rt::LaunchedTask low;
@@ -39,7 +40,7 @@ lowerGroup(const ExecutionGroup &group, const StoreTable &stores,
             break;
           }
           case PartitionDesc::Kind::Image: {
-            const rt::ImageData &img = runtime.image(arg.part.image);
+            const rt::ImageData &img = images.get(arg.part.image);
             diffuse_assert(int(img.pieces.size()) == low.numPoints,
                            "image %llu has %zu pieces for %d points",
                            (unsigned long long)arg.part.image,

@@ -16,13 +16,16 @@
 
 namespace diffuse {
 
+class ImageTable;
+
 /**
  * Lower an execution group to a launched task: expand each structured
- * partition into one explicit piece per launch-domain point.
+ * partition into one explicit piece per launch-domain point; image
+ * partitions take their pieces from the context's table.
  */
 rt::LaunchedTask lowerGroup(const ExecutionGroup &group,
                             const StoreTable &stores,
-                            rt::LowRuntime &runtime);
+                            const ImageTable &images);
 
 } // namespace diffuse
 

@@ -4,13 +4,15 @@
  * to its logical end, in the spirit of Legion's tracing): the middle
  * layer hashes each flushed window's *event stream* — submitted tasks
  * (types, launch domains, partitions, privileges, store facts) and
- * application retain/release events, with store ids canonicalized to
- * first-appearance slots — and, when an epoch repeats, bypasses the
- * fusion planner, constraint checker, memo encoder, lowering and
- * hazard analysis entirely: the cached schedulable units (compiled
- * kernels, promoted privileges, expanded pieces, exchange Copy tasks,
- * dependence edges, cost-model timings) are resubmitted with only the
- * concrete store buffers and scalar values rebound.
+ * application retain/release events of stores the epoch has already
+ * seen (any other retain/release applies at once, outside the stream),
+ * with store ids canonicalized to first-appearance slots — and, when
+ * an epoch repeats, bypasses the fusion planner, constraint checker,
+ * memo encoder, lowering and hazard analysis entirely: the cached
+ * schedulable units (compiled kernels, promoted privileges, expanded
+ * pieces, exchange Copy tasks, dependence edges, cost-model timings)
+ * are resubmitted with only the concrete store buffers and scalar
+ * values rebound.
  *
  * Correctness rests on three checks before a replay commits:
  *  1. the canonical event codes match position by position (this also
@@ -49,11 +51,24 @@ constexpr int kTraceMaxEvents = 4096;
 /** Upper bound on cached epochs per TraceCache — per runtime when
  * isolated, process-wide when sessions share one (core/context.h). */
 constexpr std::size_t kTraceMaxEntries = 64;
-/** Upper bound on coexisting state-signature variants of one code
+/**
+ * Upper bound on coexisting state-signature variants of one code
  * stream: beyond it, a new capture replaces the coldest variant
  * instead of appending, so a stream whose entry state drifts every
- * repetition cannot fill the whole cache. */
-constexpr std::size_t kTraceMaxVariants = 4;
+ * repetition cannot fill the whole cache.
+ *
+ * Sized by FusionFuzz.SharedCacheSessionsBitwiseEqualAndFullyReused
+ * at 1,000 seeds (Release, DIFFUSE_JIT=0). Foreign retains and
+ * releases stay out of the code stream, so one stream carries the
+ * variants of every entry state a request can meet:
+ *
+ *   cap   seeds failing full reuse (epochs the 2nd session captured)
+ *   4     2 (seed 4647763: 3, seed 5716828: 2); results stay bitwise
+ *   6     0
+ *   8     0
+ *   16    0
+ */
+constexpr std::size_t kTraceMaxVariants = 8;
 
 /** One middle-layer event between two window flushes. */
 enum class TraceEventKind : std::uint8_t {

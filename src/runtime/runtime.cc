@@ -324,21 +324,6 @@ LowRuntime::markInitialized(StoreId id)
     shards_.onHostWrite(id);
 }
 
-ImageId
-LowRuntime::registerImage(ImageData data)
-{
-    images_.push_back(std::move(data));
-    return ImageId(images_.size() - 1);
-}
-
-const ImageData &
-LowRuntime::image(ImageId id) const
-{
-    diffuse_assert(id < images_.size(), "unknown image %llu",
-                   (unsigned long long)id);
-    return images_[std::size_t(id)];
-}
-
 double
 LowRuntime::commSecondsFor(const LowArg &arg, const StoreRec &store,
                            int p, int num_points)

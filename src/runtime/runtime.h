@@ -170,7 +170,9 @@ struct RecordedSubmission
     SubmitStatsDelta stats;
 };
 
-/** Pieces of an image partition, registered by libraries. */
+/** Pieces of an image partition, registered by libraries and
+ * interned by content in the session context's ImageTable
+ * (core/context.h). */
 struct ImageData
 {
     std::vector<Rect> pieces;
@@ -274,10 +276,6 @@ class LowRuntime
      * (host-side writes, excluded from timing like the paper's setup).
      */
     void markInitialized(StoreId id);
-
-    /** Register an image partition's pieces; returns its id. */
-    ImageId registerImage(ImageData data);
-    const ImageData &image(ImageId id) const;
 
     /**
      * Submit one (possibly fused) index task to the asynchronous
@@ -547,7 +545,6 @@ class LowRuntime
     std::size_t memBudgetBytes_ = 0;
     /** Destroyed-but-in-flight stores still held in stores_. */
     std::size_t zombies_ = 0;
-    std::vector<ImageData> images_;
     StoreId nextStore_ = 1;
     /** This runtime's worker budget: sharding decisions and per-slot
      * scratch sizing use it, never the (possibly larger, shared)

@@ -9,7 +9,9 @@
  *
  * Row pointers, column indices and values are stores like any other;
  * their pieces are registered as image partitions computed at matrix
- * assembly (the scale-aware analogue of Legion dependent partitioning).
+ * assembly (the scale-aware analogue of Legion dependent partitioning)
+ * and interned by content, so a rebuilt operator reuses the ids — and
+ * with them the cached plans and trace epochs — of an equal one.
  * Column indices may be 32-bit, matching the paper's PETSc-parity
  * adjustment (§7.1 footnote: PETSc stores coordinates as 32-bit).
  */
@@ -17,6 +19,7 @@
 #ifndef DIFFUSE_SPARSE_CSR_H
 #define DIFFUSE_SPARSE_CSR_H
 
+#include <array>
 #include <memory>
 #include <vector>
 
@@ -50,6 +53,15 @@ class CsrMatrix
 
     /** Dense vector holding the matrix diagonal (assembly-time). */
     const num::NDArray &diagonal() const { return impl_->diag; }
+
+    /** Ids of the row-pointer, nonzero and gathered-x image
+     * partitions. Interned by content (core/context.h): two operators
+     * of one context share an id exactly when those pieces agree. */
+    std::array<ImageId, 3>
+    imageIds() const
+    {
+        return {impl_->rowptrImage, impl_->nnzImage, impl_->gatherImage};
+    }
 
   private:
     friend class SparseContext;
@@ -147,6 +159,14 @@ class SparseContext
     CsrMatrix finalizeAnalytic(const AnalyticCsr &shape, bool idx32);
     CsrMatrix makeHandle(coord_t rows, coord_t cols, coord_t nnz,
                          bool idx32);
+    /**
+     * Compute the operator's three image partitions (per-point
+     * row-pointer windows, nonzero ranges, gathered-x bounds) and
+     * intern them in the session context's image table. The ids name
+     * the pieces, not this call: rebuilding an equal operator, in this
+     * session or any other of the context, yields the same ids, so
+     * its SpMV memo keys, trace codes and layout keys repeat too.
+     */
     void registerImages(CsrMatrix::Impl &impl,
                         const std::function<coord_t(coord_t)> &nnz_up_to,
                         const std::function<std::pair<coord_t, coord_t>(

@@ -104,10 +104,10 @@ runBody(DiffuseRuntime &rt, int reps = 3)
 
 /** Reference result for a configuration: a never-faulted fresh run. */
 std::vector<std::vector<std::uint64_t>>
-cleanReference(const DiffuseOptions &o)
+cleanReference(const DiffuseOptions &o, int reps = 3)
 {
     DiffuseRuntime rt(machine(), o);
-    return runBody(rt);
+    return runBody(rt, reps);
 }
 
 // ---------------------------------------------------------------------
@@ -374,10 +374,14 @@ TEST(Faults, CompileFaultDegradesToScalarInterpreterBitwise)
 
 TEST(Faults, TraceFaultFallsBackToTheAnalyzedPathBitwise)
 {
-    auto expect = cleanReference(realOpts(1, 1, /*trace=*/1));
+    // Five repetitions: the first two capture (the second starts from
+    // the state the first left behind), so the third is the first
+    // repeat, which the armed fault aborts; the last two replay.
+    const int reps = 5;
+    auto expect = cleanReference(realOpts(1, 1, /*trace=*/1), reps);
     DiffuseRuntime rt(machine(), realOpts(1, 1, /*trace=*/1));
     rt.low().faults().armOneShot(rt::FaultKind::Trace, /*skip=*/0);
-    EXPECT_EQ(runBody(rt), expect);
+    EXPECT_EQ(runBody(rt, reps), expect);
     EXPECT_FALSE(rt.failed());
     // The poisoned replay aborted to the analyzed path and recaptured;
     // later epochs still replayed.

@@ -15,11 +15,17 @@
  *  - tearing a session down mid-flight leaves the shared caches
  *    usable;
  *  - 100 sessions share one worker pool, and the pool spawns no
- *    threads until parallel work actually runs (lazy start).
+ *    threads until parallel work actually runs (lazy start);
+ *  - a serving loop that rebuilds the same operator every request
+ *    stops planning, lowering and capturing after the first request:
+ *    image ids name content, equal in every session of a context and
+ *    distinct for different structure, also when interned
+ *    concurrently.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <barrier>
 #include <cstdint>
 #include <cstring>
@@ -29,6 +35,8 @@
 
 #include "core/context.h"
 #include "cunumeric/ndarray.h"
+#include "solvers/solvers.h"
+#include "sparse/csr.h"
 
 namespace diffuse {
 namespace {
@@ -383,6 +391,225 @@ TEST(Sessions, IsolatedRuntimesKeepLazyPrivatePools)
     NDArray a = c.random(256, 0x1);
     (void)c.toHost(c.addScalar(a, 1.0));
     EXPECT_EQ(kir::WorkerPool::liveThreads(), base);
+}
+
+// ---------------------------------------------------------------------
+// Serving requests that rebuild their operator (image identity)
+// ---------------------------------------------------------------------
+
+/** A session's library stack, built once per session as a server
+ * does: registration order is part of every cache key. */
+struct Libraries
+{
+    explicit Libraries(DiffuseRuntime &rt) : np(rt), sp(np), sol(np, sp)
+    {}
+
+    Context np;
+    sp::SparseContext sp;
+    solvers::SolverContext sol;
+};
+
+std::uint64_t
+bitsOf(double v)
+{
+    std::uint64_t out;
+    std::memcpy(&out, &v, sizeof(out));
+    return out;
+}
+
+/**
+ * One CG request as perfbench's serving_mix issues it: build the
+ * operator, solve, read the residual back (the only flush that is not
+ * a solver iteration's), drop everything. Returns the residual's bits.
+ */
+std::uint64_t
+cgRequest(Libraries &lib, coord_t nx, coord_t ny,
+          std::array<ImageId, 3> *ids = nullptr)
+{
+    sp::CsrMatrix a = lib.sp.poisson2d(nx, ny);
+    if (ids)
+        *ids = a.imageIds();
+    NDArray b = lib.np.random(nx * ny, 0x5eed, -1.0, 1.0);
+    NDArray x = lib.sol.cg(a, b, 10);
+    return bitsOf(
+        lib.np.value(lib.np.norm2Sq(lib.np.sub(b, lib.sp.spmv(a, x)))));
+}
+
+TEST(Sessions, RepeatedRebuiltRequestConvergesAfterTheFirst)
+{
+    // One session serves the identical CG request 300 times and
+    // rebuilds its operator every time. The rebuilt operator interns
+    // to the same image ids, and the previous request's releases stay
+    // out of the next one's epochs, so from the second request on
+    // nothing is planned, lowered or captured and every flush
+    // replays.
+    const int kRequests = 300;
+
+    struct Counts
+    {
+        std::uint64_t memoEntries = 0;
+        int plans = 0;
+        std::size_t traceEntries = 0;
+        std::uint64_t flushes = 0;
+        std::uint64_t replays = 0;
+        std::uint64_t captured = 0;
+    };
+
+    auto ctx = SharedContext::create(machine());
+    auto session = ctx->createSession(realOpts());
+    Libraries lib(*session);
+    auto counts = [&] {
+        Counts c;
+        c.memoEntries = ctx->memo().stats().entries.load();
+        c.plans = ctx->compiler().stats().plansLowered;
+        c.traceEntries = ctx->traceCache().entries();
+        c.flushes = session->fusionStats().flushes;
+        c.replays = session->fusionStats().traceEpochsReplayed;
+        c.captured = session->fusionStats().traceEpochsCaptured;
+        return c;
+    };
+
+    std::vector<std::uint64_t> got;
+    got.push_back(cgRequest(lib, 16, 16));
+    const Counts first = counts();
+    EXPECT_GT(first.memoEntries, 0u);
+    EXPECT_GT(first.captured, 0u);
+    int drifted = 0, first_drift = -1;
+    for (int i = 1; i < kRequests; i++) {
+        Counts before = counts();
+        got.push_back(cgRequest(lib, 16, 16));
+        Counts after = counts();
+        bool steady = after.memoEntries == first.memoEntries &&
+                      after.plans == first.plans &&
+                      after.traceEntries == first.traceEntries &&
+                      after.captured == first.captured &&
+                      after.flushes > before.flushes &&
+                      after.replays - before.replays ==
+                          after.flushes - before.flushes;
+        if (!steady && drifted++ == 0)
+            first_drift = i + 1;
+    }
+    EXPECT_EQ(drifted, 0) << "first request off the steady state: "
+                          << first_drift;
+    Counts last = counts();
+    EXPECT_EQ(last.memoEntries, first.memoEntries);
+    EXPECT_EQ(last.traceEntries, first.traceEntries);
+    EXPECT_EQ(ctx->images().size(), 3u);
+
+    // Both oracles see the identical request stream.
+    for (int oracle : {0, 1}) {
+        DiffuseOptions o = realOpts();
+        (oracle == 0 ? o.trace : o.sharedCache) = 0;
+        auto ref = ctx->createSession(o);
+        Libraries ref_lib(*ref);
+        for (int i = 0; i < kRequests; i++) {
+            ASSERT_EQ(cgRequest(ref_lib, 16, 16), got[std::size_t(i)])
+                << (oracle == 0 ? "trace = 0" : "sharedCache = 0")
+                << ", request " << i + 1;
+        }
+    }
+}
+
+TEST(Sessions, ImageIdsNameContentAcrossSessions)
+{
+    for (int ranks : {1, 4}) {
+        DiffuseOptions o = realOpts();
+        o.ranks = ranks;
+        auto isolated = [&](coord_t nx, coord_t ny) {
+            DiffuseRuntime iso(machine(), o);
+            Libraries lib(iso);
+            return cgRequest(lib, nx, ny);
+        };
+
+        // Same rows and nonzeros, different structure: the row-pointer
+        // windows agree (equal content, equal id), the nonzero ranges
+        // and gathered-x bounds do not — and neither session may see
+        // the other's pieces.
+        auto ctx = SharedContext::create(machine());
+        auto s1 = ctx->createSession(o);
+        auto s2 = ctx->createSession(o);
+        Libraries lib1(*s1), lib2(*s2);
+        std::array<ImageId, 3> wide{}, tall{};
+        EXPECT_EQ(cgRequest(lib1, 8, 32, &wide), isolated(8, 32))
+            << "ranks " << ranks;
+        EXPECT_EQ(cgRequest(lib2, 32, 8, &tall), isolated(32, 8))
+            << "ranks " << ranks;
+        EXPECT_EQ(wide[0], tall[0]);
+        EXPECT_NE(wide[1], tall[1]);
+        EXPECT_NE(wide[2], tall[2]);
+        EXPECT_EQ(ctx->images().size(), 5u);
+
+        // Equal operators in two sessions: the same ids, and the
+        // second session finds everything cached.
+        std::array<ImageId, 3> first{}, second{};
+        std::uint64_t expect = isolated(16, 16);
+        EXPECT_EQ(cgRequest(lib1, 16, 16, &first), expect);
+        int plans = ctx->compiler().stats().plansLowered;
+        std::uint64_t captured = s2->fusionStats().traceEpochsCaptured;
+        EXPECT_EQ(cgRequest(lib2, 16, 16, &second), expect);
+        EXPECT_EQ(first, second);
+        EXPECT_EQ(ctx->compiler().stats().plansLowered, plans);
+        EXPECT_EQ(s2->fusionStats().traceEpochsCaptured, captured);
+    }
+}
+
+TEST(Sessions, ConcurrentInterningAgreesOnIds)
+{
+    // Three sessions intern the same operator and one of their own at
+    // once. Ids must agree exactly where content does, the table must
+    // hold each distinct image once, and every result must match its
+    // isolated reference. (ThreadSanitizer covers the table here.)
+    //
+    // gtest assertions are not thread-safe: threads only compute and
+    // record; all comparisons happen on main after join.
+    const int kThreads = 3;
+    const coord_t own[kThreads][2] = {{8, 32}, {32, 8}, {12, 24}};
+
+    std::vector<std::uint64_t> expect_same, expect_own;
+    std::size_t distinct = 0;
+    {
+        DiffuseRuntime iso(machine(), realOpts());
+        Libraries lib(iso);
+        std::uint64_t same = cgRequest(lib, 16, 16);
+        for (int t = 0; t < kThreads; t++) {
+            expect_same.push_back(same);
+            expect_own.push_back(cgRequest(lib, own[t][0], own[t][1]));
+        }
+        distinct = iso.context()->images().size();
+    }
+
+    auto ctx = SharedContext::create(machine());
+    std::vector<std::unique_ptr<DiffuseRuntime>> sessions;
+    for (int t = 0; t < kThreads; t++)
+        sessions.push_back(ctx->createSession(realOpts()));
+    std::barrier sync(kThreads);
+    std::vector<std::uint64_t> got_same(kThreads), got_own(kThreads);
+    std::vector<std::array<ImageId, 3>> ids_same(kThreads),
+        ids_own(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; t++) {
+        threads.emplace_back([&, t] {
+            std::size_t i = std::size_t(t);
+            Libraries lib(*sessions[i]);
+            sync.arrive_and_wait();
+            // Half the threads intern the shared operator first.
+            if (t % 2 == 0)
+                got_same[i] = cgRequest(lib, 16, 16, &ids_same[i]);
+            got_own[i] = cgRequest(lib, own[t][0], own[t][1], &ids_own[i]);
+            if (t % 2 != 0)
+                got_same[i] = cgRequest(lib, 16, 16, &ids_same[i]);
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+
+    EXPECT_EQ(got_same, expect_same);
+    EXPECT_EQ(got_own, expect_own);
+    for (int t = 1; t < kThreads; t++) {
+        EXPECT_EQ(ids_same[std::size_t(t)], ids_same[0]) << "thread " << t;
+        EXPECT_NE(ids_own[std::size_t(t)], ids_own[0]) << "thread " << t;
+    }
+    EXPECT_EQ(ctx->images().size(), distinct);
 }
 
 } // namespace

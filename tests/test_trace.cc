@@ -5,7 +5,8 @@
  * analyzed path (`DiffuseOptions::trace = 0` is the differential
  * oracle), with exact stats and simulated-time parity; shape changes,
  * store destruction, liveness changes and host writes must invalidate
- * rather than corrupt.
+ * rather than corrupt. An epoch belongs to its own request: retains
+ * and releases of stores it has not seen stay out of its code stream.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "apps/apps.h"
 #include "core/trace.h"
 #include "cunumeric/ndarray.h"
 #include "solvers/solvers.h"
@@ -63,6 +65,35 @@ solverishIteration(DiffuseRuntime &rt, Context &ctx, NDArray &x,
     return ctx.toHost(x);
 }
 
+/**
+ * The fusion decisions — and the runtime accounting, including the
+ * simulated schedule — of a traced run ([1]) are exactly those of the
+ * analyzed path ([0]).
+ */
+void
+expectStatsParity(const FusionStats (&fstats)[2],
+                  const rt::RuntimeStats (&rstats)[2])
+{
+    EXPECT_EQ(fstats[0].tasksSubmitted, fstats[1].tasksSubmitted);
+    EXPECT_EQ(fstats[0].groupsLaunched, fstats[1].groupsLaunched);
+    EXPECT_EQ(fstats[0].fusedGroups, fstats[1].fusedGroups);
+    EXPECT_EQ(fstats[0].singleTasks, fstats[1].singleTasks);
+    EXPECT_EQ(fstats[0].tempsEliminated, fstats[1].tempsEliminated);
+    EXPECT_EQ(fstats[0].flushes, fstats[1].flushes);
+    EXPECT_EQ(fstats[0].windowSize, fstats[1].windowSize);
+    EXPECT_EQ(fstats[0].windowGrowths, fstats[1].windowGrowths);
+    EXPECT_EQ(fstats[0].blocks, fstats[1].blocks);
+    EXPECT_EQ(rstats[0].indexTasks, rstats[1].indexTasks);
+    EXPECT_EQ(rstats[0].pointTasks, rstats[1].pointTasks);
+    EXPECT_EQ(rstats[0].simTime, rstats[1].simTime);
+    EXPECT_EQ(rstats[0].busyTime, rstats[1].busyTime);
+    // Accumulated through recorded per-submission deltas: equal to
+    // rounding (FP addition is not associative), unlike the schedule
+    // clocks above, which replay recomputes exactly.
+    EXPECT_DOUBLE_EQ(rstats[0].computeTime, rstats[1].computeTime);
+    EXPECT_DOUBLE_EQ(rstats[0].bytesHbm, rstats[1].bytesHbm);
+}
+
 TEST(TraceReplay, SteadyStateReplaysBitwiseWithStatsParity)
 {
     const coord_t n = 96;
@@ -105,27 +136,7 @@ TEST(TraceReplay, SteadyStateReplaysBitwiseWithStatsParity)
     // Replay compiles nothing new.
     EXPECT_EQ(kernels[0], kernels[1]);
 
-    // The fusion decisions — and the runtime accounting, including
-    // the simulated schedule — are exactly those of the analyzed
-    // path.
-    EXPECT_EQ(fstats[0].tasksSubmitted, fstats[1].tasksSubmitted);
-    EXPECT_EQ(fstats[0].groupsLaunched, fstats[1].groupsLaunched);
-    EXPECT_EQ(fstats[0].fusedGroups, fstats[1].fusedGroups);
-    EXPECT_EQ(fstats[0].singleTasks, fstats[1].singleTasks);
-    EXPECT_EQ(fstats[0].tempsEliminated, fstats[1].tempsEliminated);
-    EXPECT_EQ(fstats[0].flushes, fstats[1].flushes);
-    EXPECT_EQ(fstats[0].windowSize, fstats[1].windowSize);
-    EXPECT_EQ(fstats[0].windowGrowths, fstats[1].windowGrowths);
-    EXPECT_EQ(fstats[0].blocks, fstats[1].blocks);
-    EXPECT_EQ(rstats[0].indexTasks, rstats[1].indexTasks);
-    EXPECT_EQ(rstats[0].pointTasks, rstats[1].pointTasks);
-    EXPECT_EQ(rstats[0].simTime, rstats[1].simTime);
-    EXPECT_EQ(rstats[0].busyTime, rstats[1].busyTime);
-    // Accumulated through recorded per-submission deltas: equal to
-    // rounding (FP addition is not associative), unlike the schedule
-    // clocks above, which replay recomputes exactly.
-    EXPECT_DOUBLE_EQ(rstats[0].computeTime, rstats[1].computeTime);
-    EXPECT_DOUBLE_EQ(rstats[0].bytesHbm, rstats[1].bytesHbm);
+    expectStatsParity(fstats, rstats);
 }
 
 TEST(TraceReplay, KillSwitchDisablesTheLayer)
@@ -455,30 +466,32 @@ cachedSigs(const TraceCache &cache)
 
 TEST(TraceReplay, VariantCapEvictsColdestAndEvicteeStaysReplayable)
 {
-    // The kTraceMaxVariants boundary: a 5th same-code /
+    // The kTraceMaxVariants boundary: a 9th same-code /
     // different-signature capture must *replace the coldest* variant
     // (fewest replays) instead of appending — a stream whose entry
     // state drifts every repetition must not swallow the whole cache —
     // and the replacement must not consume a cache entry.
-    ASSERT_EQ(kTraceMaxVariants, 4u);
+    ASSERT_EQ(kTraceMaxVariants, 8u);
     TraceCache cache;
     std::vector<std::shared_ptr<TraceEpoch>> held;
+    std::vector<std::uint64_t> all;
     for (std::uint64_t sig = 1; sig <= kTraceMaxVariants; sig++) {
         // Warmth grows with the signature: sig 1 is the coldest.
         auto e = epochWithSig(sig, /*replays=*/sig * 10);
         held.push_back(e);
+        all.push_back(sig);
         ASSERT_TRUE(cache.store(e));
     }
     EXPECT_EQ(cache.entries(), kTraceMaxVariants);
-    EXPECT_EQ(cachedSigs(cache),
-              (std::vector<std::uint64_t>{1, 2, 3, 4}));
+    EXPECT_EQ(cachedSigs(cache), all);
 
-    // The 5th variant lands, the coldest (sig 1) is gone, and the
-    // cache did not grow.
+    // The variant one past the cap lands, the coldest (sig 1) is gone,
+    // and the cache did not grow.
     ASSERT_TRUE(cache.store(epochWithSig(99)));
     EXPECT_EQ(cache.entries(), kTraceMaxVariants);
-    EXPECT_EQ(cachedSigs(cache),
-              (std::vector<std::uint64_t>{99, 2, 3, 4}));
+    std::vector<std::uint64_t> evicted = all;
+    evicted.front() = 99;
+    EXPECT_EQ(cachedSigs(cache), evicted);
 
     // A session pinned to the evicted variant (mid-speculation
     // shared_ptr) still holds an intact, replayable epoch: eviction
@@ -493,8 +506,7 @@ TEST(TraceReplay, VariantCapEvictsColdestAndEvicteeStaysReplayable)
     auto recaptured = epochWithSig(1, /*replays=*/5);
     ASSERT_TRUE(cache.store(recaptured));
     EXPECT_EQ(cache.entries(), kTraceMaxVariants);
-    EXPECT_EQ(cachedSigs(cache),
-              (std::vector<std::uint64_t>{1, 2, 3, 4}));
+    EXPECT_EQ(cachedSigs(cache), all);
 
     // A true duplicate (codes AND signature) is a refresh, not a
     // variant: replaced in place, replay count carried over.
@@ -502,8 +514,7 @@ TEST(TraceReplay, VariantCapEvictsColdestAndEvicteeStaysReplayable)
     ASSERT_TRUE(cache.store(refresh));
     EXPECT_EQ(cache.entries(), kTraceMaxVariants);
     EXPECT_EQ(refresh->replays.load(std::memory_order_relaxed), 30u);
-    EXPECT_EQ(cachedSigs(cache),
-              (std::vector<std::uint64_t>{1, 2, 3, 4}));
+    EXPECT_EQ(cachedSigs(cache), all);
 }
 
 TEST(TraceReplay, ShardedRanksReplayBitwise)
@@ -670,6 +681,168 @@ TEST(TraceReplay, ReplayIsFasterToSubmitInSteadyState)
     EXPECT_GT(planned, 0.0);
     EXPECT_GT(replayed, 0.0);
     EXPECT_LE(replayed, planned * 1.5);
+}
+
+// ---------------------------------------------------------------------
+// Request-local epochs: a retain or release of a store the open epoch
+// has not seen applies at once and stays out of its code stream
+// ---------------------------------------------------------------------
+
+/** A session's libraries, registered once as a server does. */
+struct Libraries
+{
+    explicit Libraries(DiffuseRuntime &rt) : np(rt), sp(np), sol(np, sp)
+    {}
+
+    Context np;
+    sp::SparseContext sp;
+    solvers::SolverContext sol;
+};
+
+enum Request { Cg16 = 0, Bicgstab24 = 1, BlackScholes32 = 2 };
+
+/** Serve one request the way perfbench's serving_mix does: build the
+ * problem, solve or price it, read one scalar back, drop every array.
+ * Returns the scalar's bits. */
+std::uint64_t
+serve(Libraries &lib, Request r)
+{
+    Context &np = lib.np;
+    double v = 0.0;
+    if (r == BlackScholes32) {
+        apps::BlackScholes bs(np, 32 * 32 / np.procs());
+        bs.step();
+        v = np.value(np.sum(np.add(bs.call(), bs.put())));
+    } else {
+        coord_t edge = r == Cg16 ? 16 : 24;
+        sp::CsrMatrix a = lib.sp.poisson2d(edge, edge);
+        NDArray b = np.random(edge * edge, 0x5eed + edge, -1.0, 1.0);
+        NDArray x =
+            r == Cg16 ? lib.sol.cg(a, b, 10) : lib.sol.bicgstab(a, b, 5);
+        v = np.value(np.norm2Sq(np.sub(b, lib.sp.spmv(a, x))));
+    }
+    std::uint64_t out;
+    std::memcpy(&out, &v, sizeof(out));
+    return out;
+}
+
+TEST(TraceReplay, EpochsDoNotDependOnThePreviousRequest)
+{
+    // Each request drops its arrays after its read-back. Those
+    // releases are foreign to the next request's first epoch, so once
+    // every request type has run, any order of them replays. The
+    // window is pinned: every epoch's first code records the window
+    // size, and its growth during the warm-up would otherwise stand in
+    // for request order.
+    auto opts = [](int trace) {
+        DiffuseOptions o = realOpts(trace);
+        o.initialWindow = o.maxWindow = 64;
+        return o;
+    };
+    const Request kWarm[] = {Cg16, Bicgstab24, BlackScholes32};
+    const Request kOrder[] = {BlackScholes32, Cg16,           Cg16,
+                              Bicgstab24,     BlackScholes32, BlackScholes32,
+                              Cg16,           Bicgstab24,     Bicgstab24,
+                              Cg16,           BlackScholes32, Bicgstab24};
+
+    std::vector<std::uint64_t> expect;
+    {
+        DiffuseRuntime oracle(rt::MachineConfig::withGpus(4), opts(0));
+        Libraries lib(oracle);
+        for (Request r : kWarm)
+            expect.push_back(serve(lib, r));
+        for (Request r : kOrder)
+            expect.push_back(serve(lib, r));
+    }
+
+    DiffuseRuntime rt(rt::MachineConfig::withGpus(4), opts(1));
+    Libraries lib(rt);
+    const FusionStats &fs = rt.fusionStats();
+    std::vector<std::uint64_t> got;
+    // A flush of an empty window (the Black-Scholes constructor's: its
+    // inputs are host-filled) neither captures nor replays. Count each
+    // type's on its cold run, where every other flush is captured or
+    // replayed.
+    std::uint64_t empty[3] = {0, 0, 0};
+    for (Request r : kWarm) {
+        FusionStats before = fs;
+        got.push_back(serve(lib, r));
+        empty[r] = (fs.flushes - before.flushes) -
+                   (fs.traceEpochsCaptured - before.traceEpochsCaptured) -
+                   (fs.traceEpochsReplayed - before.traceEpochsReplayed);
+    }
+    EXPECT_EQ(empty[BlackScholes32], 1u);
+
+    const FusionStats warm = fs;
+    int missed = 0;
+    for (Request r : kOrder) {
+        FusionStats before = fs;
+        got.push_back(serve(lib, r));
+        std::uint64_t flushes = fs.flushes - before.flushes;
+        if (fs.traceEpochsReplayed - before.traceEpochsReplayed !=
+            flushes - empty[r]) {
+            missed++;
+        }
+    }
+    EXPECT_EQ(missed, 0);
+    EXPECT_EQ(fs.traceEpochsCaptured, warm.traceEpochsCaptured);
+    EXPECT_EQ(fs.traceAborts, warm.traceAborts);
+    EXPECT_EQ(fs.traceValidationFailures, warm.traceValidationFailures);
+    EXPECT_GT(fs.traceEpochsReplayed, warm.traceEpochsReplayed);
+    EXPECT_EQ(got, expect);
+}
+
+TEST(TraceReplay, ForeignReleaseBeforeFirstUseRevalidatesItsProbe)
+{
+    // A store held twice (its handle plus a retain) is released once
+    // before its first use in the epoch: a foreign release, applied at
+    // once and left out of the code stream. The epoch then writes it,
+    // reads it and drops the handle. Whether it is dead at the flush —
+    // and so may be eliminated as a temporary — depends on whether an
+    // extra reference entered the epoch, which the code stream cannot
+    // see: replay must revalidate that liveness probe against the
+    // refcount the foreign release already moved.
+    const coord_t n = 32;
+    const bool kExtraRef[] = {false, false, false, true, true, false, false};
+    std::vector<std::vector<std::uint64_t>> results[2];
+    FusionStats fstats[2];
+    rt::RuntimeStats rstats[2];
+    for (int trace : {0, 1}) {
+        DiffuseRuntime rt(rt::MachineConfig::withGpus(4),
+                          realOpts(trace));
+        Context ctx(rt);
+        NDArray x = ctx.random(n, 91);
+        for (bool extra : kExtraRef) {
+            NDArray s = ctx.zeros(n);
+            StoreId sid = s.store();
+            rt.retainApp(sid);
+            if (extra)
+                rt.retainApp(sid);
+            rt.flushWindow(); // the epoch under test opens here
+            rt.releaseApp(sid);
+            ctx.fill(s, 2.0);
+            NDArray y = ctx.mul(s, x);
+            ctx.assign(x, y);
+            s = NDArray();
+            y = NDArray();
+            rt.flushWindow();
+            results[trace].push_back(bits(ctx.toHost(x)));
+            if (extra) {
+                // Kept alive, so not eliminated: its contents show.
+                results[trace].push_back(bits(rt.readStoreF64(sid)));
+                rt.releaseApp(sid);
+            }
+        }
+        fstats[trace] = rt.fusionStats();
+        rstats[trace] = rt.runtimeStats();
+    }
+    EXPECT_EQ(results[1], results[0]);
+    expectStatsParity(fstats, rstats);
+    // The steady, extra-free repeats replay; the first epoch with the
+    // extra reference and the first one back without it each fail the
+    // probe and recapture, and the repeats after them replay again.
+    EXPECT_EQ(fstats[1].traceValidationFailures, 2u);
+    EXPECT_EQ(fstats[1].traceEpochsReplayed, 3u);
 }
 
 } // namespace
