@@ -1,7 +1,7 @@
 /**
  * @file
  * Environment-variable parsing shared by every tunable knob
- * (DIFFUSE_WORKERS, DIFFUSE_STRIP, DIFFUSE_RANKS, ...).
+ * (DIFFUSE_WORKERS, DIFFUSE_RANKS, DIFFUSE_MEM_BUDGET, ...).
  *
  * atoi-style parsing silently accepted "8abc" as 8 and turned
  * overflowing values into undefined behaviour; envInt() parses
@@ -26,9 +26,9 @@ namespace diffuse {
  * Garbage (empty, trailing junk, overflow) -> `fallback` with a
  * warning. Below `min_value` -> `fallback` with a warning (0 or a
  * negative count is not a meaningful configuration, and clamping
- * DIFFUSE_STRIP=0 to 1 would silently un-vectorize every kernel —
- * the historical behaviour of falling back to the tuned default is
- * the safe one). Above `max_value` -> clamped with a warning (a
+ * DIFFUSE_MEM_BUDGET=0 up to 1 would silently cap every session at
+ * 1 MiB — falling back to the default, here "no budget", is the safe
+ * behaviour). Above `max_value` -> clamped with a warning (a
  * too-large value still expresses "as much as possible").
  */
 inline int

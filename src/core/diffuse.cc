@@ -69,11 +69,6 @@ DiffuseRuntime::DiffuseRuntime(std::shared_ptr<SharedContext> shared,
     traceEnabled_ = options.trace >= 0
                         ? options.trace != 0
                         : envInt("DIFFUSE_TRACE", 1, 0, 1) != 0;
-    // Not mixed into planSalt_: plans and trace epochs are identical
-    // across pipeline modes, so cached entries stay shareable.
-    pipelineEnabled_ = options.pipeline >= 0
-                           ? options.pipeline != 0
-                           : envInt("DIFFUSE_PIPELINE", 0, 0, 1) != 0;
     if (traceEnabled_) {
         low_.setHostWriteObserver(
             [this](StoreId id) { traceOnHostWrite(id); });
@@ -151,12 +146,21 @@ DiffuseRuntime::storeMeta(StoreId id) const
 void
 DiffuseRuntime::submit(IndexTask task)
 {
+    // One epoch in flight at most: the epoch flushWindowAsync() left
+    // pending retires before this task is buffered, so the new epoch
+    // submits into a drained stream. Failures it latches are refused
+    // below.
+    if (epochInFlight_ && low_.streamPending() > 0)
+        low_.fence();
+    epochInFlight_ = false;
     if (failed())
         throw DiffuseError(makeError(
             ErrorCode::SessionFailed,
             "submit into failed session (resetAfterError() to "
             "recover); root cause: " +
-                error().describe()));
+                error().describe(),
+            error().originTask, error().originStore,
+            error().originEvent));
     if (task.launchDomain.empty())
         throw DiffuseError(makeError(
             ErrorCode::InvalidArgument,
@@ -182,17 +186,18 @@ DiffuseRuntime::submit(IndexTask task)
 void
 DiffuseRuntime::flushWindow()
 {
-    flushWindowImpl(pipelineEnabled_);
+    flushWindowImpl(true);
 }
 
 void
 DiffuseRuntime::flushWindowAsync()
 {
-    flushWindowImpl(true);
+    epochInFlight_ = true;
+    flushWindowImpl(false);
 }
 
 void
-DiffuseRuntime::flushWindowImpl(bool pipelined)
+DiffuseRuntime::flushWindowImpl(bool drain)
 {
     Clock::time_point t0 = Clock::now();
     fusionStats_.flushes++;
@@ -202,12 +207,7 @@ DiffuseRuntime::flushWindowImpl(bool pipelined)
                 fusionStats_.replaySubmitSeconds +=
                     traceEpochSeconds_ + secondsSince(t0);
                 fusionStats_.traceEpochsReplayed++;
-                // Pipelined: the epoch stays in flight; the epoch
-                // mark inside traceBeginEpoch() gives the next
-                // window's submissions fence-equivalent ordering
-                // against it, and failures latch at the next
-                // synchronizing point instead of here.
-                if (!pipelined)
+                if (drain)
                     low_.fence();
                 traceBeginEpoch();
                 // The fence never throws; failures it drained into
@@ -235,8 +235,8 @@ DiffuseRuntime::flushWindowImpl(bool pipelined)
         traceEpochSeconds_ + secondsSince(t0);
     // Drain the asynchronous stream: flush is the paper's
     // synchronization point, so every submitted group retires here —
-    // unless pipelining keeps the epoch in flight (see above).
-    if (!pipelined)
+    // or, after flushWindowAsync(), by the next submit() at the latest.
+    if (drain)
         low_.fence();
     traceBeginEpoch();
     // Failures recorded during the drain surface now, as the root
@@ -522,11 +522,6 @@ DiffuseRuntime::traceBeginEpoch()
 {
     if (low_.capturing())
         low_.endSubmitCapture();
-    // Epoch boundary for the task stream: under pipelining the
-    // previous epoch is still in flight here, and this mark gives the
-    // new epoch's submissions fence-equivalent ordering against it.
-    // Redundant (stream drained) when pipelining is off.
-    low_.markStreamEpoch();
     traceMode_ = TraceMode::Idle;
     traceEnc_.reset(windowSize_);
     traceSigs_.clear();
@@ -679,12 +674,10 @@ DiffuseRuntime::traceApplyEvent(TraceEvent &ev)
 void
 DiffuseRuntime::traceBeginCapture()
 {
-    // Submission capture requires a drained stream (recorded hazard
-    // edges must be intra-epoch). Pipelining can leave the previous
-    // epoch in flight — fence it out first; with pipelining off the
-    // stream is already drained and no fence is recorded.
-    if (low_.streamPending() > 0)
-        low_.fence();
+    // Recorded hazard edges must be intra-epoch: capture starts on
+    // the drained stream every epoch begins with (submit() retires an
+    // epoch flushWindowAsync() left in flight before the next one
+    // buffers anything; beginSubmitCapture asserts it).
     traceRec_ = std::make_unique<TraceEpoch>();
     traceLog_.clear();
     traceLogMark_ = 0;
@@ -850,6 +843,10 @@ DiffuseRuntime::traceValidateProbes(const TraceEpoch &epoch) const
 void
 DiffuseRuntime::traceReplay(TraceEpoch &epoch)
 {
+    // The recorded hazard edges are epoch-local: nothing older may
+    // still be pending (see submit()).
+    diffuse_assert(low_.streamPending() == 0,
+                   "trace replay must start on a drained stream");
     traceEvents_.clear();
     traceQueue_.clear();
     traceQueueHead_ = 0;

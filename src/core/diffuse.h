@@ -83,19 +83,9 @@ struct DiffuseOptions
      * DIFFUSE_TRACE=0 is the differential oracle.
      */
     int trace = -1;
-    /**
-     * Cross-window pipelining: flushWindow() submits the window's
-     * epoch and returns once its hazards are registered in the task
-     * stream, instead of draining it — the next window's submissions
-     * overlap the previous window's retirement, and failures latch at
-     * the next synchronizing read/fence rather than at the flush
-     * call. 1 on, 0 off; < 0 reads DIFFUSE_PIPELINE (default off).
-     * Results, stats, and simulated schedules are bit-identical
-     * either way; the drain-and-fence path (off) is the differential
-     * oracle. flushWindowAsync() takes the pipelined path regardless
-     * of this setting.
-     */
-    int pipeline = -1;
+    /** Ignored: kept so callers that still assign it compile.
+     * flushWindow() always fences; see flushWindowAsync(). */
+    int pipeline = 0;
     /** Ignored: kept so callers that still assign it compile. */
     int batch = 0;
     /**
@@ -214,21 +204,24 @@ class DiffuseRuntime
      * DiffuseError(SessionFailed) while the session is failed. */
     void submit(IndexTask task);
 
-    /** Drain the window (paper's flush_window). Throws DiffuseError
-     * with the root cause when a task of the epoch failed — the
-     * session then stays failed until resetAfterError(). With
-     * DiffuseOptions::pipeline on this dispatches to the pipelined
-     * path (see flushWindowAsync) instead of draining. */
+    /** Drain the window and fence the stream (paper's flush_window):
+     * every task of the epoch has retired on return. Throws
+     * DiffuseError with the root cause when a task of the epoch
+     * failed — the session then stays failed until
+     * resetAfterError(). */
     void flushWindow();
 
-    /** Pipelined flush: submit the window's epoch into the task
-     * stream and return once its hazards are registered, without
-     * waiting for retirement — the next window overlaps this one's
-     * execution. A failure in the in-flight epoch latches the session
-     * at the next synchronizing point (host read, fence, overflow of
-     * the in-flight bound, or destructor) with the same root cause
-     * the draining path reports at the flush site. Throws immediately
-     * only if the session is already failed. */
+    /** Submit the window's epoch into the task stream and return
+     * before it retires, so a caller can time submission apart from
+     * execution. At most one epoch is ever in flight: its tasks
+     * retire at the next synchronizing point that needs them (a host
+     * read, a fence, overflow of the in-flight bound, the destructor)
+     * and all of them at the next submit(), which drains the stream
+     * before it buffers anything — so every epoch submits into a
+     * drained stream. Retirement runs on the thread that reaches that
+     * point. A failure in the epoch latches the session there, and
+     * submit() then refuses with SessionFailed naming the root cause.
+     * Throws here only if the session is already failed. */
     void flushWindowAsync();
 
     /** Flush, then read back a scalar store's value. */
@@ -324,9 +317,9 @@ class DiffuseRuntime
 
     ExecutionGroup buildSingleCached(const IndexTask &task);
 
-    /** Shared flush body: `pipelined` skips the inter-epoch fences so
-     * the submitted epoch retires concurrently with the next window. */
-    void flushWindowImpl(bool pipelined);
+    /** Shared flush body: `drain` fences the submitted epoch; without
+     * it the epoch stays in flight until the next submit(). */
+    void flushWindowImpl(bool drain);
 
     // ---- Trace-memoized window replay (core/trace.h) ----------------
 
@@ -416,8 +409,9 @@ class DiffuseRuntime
 
     std::vector<IndexTask> window_;
     int windowSize_;
-    /** Resolved DiffuseOptions::pipeline (flushWindow dispatch). */
-    bool pipelineEnabled_ = false;
+    /** flushWindowAsync() may have left its epoch in flight; the
+     * next submit() retires it first. */
+    bool epochInFlight_ = false;
     /** Resolved DiffuseOptions::jit (native codegen attach). */
     bool jitEnabled_ = false;
 

@@ -4,17 +4,10 @@
 #include <cstdlib>
 #include <unordered_map>
 
-#include "common/env.h"
 #include "common/logging.h"
 
 namespace diffuse {
 namespace kir {
-
-int
-defaultStripWidth()
-{
-    return envInt("DIFFUSE_STRIP", 256, 1, 65536);
-}
 
 namespace {
 
@@ -625,7 +618,7 @@ ExecutablePlan
 lowerPlan(const KernelFunction &fn, int strip_width)
 {
     ExecutablePlan plan;
-    plan.stripWidth = strip_width > 0 ? strip_width : defaultStripWidth();
+    plan.stripWidth = strip_width > 0 ? strip_width : kStripWidth;
     plan.nests.reserve(fn.nests.size());
     for (const LoopNest &nest : fn.nests) {
         NestPlan np;

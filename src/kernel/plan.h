@@ -142,6 +142,13 @@ struct NestPlan
 };
 
 /**
+ * Strip width used when none is given: 256 doubles keep a register
+ * vector inside one 2 KiB stretch of L1 while amortizing the per-strip
+ * dispatch to negligible cost.
+ */
+constexpr int kStripWidth = 256;
+
+/**
  * The compile-once artifact: one NestPlan per loop nest plus the strip
  * width the tape was lowered for. Cached in CompiledKernel and shared
  * by every instantiation of a memoized group.
@@ -149,26 +156,18 @@ struct NestPlan
 struct ExecutablePlan
 {
     std::vector<NestPlan> nests;
-    int stripWidth = 256;
+    int stripWidth = kStripWidth;
     /** Max register count over nests: sizes the vector register file. */
     int maxRegCount = 0;
 };
 
 /**
- * Strip width used when none is given: DIFFUSE_STRIP from the
- * environment (clamped to [1, 65536]) or 256. ~256 doubles keeps a
- * register vector inside one 2 KiB stretch of L1 while amortizing the
- * per-strip dispatch to negligible cost.
- */
-int defaultStripWidth();
-
-/**
  * Lower an optimized kernel function into an executable plan.
  * Pure function of the IR; bindings are resolved at execution time.
  *
- * @param strip_width Elements per strip; <= 0 selects
- *        defaultStripWidth(). Results are bit-identical for every
- *        width (reductions fold in element order).
+ * @param strip_width Elements per strip; <= 0 selects kStripWidth.
+ *        Results are bit-identical for every width (reductions fold
+ *        in element order).
  */
 ExecutablePlan lowerPlan(const KernelFunction &fn, int strip_width = 0);
 

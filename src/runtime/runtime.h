@@ -296,17 +296,7 @@ class LowRuntime
     /** True when `id` has retired. */
     bool eventComplete(EventId id) const { return stream_.complete(id); }
 
-    /**
-     * Marks the stream epoch boundary for cross-window pipelining:
-     * submissions after this call treat still-pending work from before
-     * it with fence semantics (unconditional schedule clamp, uncounted
-     * hazard edges). Called at every window/trace epoch start; a no-op
-     * for scheduling and statistics when the stream is drained, which
-     * is always the case when pipelining is off.
-     */
-    void markStreamEpoch() { stream_.markEpoch(); }
-
-    /** Tasks submitted but not yet retired (pipelining introspection). */
+    /** Tasks submitted but not yet retired. */
     std::size_t streamPending() const { return stream_.pending(); }
 
     /** The worker pool executing sharded nests (possibly shared). */

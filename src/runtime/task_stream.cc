@@ -118,44 +118,20 @@ TaskStream::submit(LaunchedTask task, const TaskTiming &timing,
     // read since it (WAR). Reductions mutate their accumulator and are
     // ordered like writes, which also keeps their merge order — and
     // hence floating-point results — deterministic.
-    //
-    // Records of *earlier epochs* (id < epochStart_, pending only
-    // when cross-window pipelining skipped the inter-epoch fence)
-    // follow the fence semantics instead: they clamp the schedule
-    // placement unconditionally — a fence would have retired them
-    // into the per-store floors, which apply regardless of overlap —
-    // and their hazard edges, kept so retirement order and failure
-    // cancellation stay correct across windows, are left out of the
-    // dep-kind statistics a fenced run would never have counted.
     std::vector<EventId> &deps = deps_;
     deps.clear();
     std::uint32_t raw = 0, war = 0, waw = 0;
     double dep_finish = 0.0;
-    auto add_edge = [&](const AccessRec &a) {
-        if (pending_.count(a.id) &&
-            std::find(deps.begin(), deps.end(), a.id) == deps.end())
-            deps.push_back(a.id);
-    };
-    auto add_dep = [&](const AccessRec &a, std::uint32_t &kind) {
-        if (a.id == NO_EVENT)
-            return;
-        dep_finish = std::max(dep_finish, a.finish);
-        if (pending_.count(a.id)) {
+    auto scan = [&](const std::vector<AccessRec> &recs,
+                    const LowArg &arg, std::uint32_t &kind) {
+        // Compaction left only pending records.
+        for (const AccessRec &a : recs) {
+            if (!overlaps(arg.replicated, arg.pieces, a))
+                continue;
+            dep_finish = std::max(dep_finish, a.finish);
             if (std::find(deps.begin(), deps.end(), a.id) == deps.end())
                 deps.push_back(a.id);
             kind++;
-        }
-    };
-    auto scan = [&](const std::vector<AccessRec> &recs,
-                    const LowArg &arg, std::uint32_t &kind) {
-        for (const AccessRec &a : recs) {
-            if (a.id != NO_EVENT && a.id < epochStart_) {
-                dep_finish = std::max(dep_finish, a.finish);
-                if (overlaps(arg.replicated, arg.pieces, a))
-                    add_edge(a);
-            } else if (overlaps(arg.replicated, arg.pieces, a)) {
-                add_dep(a, kind);
-            }
         }
     };
     for (const LowArg &arg : task.args) {
@@ -193,57 +169,30 @@ EventId
 TaskStream::submitPrelinked(LaunchedTask task, const TaskTiming &timing,
                             const SubmitTrace &trace)
 {
-    // The recorded edges replace the history scan. Floors still apply:
-    // retired work (including the recorded dependencies that already
-    // retired through the in-flight bound) folded its finish times
-    // there, exactly as the analyzed path would have observed after
-    // compaction.
-    //
-    // Under cross-window pipelining, earlier epochs' records (id <
-    // epochStart_) can still be pending — the recorded edges, which
-    // are intra-epoch by construction, never cover them. They take the
-    // fence semantics: clamp the schedule placement unconditionally
-    // (a fence would have folded them into the floors) and keep
-    // uncounted overlap edges so retirement order and failure
-    // cancellation propagate across the window boundary.
+    // The recorded edges replace the history scan: the replayed epoch
+    // started on a drained stream, so every pending task it can
+    // conflict with was submitted within it and is covered by them.
+    // Floors still apply: retired work (including the recorded
+    // dependencies that already retired through the in-flight bound)
+    // folded its finish times there, exactly as the analyzed path
+    // would have observed after compaction.
     double dep_finish = 0.0;
-    std::vector<EventId> &deps = deps_;
-    deps.clear();
-    auto add_old_edge = [&](const AccessRec &a) {
-        if (pending_.count(a.id) &&
-            std::find(deps.begin(), deps.end(), a.id) == deps.end())
-            deps.push_back(a.id);
-    };
-    auto scan_old = [&](const std::vector<AccessRec> &recs,
-                        const LowArg &arg) {
-        for (const AccessRec &a : recs) {
-            if (a.id == NO_EVENT || a.id >= epochStart_)
-                continue;
-            dep_finish = std::max(dep_finish, a.finish);
-            if (overlaps(arg.replicated, arg.pieces, a))
-                add_old_edge(a);
-        }
-    };
     for (const LowArg &arg : task.args) {
         auto it = history_.find(arg.store);
         if (it == history_.end())
             continue;
         StoreHistory &h = it->second;
         compactHistory(h);
-        bool mutates = privWrites(arg.priv) || privReduces(arg.priv);
-        if (privReads(arg.priv) || privReduces(arg.priv)) {
-            scan_old(h.writes, arg);
+        if (privReads(arg.priv) || privReduces(arg.priv))
             dep_finish = std::max(dep_finish, h.writeFinishFloor);
-        }
-        if (mutates) {
-            if (!privReads(arg.priv))
-                scan_old(h.writes, arg);
-            scan_old(h.reads, arg);
+        if (privWrites(arg.priv) || privReduces(arg.priv)) {
             dep_finish = std::max(dep_finish, h.writeFinishFloor);
             dep_finish = std::max(dep_finish, h.readFinishFloor);
         }
     }
-    deps.reserve(deps.size() + trace.deps.size());
+    std::vector<EventId> &deps = deps_;
+    deps.clear();
+    deps.reserve(trace.deps.size());
     for (EventId d : trace.deps) {
         auto it = pending_.find(d);
         if (it == pending_.end())

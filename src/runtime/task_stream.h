@@ -241,9 +241,11 @@ class TaskStream
      * Submit a task whose hazard edges were recorded by a previous,
      * structurally identical submission (trace replay): the history
      * scan is skipped and `trace.deps` (of which only still-pending
-     * events count) order the task instead. The schedule placement,
-     * history update and retirement behaviour are identical to
-     * `submit`, so simulated time matches the analyzed path exactly.
+     * events count) order the task instead. The recorded edges are
+     * epoch-local, so the replayed epoch must have started on a
+     * drained stream. The schedule placement, history update and
+     * retirement behaviour are identical to `submit`, so simulated
+     * time matches the analyzed path exactly.
      */
     EventId submitPrelinked(LaunchedTask task, const TaskTiming &timing,
                             const SubmitTrace &trace);
@@ -256,23 +258,6 @@ class TaskStream
      * empty task when none is spare.
      */
     LaunchedTask recycledTask(std::size_t num_args);
-
-    /**
-     * Mark an epoch boundary: submissions from here on belong to a
-     * new window epoch. Cross-window pipelining (DIFFUSE_PIPELINE)
-     * skips the fence between epochs, so records of earlier epochs
-     * may still be pending when the next epoch submits; the watermark
-     * makes their treatment match what a fence would have produced —
-     * prior-epoch records clamp a submission's schedule placement
-     * *unconditionally* (exactly as the per-store finish floors do
-     * after retirement), still order it when they overlap (real
-     * hazard edges, so failure cancellation crosses windows), and are
-     * never counted in the dependence-edge statistics (post-fence
-     * they would have been retired). Simulated schedules, results and
-     * dep-kind stats are therefore bitwise-identical whether or not a
-     * fence separated the epochs. A no-op when nothing is pending.
-     */
-    void markEpoch() { epochStart_ = next_; }
 
     /** Retire `id` and (transitively) everything it depends on. */
     void wait(EventId id);
@@ -408,8 +393,6 @@ class TaskStream
      * and resets — failures never accumulate across healthy epochs. */
     std::map<EventId, Error> failed_;
     EventId next_ = 1;
-    /** First EventId of the current window epoch (see markEpoch). */
-    EventId epochStart_ = 1;
 
     /** Simulated schedule state. */
     std::vector<double> procFree_;

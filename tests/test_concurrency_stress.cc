@@ -52,10 +52,6 @@ struct StressConfig
     int ranks = 1;
     int trace = 1;
     int sharedCache = 1;
-    /** Cross-window pipelining: sessions race retirement of one
-     * window against submission of the next, on top of the cache
-     * races. 0 is the draining oracle. */
-    int pipeline = 0;
     /** Native JIT codegen: concurrent cold sessions race the backend
      * on the same kernel keys (exactly-once attach under the shard
      * locks). 0 is the interpreter oracle. */
@@ -66,8 +62,8 @@ struct StressConfig
     {
         return "w" + std::to_string(workers) + "/r" +
                std::to_string(ranks) + "/t" + std::to_string(trace) +
-               "/s" + std::to_string(sharedCache) + "/p" +
-               std::to_string(pipeline) + "/j" + std::to_string(jit);
+               "/s" + std::to_string(sharedCache) + "/j" +
+               std::to_string(jit);
     }
 };
 
@@ -80,7 +76,6 @@ optionsFor(const StressConfig &cfg)
     o.ranks = cfg.ranks;
     o.trace = cfg.trace;
     o.sharedCache = cfg.sharedCache;
-    o.pipeline = cfg.pipeline;
     o.jit = cfg.jit;
     return o;
 }
@@ -307,19 +302,16 @@ TEST(ConcurrencyStress, SeedMixerBreaksAntiDiagonalCollisions)
 TEST(ConcurrencyStress, SmokeMixedSessionsBitwiseEqualSerialReference)
 {
     // Tier-1 smoke: a fast subset covering both shared and isolated
-    // sessions, trace on/off, the sharded/multi-worker paths, and
-    // pipelined flushes.
+    // sessions, trace on/off, and the sharded/multi-worker paths.
     const std::vector<StressConfig> configs = {
-        {1, 1, 1, 1},    // baseline serving configuration
-        {8, 2, 1, 1},    // workers x ranks over shared caches
-        {8, 1, 0, 1},    // shared caches without the trace layer
-        {1, 2, 1, 0},    // isolated sessions (shared-cache oracle)
-        {8, 2, 1, 1, 1}, // pipelined flushes over the heavy config
-        {8, 1, 0, 1, 1}, // pipelined without the trace layer
+        {1, 1, 1, 1}, // baseline serving configuration
+        {8, 2, 1, 1}, // workers x ranks over shared caches
+        {8, 1, 0, 1}, // shared caches without the trace layer
+        {1, 2, 1, 0}, // isolated sessions (shared-cache oracle)
         // Native JIT over the heavy config: concurrent cold sessions
         // race the backend's exactly-once attach, then dispatch the
         // same compiled modules.
-        {8, 2, 1, 1, 1, 1},
+        {8, 2, 1, 1, 1},
     };
     runMatrix(configs, 4, 2);
 }
@@ -335,9 +327,7 @@ TEST(ConcurrencyStress, FullMatrixEightThreadsEightSessions)
         for (int ranks : {1, 2})
             for (int trace : {1, 0})
                 for (int shared : {1, 0})
-                    for (int pipeline : {0, 1})
-                        configs.push_back(
-                            {workers, ranks, trace, shared, pipeline});
+                    configs.push_back({workers, ranks, trace, shared});
     runMatrix(configs, 8, 8);
 }
 

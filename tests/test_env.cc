@@ -1,9 +1,9 @@
 /**
  * @file
  * Environment-knob parsing regressions: DIFFUSE_WORKERS /
- * DIFFUSE_STRIP / DIFFUSE_RANKS historically went through atoi-style
- * parsing that silently accepted trailing garbage ("8abc" -> 8) and
- * overflowed on huge values. envInt() must parse strictly, clamp
+ * DIFFUSE_RANKS historically went through atoi-style parsing that
+ * silently accepted trailing garbage ("8abc" -> 8) and overflowed on
+ * huge values. envInt() must parse strictly, clamp
  * out-of-range values, and default on garbage.
  */
 
@@ -13,7 +13,6 @@
 
 #include "common/env.h"
 #include "kernel/exec.h"
-#include "kernel/plan.h"
 #include "runtime/runtime.h"
 
 namespace diffuse {
@@ -46,8 +45,8 @@ TEST(EnvInt, HandlesOutOfRange)
 {
     EnvGuard g("DIFFUSE_TEST_KNOB");
     // Below the minimum: not a meaningful count — fall back to the
-    // default rather than clamping (DIFFUSE_STRIP=0 must not mean
-    // strip width 1).
+    // default rather than clamping (DIFFUSE_MEM_BUDGET=0 must not
+    // mean a 1 MiB budget).
     g.set("0");
     EXPECT_EQ(envInt("DIFFUSE_TEST_KNOB", 7, 1, 100), 7);
     g.set("-12");
@@ -85,21 +84,6 @@ TEST(EnvInt, WorkersKnobClampsAndDefaults)
     EXPECT_EQ(kir::WorkerPool::defaultWorkers(), 1);
     g.set("6");
     EXPECT_EQ(kir::WorkerPool::defaultWorkers(), 6);
-}
-
-TEST(EnvInt, StripKnobClampsAndDefaults)
-{
-    EnvGuard g("DIFFUSE_STRIP");
-    g.set("garbage");
-    EXPECT_EQ(kir::defaultStripWidth(), 256);
-    // 0 falls back to the tuned default — clamping to 1 would
-    // silently un-vectorize every kernel.
-    g.set("0");
-    EXPECT_EQ(kir::defaultStripWidth(), 256);
-    g.set("1000000");
-    EXPECT_EQ(kir::defaultStripWidth(), 65536);
-    g.set("128");
-    EXPECT_EQ(kir::defaultStripWidth(), 128);
 }
 
 TEST(EnvInt, RanksKnobClampsAndDefaults)

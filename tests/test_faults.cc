@@ -190,11 +190,7 @@ TEST(Faults, InjectorOffByDefaultAndFaultStatsZero)
 TEST(Faults, KernelFaultSurfacesStructurallyAndRecoversBitwise)
 {
     for (int workers : {1, 8}) {
-        // Pinned to the draining flush: the raw KernelFault code must
-        // surface inside runBody (pipelining defers and re-wraps it
-        // at the next synchronizing read — see test_scheduler.cc).
         DiffuseOptions o = realOpts(workers);
-        o.pipeline = 0;
         auto expect = cleanReference(o);
         DiffuseRuntime rt(machine(), o);
         rt.low().faults().armOneShot(rt::FaultKind::Kernel, /*skip=*/4);
@@ -258,12 +254,10 @@ TEST(Faults, CancellationPropagatesAlongHazardEdgesToTheRootCause)
 {
     // An unfused RAW chain: the faulted task's dependents must be
     // cancelled (never run) and every error points at the root cause.
-    // Pinned to the draining flush — the test asserts the root code
-    // at the flush site (the pipelined counterpart lives in
-    // test_scheduler.cc).
+    // (An epoch left in flight by flushWindowAsync() is covered in
+    // test_scheduler.cc.)
     DiffuseOptions o = realOpts();
     o.fusionEnabled = false;
-    o.pipeline = 0;
     DiffuseRuntime rt(machine(), o);
     Context ctx(rt);
     NDArray a = ctx.random(32, 0x1, -1.0, 1.0);
@@ -292,12 +286,9 @@ TEST(Faults, CancellationPropagatesAlongHazardEdgesToTheRootCause)
 
 TEST(Faults, PoisonedStoreReadSurfacesStorePoisoned)
 {
-    // Pins the draining flush: the fault must surface as KernelFault
-    // at the flush site (the pipelined surfacing — StorePoisoned at
-    // the next host read — is covered in test_scheduler.cc).
-    DiffuseOptions o = realOpts();
-    o.pipeline = 0;
-    DiffuseRuntime rt(machine(), o);
+    // The fault surfaces as KernelFault at the flush site, and the
+    // poisoned store's read as StorePoisoned.
+    DiffuseRuntime rt(machine(), realOpts());
     Context ctx(rt);
     NDArray a = ctx.random(32, 0x1, -1.0, 1.0);
     (void)ctx.toHost(a); // materialize cleanly
@@ -337,11 +328,7 @@ TEST(Faults, TransientExchangeFaultsRetryBitwiseTransparently)
 
 TEST(Faults, PersistentExchangeFaultSurfacesAndRecovers)
 {
-    // Pinned to the draining flush: the test asserts the raw
-    // ExchangeFault code at the failure site, which pipelining would
-    // defer and re-wrap at the next synchronizing read.
     DiffuseOptions o = realOpts(1, /*ranks=*/4);
-    o.pipeline = 0;
     auto expect = cleanReference(o);
     DiffuseRuntime rt(machine(), o);
     // A burst longer than the retry bound: the copy fails for real.
@@ -421,23 +408,18 @@ TEST(Faults, SessionFailureLeavesSiblingsAndSharedCachesBitwiseIntact)
     EXPECT_EQ(runBody(*victim), expect);
 }
 
-TEST(Faults, PipelinedResetLeavesInFlightSiblingsIntact)
+TEST(Faults, ConcurrentResetLeavesSiblingsIntact)
 {
-    // Pipelined flushes (retirement of one window racing submission
-    // of the next) in three barrier-released sessions replaying the
-    // same epochs from one shared context. A kernel fault on the
-    // victim — and the victim's resetAfterError(), issued while the
-    // siblings' work is still in flight — must not perturb the
-    // siblings at all, and the recovered victim must rerun
-    // bitwise-clean.
+    // Three barrier-released sessions replaying the same epochs from
+    // one shared context. A kernel fault on the victim — and the
+    // victim's resetAfterError(), issued while the siblings' work is
+    // still in flight — must not perturb the siblings at all, and the
+    // recovered victim must rerun bitwise-clean.
     //
     // gtest assertions are not thread-safe: threads only compute and
     // record into atomics; all comparisons happen on main after join.
     DiffuseOptions o = realOpts(/*workers=*/4);
-    o.pipeline = 1;
-    DiffuseOptions ref = o;
-    ref.pipeline = 0; // the draining oracle
-    auto expect = cleanReference(ref);
+    auto expect = cleanReference(o);
 
     auto ctx = SharedContext::create(machine());
     auto victim = ctx->createSession(o);

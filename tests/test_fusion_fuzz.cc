@@ -50,9 +50,6 @@ struct Config
     /** Trace-memoized window replay (core/trace.h); the reference
      * configuration keeps it off — DIFFUSE_TRACE=0 is the oracle. */
     int trace = 0;
-    /** Cross-window pipelining; the reference keeps the draining
-     * flush — DIFFUSE_PIPELINE=0 is the oracle. */
-    int pipeline = 0;
     /** Native JIT codegen (kernel/codegen.h): retired nests dispatch
      * compiled C instead of the tape interpreter. DIFFUSE_JIT=0 is
      * the bitwise oracle. */
@@ -64,8 +61,7 @@ struct Config
         return std::string(fused ? "fused" : "unfused") +
                (scalarExec ? "/scalar" : "/vector") + "/w" +
                std::to_string(workers) + "/r" + std::to_string(ranks) +
-               "/t" + std::to_string(trace) + "/p" +
-               std::to_string(pipeline) + "/j" + std::to_string(jit);
+               "/t" + std::to_string(trace) + "/j" + std::to_string(jit);
     }
 };
 
@@ -267,7 +263,6 @@ runProgram(std::uint64_t seed, const Config &cfg)
     o.workers = cfg.workers;
     o.ranks = cfg.ranks;
     o.trace = cfg.trace;
-    o.pipeline = cfg.pipeline;
     o.jit = cfg.jit;
     DiffuseRuntime rt(rt::MachineConfig::withGpus(4), o);
     return runProgramBody(rt, seed);
@@ -285,18 +280,11 @@ TEST(FusionFuzz, AllConfigurationsBitwiseEqual)
         {false, false, 1, 4, 1}, // unfused over shards
         {true, true, 8, 4, 1},   // scalar oracle over shards
         {true, false, 8, 4, 0},  // trace kill switch over the rest
-        // Cross-window pipelining over the heavy configurations —
-        // replayed, analyzed, and trace-off epochs all overlap the
-        // previous window's retirement, yet must stay bitwise equal
-        // to the draining reference.
-        {true, false, 8, 4, 1, 1},
-        {true, false, 8, 1, 0, 1},
-        {false, false, 1, 4, 1, 1},
         // Native JIT codegen stacked over the heaviest configuration:
         // compiled nests must stay bitwise equal to the interpreter
         // (the in-process module registry keeps repeat tapes to one
         // toolchain invocation each across the whole run).
-        {true, false, 8, 4, 1, 1, 1},
+        {true, false, 8, 4, 1, 1},
     };
     for (int s = 0; s < seeds; s++) {
         std::uint64_t seed = 0xD1FFu + std::uint64_t(s) * 7919;
@@ -360,11 +348,6 @@ TEST(FusionFuzz, HardFaultRecoveryRerunsBitwise)
         o.workers = production.workers;
         o.ranks = production.ranks;
         o.trace = production.trace;
-        // Pinned to the draining flush: the test asserts the raw
-        // KernelFault code at the failing flush, which pipelining
-        // would defer and re-wrap at the next synchronizing read
-        // (that surfacing is covered in test_scheduler.cc).
-        o.pipeline = 0;
         DiffuseRuntime rt(rt::MachineConfig::withGpus(4), o);
         // Fusion can collapse a whole program into very few fused
         // kernels (sometimes a single one), so the only skip that is

@@ -91,12 +91,9 @@ TEST(Pipeline, TemporaryEliminationAvoidsMaterialization)
     // must materialize exactly one store fewer than the unfused run.
     auto run = [](bool fuse) {
         // Materialization counts are a canonical-allocation property:
-        // pin ranks so DIFFUSE_RANKS doesn't shift what materializes,
-        // and pin the draining flush so the counts are final when read
-        // (under DIFFUSE_PIPELINE tasks may still be in flight here).
+        // pin ranks so DIFFUSE_RANKS doesn't shift what materializes.
         DiffuseOptions o = optionsFor(fuse);
         o.ranks = 1;
-        o.pipeline = 0;
         DiffuseRuntime rt(machineWith(4), o);
         Context ctx(rt);
         const coord_t n = 512;

@@ -150,11 +150,9 @@ TEST(Coherence, InterNodeTrafficOnlyWithMultipleNodes)
 
 TEST(Runtime, LazyMaterializationCountsOnlyUsedStores)
 {
-    // Pin the draining flush: the materialization count is read right
-    // after flushWindow(), before any synchronizing host read.
-    DiffuseOptions o = opts(false);
-    o.pipeline = 0;
-    DiffuseRuntime rt(rt::MachineConfig::withGpus(2), o);
+    // The materialization count is read right after flushWindow(),
+    // before any host read.
+    DiffuseRuntime rt(rt::MachineConfig::withGpus(2), opts(false));
     num::Context ctx(rt);
     num::NDArray a = ctx.zeros(128);
     num::NDArray b = ctx.zeros(128);

@@ -1,6 +1,6 @@
 /**
  * @file
- * Work-stealing scheduler and cross-window pipelining tests.
+ * Work-stealing scheduler and asynchronous flush tests.
  *
  * The first suite drives kir::WorkerPool directly: concurrent jobs
  * from different sessions must both execute in parallel (the
@@ -8,10 +8,12 @@
  * fallback ran the losing caller 100% serial), and helpers must
  * acquire work by stealing. The second suite locks the determinism
  * contract: results and simulated schedules are bitwise-identical
- * across worker counts, steal-heavy chunk sizes, and
- * DIFFUSE_PIPELINE 0/1 — and a failure inside a pipelined window
- * still cancels dependents and latches the session with the root
- * cause at the next synchronizing read.
+ * across worker counts, steal-heavy chunk sizes, and the draining
+ * vs asynchronous flush. The third locks flushWindowAsync()'s
+ * contract: at most one epoch in flight, retired by the next
+ * submit() at the latest, and a failure inside it still cancels
+ * dependents and latches the session with the root cause at the next
+ * synchronizing point.
  */
 
 #include <gtest/gtest.h>
@@ -143,7 +145,7 @@ TEST(Scheduler, JobErrorPropagatesToItsCaller)
 }
 
 // ---------------------------------------------------------------------
-// Determinism: workers x chunk x pipeline
+// Determinism: workers x chunk, draining vs asynchronous flush
 // ---------------------------------------------------------------------
 
 /** Scoped DIFFUSE_CHUNK override (0 = auto). */
@@ -166,20 +168,34 @@ constexpr coord_t kBelowGrain = 2048;
  * twice the grain in elements, so even a copy nest spans two chunks. */
 constexpr coord_t kAboveGrain = coord_t(2 * rt::LowRuntime::kFanOutGrain);
 
-std::vector<double>
+/** What one run of schedulerProgram computed and how it ran. */
+struct ProgramRun
+{
+    std::vector<double> values;
+    /** Final: every task has retired. */
+    rt::StreamStats stream;
+    std::uint64_t epochsReplayed = 0;
+    /** Helper threads the pool spawned (counted with a pinned engine). */
+    int spawned = -1;
+};
+
+/**
+ * Four solver-like iterations, each closed by a flush: flushWindow(),
+ * or flushWindowAsync() when `async` is set. With `count_spawned` the
+ * default engine is pinned: an ambient compile fault would degrade a
+ * task to the scalar oracle, which shards whole points over the pool
+ * whatever their size.
+ */
+ProgramRun
 schedulerProgram(const DiffuseOptions &base, int chunk,
-                 rt::StreamStats *stats_out = nullptr,
-                 std::uint64_t *steals_out = nullptr,
-                 coord_t n = kBelowGrain, int *spawned_out = nullptr)
+                 coord_t n = kBelowGrain, bool async = false,
+                 bool count_spawned = false)
 {
     ChunkGuard guard(chunk);
     DiffuseOptions o = base;
     o.mode = rt::ExecutionMode::Real;
     DiffuseRuntime rt(rt::MachineConfig::withGpus(4), o);
-    // Counting helper threads pins the default engine: an ambient
-    // compile fault would degrade a task to the scalar oracle, which
-    // shards whole points over the pool whatever their size.
-    if (spawned_out)
+    if (count_spawned)
         rt.low().faults().configure(1, 0, 0);
     Context ctx(rt);
     NDArray x = ctx.random(n, 0x5eed, -1.0, 1.0);
@@ -190,30 +206,36 @@ schedulerProgram(const DiffuseOptions &base, int chunk,
         NDArray alpha = ctx.dot(x, y);
         NDArray u = ctx.axpyS(y, alpha, x);
         ctx.assign(y, u);
-        rt.flushWindow();
+        if (async)
+            rt.flushWindowAsync();
+        else
+            rt.flushWindow();
     }
-    std::vector<double> out = ctx.toHost(x);
+    ProgramRun run;
+    run.values = ctx.toHost(x);
     std::vector<double> yh = ctx.toHost(y);
-    out.insert(out.end(), yh.begin(), yh.end());
-    out.push_back(ctx.value(ctx.sum(y)));
-    if (stats_out) {
-        rt.low().fence(); // retire everything so counters are final
-        *stats_out = rt.low().streamStats();
-    }
-    if (steals_out)
-        *steals_out = rt.low().pool().steals();
-    if (spawned_out)
-        *spawned_out = rt.low().pool().threadsSpawned();
-    return out;
+    run.values.insert(run.values.end(), yh.begin(), yh.end());
+    run.values.push_back(ctx.value(ctx.sum(y)));
+    rt.low().fence(); // retire everything so counters are final
+    run.stream = rt.low().streamStats();
+    run.epochsReplayed = rt.fusionStats().traceEpochsReplayed;
+    if (count_spawned)
+        run.spawned = rt.low().pool().threadsSpawned();
+    return run;
 }
 
-/** The schedule-parity slice of StreamStats: everything that must be
- * bitwise-identical across DIFFUSE_PIPELINE 0/1 and chunk sizes.
- * fences, maxPendingSeen and retiredOutOfOrder legitimately differ —
- * they describe *when* retirement happened, not what was computed. */
+/**
+ * StreamStats must be identical across worker counts, chunk sizes
+ * and the flush variant: the hazard graph, the simulated schedule,
+ * and when and in what order tasks retire. One difference is by
+ * design: a run whose last flush was flushWindowAsync() skips that
+ * flush's fence — the epoch retires inside the next host read's —
+ * so it reports `skipped_fences` fewer.
+ */
 void
 expectScheduleParity(const rt::StreamStats &a, const rt::StreamStats &b,
-                     const std::string &label)
+                     const std::string &label,
+                     std::uint64_t skipped_fences = 0)
 {
     EXPECT_EQ(a.submitted, b.submitted) << label;
     EXPECT_EQ(a.retired, b.retired) << label;
@@ -222,6 +244,9 @@ expectScheduleParity(const rt::StreamStats &a, const rt::StreamStats &b,
     EXPECT_EQ(a.wawDeps, b.wawDeps) << label;
     EXPECT_EQ(a.tasksFailed, b.tasksFailed) << label;
     EXPECT_EQ(a.tasksCancelled, b.tasksCancelled) << label;
+    EXPECT_EQ(a.fences + skipped_fences, b.fences) << label;
+    EXPECT_EQ(a.maxPendingSeen, b.maxPendingSeen) << label;
+    EXPECT_EQ(a.retiredOutOfOrder, b.retiredOutOfOrder) << label;
     // Bitwise, not approximate: the simulated schedule must be the
     // same double-for-double regardless of execution interleaving.
     EXPECT_EQ(a.criticalPathTime, b.criticalPathTime) << label;
@@ -235,41 +260,38 @@ TEST(Scheduler, ResultsAndSchedulesBitwiseAcrossWorkersChunkPipeline)
     {
         int workers;
         int chunk; // 0 = auto; 1 = steal-heavy
-        int pipeline;
+        bool async;
     };
-    const Case reference{1, 0, 0};
+    const Case reference{1, 0, false};
     const Case cases[] = {
-        {1, 0, 1}, {8, 0, 0}, {8, 0, 1},
-        {8, 1, 0}, {8, 1, 1}, {1, 1, 1},
+        {8, 0, false},
+        {8, 1, false},
+        {1, 1, false},
+        // The asynchronous flush over the steal-heavy configuration:
+        // each epoch retires in the next iteration's first submit.
+        {8, 1, true},
     };
     // Below the fan-out grain every nest runs inline at any worker
     // count; above it the default chunking fans out over the pool.
+    // Whether helpers actually steal is a host-scheduling race (on a
+    // loaded single-core runner the caller can drain every chunk
+    // first); HelpersAcquireWorkByStealing pins the steal path.
     for (coord_t n : {kBelowGrain, kAboveGrain}) {
-        auto run = [n](const Case &c, rt::StreamStats *st,
-                       std::uint64_t *steals) {
+        auto run = [n](const Case &c) {
             DiffuseOptions o;
             o.workers = c.workers;
-            o.pipeline = c.pipeline;
-            return schedulerProgram(o, c.chunk, st, steals, n);
+            return schedulerProgram(o, c.chunk, n, c.async);
         };
-        rt::StreamStats refStats;
-        auto expect = run(reference, &refStats, nullptr);
+        const ProgramRun ref = run(reference);
         for (const Case &c : cases) {
             std::string label = "n " + std::to_string(n) + " workers " +
                                 std::to_string(c.workers) + " chunk " +
-                                std::to_string(c.chunk) + " pipeline " +
-                                std::to_string(c.pipeline);
-            rt::StreamStats st;
-            std::uint64_t steals = 0;
-            auto got = run(c, &st, &steals);
-            ASSERT_EQ(got, expect) << label;
-            expectScheduleParity(st, refStats, label);
-            // Whether helpers actually stole here is a host-scheduling
-            // race (on a loaded single-core runner the caller can
-            // drain every chunk first); HelpersAcquireWorkByStealing
-            // pins the steal path deterministically by parking the
-            // caller.
-            (void)steals;
+                                std::to_string(c.chunk) +
+                                (c.async ? " async" : "");
+            const ProgramRun got = run(c);
+            ASSERT_EQ(got.values, ref.values) << label;
+            expectScheduleParity(got.stream, ref.stream, label,
+                                 c.async ? 1 : 0);
         }
     }
 }
@@ -282,36 +304,120 @@ TEST(Scheduler, NestsBelowTheGrainNeverReachThePool)
     // and spawn none, even at workers=8.
     DiffuseOptions o;
     o.workers = 8;
-    o.pipeline = 0;
-    int spawned = -1;
-    schedulerProgram(o, 0, nullptr, nullptr, kBelowGrain, &spawned);
-    EXPECT_EQ(spawned, 0);
+    EXPECT_EQ(schedulerProgram(o, 0, kBelowGrain, false, true).spawned,
+              0);
     // Above the grain the same program hands chunks to helpers...
-    schedulerProgram(o, 0, nullptr, nullptr, kAboveGrain, &spawned);
-    EXPECT_GT(spawned, 0);
+    EXPECT_GT(schedulerProgram(o, 0, kAboveGrain, false, true).spawned,
+              0);
     // ...and DIFFUSE_CHUNK=1 fans out every nest, grain or not.
-    schedulerProgram(o, 1, nullptr, nullptr, kBelowGrain, &spawned);
-    EXPECT_GT(spawned, 0);
+    EXPECT_GT(schedulerProgram(o, 1, kBelowGrain, false, true).spawned,
+              0);
 }
 
 // ---------------------------------------------------------------------
-// Pipelined failure semantics
+// flushWindowAsync: one epoch in flight
 // ---------------------------------------------------------------------
 
+/** Unfused, window of one, one rank: each submit() lowers its task
+ * into the stream at once, with no exchange copies, so the stream's
+ * counters show exactly which task retired when. */
 DiffuseOptions
-pipelinedOpts()
+asyncOpts()
 {
     DiffuseOptions o;
     o.mode = rt::ExecutionMode::Real;
-    o.pipeline = 1;
     o.fusionEnabled = false; // distinct tasks: dependents must cancel
     o.maxWindow = 1;
+    o.ranks = 1;
     return o;
 }
 
+TEST(Scheduler, AsyncFlushKeepsOneEpochInFlight)
+{
+    {
+        // The next submit() retires the in-flight epoch before it
+        // buffers anything. Tracing off: the new task reaches the
+        // stream in the same call instead of being deferred.
+        DiffuseOptions o = asyncOpts();
+        o.trace = 0;
+        DiffuseRuntime rt(rt::MachineConfig::withGpus(2), o);
+        Context ctx(rt);
+        NDArray a = ctx.random(64, 0x1, -1.0, 1.0);
+        NDArray b = ctx.mulScalar(2.0, a);
+        NDArray c = ctx.add(b, a);
+        rt.flushWindowAsync();
+        const rt::StreamStats &st = rt.low().streamStats();
+        ASSERT_EQ(rt.low().streamPending(), 2u);
+        const std::uint64_t retired = st.retired;
+        const std::uint64_t fences = st.fences;
+        NDArray d = ctx.mulScalar(3.0, c);
+        // One fence retired exactly the old epoch; d's task, submitted
+        // after it, is the only one pending.
+        EXPECT_EQ(st.fences, fences + 1);
+        EXPECT_EQ(st.retired, retired + 2);
+        EXPECT_EQ(rt.low().streamPending(), 1u);
+        EXPECT_EQ(st.maxPendingSeen, 2u);
+        std::vector<double> ah = ctx.toHost(a);
+        std::vector<double> dh = ctx.toHost(d);
+        for (std::size_t i = 0; i < ah.size(); i++)
+            EXPECT_EQ(dh[i], 3.0 * (2.0 * ah[i] + ah[i])) << i;
+    }
+    {
+        // A kernel fault in the in-flight epoch latches there, and the
+        // submit is refused naming the root-cause task.
+        DiffuseRuntime rt(rt::MachineConfig::withGpus(2), asyncOpts());
+        Context ctx(rt);
+        NDArray a = ctx.random(64, 0x1, -1.0, 1.0);
+        rt.low().faults().armOneShot(rt::FaultKind::Kernel, /*skip=*/0);
+        NDArray t = ctx.add(a, a); // faults at retirement
+        NDArray u = ctx.mul(t, t); // dependent: cancelled
+        rt.flushWindowAsync();
+        EXPECT_FALSE(rt.failed());
+        bool refused = false;
+        try {
+            NDArray v = ctx.mulScalar(2.0, u);
+        } catch (const DiffuseError &e) {
+            refused = true;
+            EXPECT_EQ(e.code(), ErrorCode::SessionFailed);
+            EXPECT_EQ(e.error().originTask, "add");
+            EXPECT_NE(e.error().message.find("KernelFault"),
+                      std::string::npos);
+        }
+        ASSERT_TRUE(refused);
+        EXPECT_EQ(rt.error().code, ErrorCode::KernelFault);
+        EXPECT_EQ(rt.error().originTask, "add");
+        EXPECT_EQ(rt.low().streamStats().tasksFailed, 1u);
+        EXPECT_EQ(rt.low().streamStats().tasksCancelled, 1u);
+        EXPECT_EQ(rt.low().streamPending(), 0u);
+    }
+    {
+        // Replayed epochs that follow an asynchronous flush match the
+        // draining path bitwise, with the same dep-kind counts and
+        // simulated schedule.
+        DiffuseOptions o;
+        o.trace = 1;
+        const ProgramRun drained = schedulerProgram(o, 0);
+        const ProgramRun async = schedulerProgram(o, 0, kBelowGrain, true);
+        EXPECT_GT(async.epochsReplayed, 0u);
+        EXPECT_EQ(async.epochsReplayed, drained.epochsReplayed);
+        EXPECT_EQ(async.values, drained.values);
+        EXPECT_EQ(async.stream.rawDeps, drained.stream.rawDeps);
+        EXPECT_EQ(async.stream.warDeps, drained.stream.warDeps);
+        EXPECT_EQ(async.stream.wawDeps, drained.stream.wawDeps);
+        EXPECT_EQ(async.stream.criticalPathTime,
+                  drained.stream.criticalPathTime);
+        EXPECT_EQ(async.stream.busyTime, drained.stream.busyTime);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Failure semantics of an epoch left in flight
+// ---------------------------------------------------------------------
+
 TEST(Scheduler, PipelinedWindowFailureCancelsAndLatchesAtNextSync)
 {
-    DiffuseRuntime rt(rt::MachineConfig::withGpus(2), pipelinedOpts());
+    // "Pipelined": the epoch flushWindowAsync() leaves in flight.
+    DiffuseRuntime rt(rt::MachineConfig::withGpus(2), asyncOpts());
     Context ctx(rt);
     NDArray a = ctx.random(64, 0x1, -1.0, 1.0);
     (void)ctx.toHost(a); // materialize cleanly
@@ -319,16 +425,16 @@ TEST(Scheduler, PipelinedWindowFailureCancelsAndLatchesAtNextSync)
     NDArray t = ctx.add(a, a);   // faults at retirement
     NDArray u = ctx.mul(t, t);   // dependent: must cancel
     NDArray v = ctx.add(u, a);   // transitively dependent
-    // The pipelined flush registers the epoch without draining it, so
-    // the armed fault has not fired yet and nothing throws here.
-    rt.flushWindow();
+    // The asynchronous flush submits the epoch without draining it,
+    // so the armed fault has not fired yet and nothing throws here.
+    rt.flushWindowAsync();
     EXPECT_FALSE(rt.failed());
-    // The host read is the synchronizing point: the kernel fault
-    // fires, dependents cancel, and the poison surfaces with the
-    // original root cause attached.
+    // The host read of v is the synchronizing point: it retires v's
+    // chain, the kernel fault fires, dependents cancel, and the
+    // poison surfaces with the original root cause attached.
     bool threw = false;
     try {
-        (void)ctx.toHost(v);
+        (void)rt.low().dataF64(v.store());
     } catch (const DiffuseError &e) {
         threw = true;
         EXPECT_EQ(e.code(), ErrorCode::StorePoisoned);
@@ -337,17 +443,17 @@ TEST(Scheduler, PipelinedWindowFailureCancelsAndLatchesAtNextSync)
     ASSERT_TRUE(threw);
     EXPECT_TRUE(rt.failed());
     EXPECT_GT(rt.low().streamStats().tasksCancelled, 0u);
-    // Recovery: the session unlatches and a clean pipelined rerun
-    // matches a never-faulted reference bitwise.
+    // Recovery: the session unlatches and a clean asynchronous rerun
+    // matches a never-faulted draining reference bitwise.
     rt.resetAfterError();
     EXPECT_FALSE(rt.failed());
     NDArray t2 = ctx.add(a, a);
     NDArray u2 = ctx.mul(t2, t2);
     NDArray v2 = ctx.add(u2, a);
-    rt.flushWindow();
+    rt.flushWindowAsync();
     std::vector<double> got = ctx.toHost(v2);
 
-    DiffuseRuntime ref(rt::MachineConfig::withGpus(2), pipelinedOpts());
+    DiffuseRuntime ref(rt::MachineConfig::withGpus(2), asyncOpts());
     Context rctx(ref);
     NDArray ra = rctx.random(64, 0x1, -1.0, 1.0);
     NDArray rt1 = rctx.add(ra, ra);
@@ -359,19 +465,18 @@ TEST(Scheduler, PipelinedWindowFailureCancelsAndLatchesAtNextSync)
 
 TEST(Scheduler, DestructorDrainsPipelinedEpochs)
 {
-    // A runtime destroyed with an epoch still in flight must fence it
-    // out; the host-visible side effect (the buffers backing the
-    // returned host copy) proves the work ran.
+    // A runtime destroyed with the epoch of flushWindowAsync() still
+    // in flight must fence it out; the host-visible side effect (the
+    // buffers backing the returned host copy) proves the work ran.
     std::vector<double> got;
     {
-        DiffuseRuntime rt(rt::MachineConfig::withGpus(2),
-                          pipelinedOpts());
+        DiffuseRuntime rt(rt::MachineConfig::withGpus(2), asyncOpts());
         Context ctx(rt);
         NDArray a = ctx.zeros(64, 1.0);
         NDArray b = ctx.mulScalar(2.0, a);
         got = ctx.toHost(b);
         NDArray c = ctx.mulScalar(3.0, b);
-        rt.flushWindow();
+        rt.flushWindowAsync();
         (void)c; // still in flight when rt is destroyed
     }
     EXPECT_EQ(got, std::vector<double>(64, 2.0));

@@ -343,11 +343,9 @@ TEST(BufferPool, ShardedTemporariesReuseBuffersAfterWarmup)
     // Unfused, every temporary of this ranks-4 loop lives in per-rank
     // shard buffers. Destroyed temporaries return them to the
     // runtime's one buffer pool, so once the loop is warm it
-    // allocates no fresh buffer at all. Flushes drain (no pipelining),
-    // so each iteration's temporaries are destroyed within it.
-    DiffuseOptions o = realOpts(4);
-    o.pipeline = 0;
-    DiffuseRuntime rt(rt::MachineConfig::withGpus(4), o);
+    // allocates no fresh buffer at all. Flushes drain, so each
+    // iteration's temporaries are destroyed within it.
+    DiffuseRuntime rt(rt::MachineConfig::withGpus(4), realOpts(4));
     Context ctx(rt);
     NDArray x = ctx.random(4096, 3);
     NDArray y = ctx.random(4096, 4);
@@ -373,9 +371,7 @@ TEST(BufferPool, MemBudgetEvictsPooledShardBuffers)
 {
     setenv("DIFFUSE_MEM_BUDGET", "2", 1); // 2 MiB
     {
-        DiffuseOptions o = realOpts(4);
-        o.pipeline = 0; // draining flushes destroy the temporaries
-        DiffuseRuntime rt(rt::MachineConfig::withGpus(4), o);
+        DiffuseRuntime rt(rt::MachineConfig::withGpus(4), realOpts(4));
         Context ctx(rt);
         // The only canonical allocations: x and y, host-initialized.
         const coord_t n = 16384;

@@ -345,13 +345,10 @@ TEST(AsyncRuntime, StoresDestroyedWhileInFlightAreDeferred)
 
 TEST(AsyncRuntime, FlushWindowFencesTheStream)
 {
-    // Pins the draining oracle: flushWindow() must retire everything
-    // in place. DIFFUSE_PIPELINE would make flush non-draining, so
-    // the mode is pinned off here (the pipelined counterpart is
-    // FlushWindowAsyncLeavesEpochInFlight below).
-    DiffuseOptions o = asyncOpts();
-    o.pipeline = 0;
-    DiffuseRuntime rt(rt::MachineConfig::withGpus(4), o);
+    // flushWindow() must retire everything in place (the
+    // asynchronous counterpart is FlushWindowAsyncLeavesEpochInFlight
+    // below).
+    DiffuseRuntime rt(rt::MachineConfig::withGpus(4), asyncOpts());
     num::Context ctx(rt);
     num::NDArray a = ctx.zeros(64, 1.0);
     num::NDArray b = ctx.mulScalar(2.0, a);
@@ -372,8 +369,8 @@ TEST(AsyncRuntime, FlushWindowAsyncLeavesEpochInFlight)
     // The flush registered the epoch but did not drain it...
     EXPECT_GT(rt.low().streamPending(), 0u);
     EXPECT_EQ(rt.low().streamStats().fences, 0u);
-    // ...and the next window's submissions pipeline behind it; the
-    // host read is the synchronizing point.
+    // ...and the next window's first submit retires it before it
+    // buffers anything.
     num::NDArray c = ctx.mulScalar(3.0, b);
     EXPECT_DOUBLE_EQ(ctx.toHost(c)[0], 6.0);
 }
@@ -387,9 +384,8 @@ TEST(AsyncRuntime, ParallelPointExecutionEngages)
     num::NDArray b = ctx.mulScalar(2.0, a);
     num::NDArray d = ctx.dot(b, b); // reduction also shards
     rt.flushWindow();
-    // The host read fences d's chain, so sharded execution has
-    // happened by the time the counter is read — with or without
-    // DIFFUSE_PIPELINE.
+    // flushWindow() fenced d's chain, so sharded execution has
+    // happened by the time the counter is read.
     EXPECT_DOUBLE_EQ(ctx.value(d), 4.0 * 1024.0);
     EXPECT_GT(rt.runtimeStats().tasksSharded, 0u);
 }
