@@ -8,9 +8,9 @@
  * Real-mode wall clock of the kernel executor itself: the scalar
  * interpreter (DIFFUSE_SCALAR_EXEC=1 oracle) against the strip-mined
  * vector executor, at 1 and 8 workers. Results are bit-identical
- * across all four configurations; only the speed differs. Metrics are
- * emitted to BENCH_fig01_stencil.json. DIFFUSE_BENCH_SMOKE=1 skips
- * the sweep and shrinks the wall-clock section to CI size.
+ * across all four configurations; only the speed differs.
+ * DIFFUSE_BENCH_SMOKE=1 skips the sweep and shrinks the wall-clock
+ * section to CI size.
  */
 
 #include <cmath>
@@ -99,6 +99,5 @@ main()
                 scalar_w1.minSeconds / vector_w1.minSeconds);
     std::printf("# vector 8 vs 1 workers:      %.2fx\n",
                 vector_w1.minSeconds / vector_w8.minSeconds);
-    writeBenchJson("fig01_stencil", {scalar_w1, vector_w1, vector_w8});
     return 0;
 }

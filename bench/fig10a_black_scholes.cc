@@ -8,9 +8,8 @@
  * The Real-mode wall-clock section measures the kernel executor on
  * the fused Black-Scholes body (transcendental-heavy, fully fusible):
  * scalar oracle (DIFFUSE_SCALAR_EXEC=1) vs. the strip-mined vector
- * executor on the same build. Metrics land in
- * BENCH_fig10a_black_scholes.json; DIFFUSE_BENCH_SMOKE=1 runs only
- * this section at CI size.
+ * executor on the same build. DIFFUSE_BENCH_SMOKE=1 runs only this
+ * section at CI size.
  */
 
 #include <memory>
@@ -93,7 +92,5 @@ main()
                 scalar_w1.minSeconds / vector_w1.minSeconds);
     std::printf("# vector 8 vs 1 workers:      %.2fx\n",
                 vector_w1.minSeconds / vector_w8.minSeconds);
-    writeBenchJson("fig10a_black_scholes",
-                   {scalar_w1, vector_w1, vector_w8});
     return 0;
 }

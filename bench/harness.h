@@ -289,11 +289,10 @@ class ScalarExecGuard
     ScalarExecGuard &operator=(const ScalarExecGuard &) = delete;
 };
 
-/** One wall-clock measurement series, ready for BENCH_*.json. */
+/** One wall-clock measurement series. */
 struct WallMetric
 {
     std::string label;
-    int reps = 0;
     double medianSeconds = 0.0;
     double minSeconds = 0.0;
     double elementsPerSecond = 0.0;
@@ -321,44 +320,11 @@ measureWall(const std::string &label, int reps,
     std::sort(times.begin(), times.end());
     WallMetric m;
     m.label = label;
-    m.reps = reps;
     m.medianSeconds = times[times.size() / 2];
     m.minSeconds = times.front();
     m.elementsPerSecond = elements_per_iter / m.medianSeconds;
     m.bytesPerSecond = bytes_per_iter / m.medianSeconds;
     return m;
-}
-
-/**
- * Emit BENCH_<name>.json in the working directory so sweeps over
- * commits/flags can be collected mechanically.
- */
-inline void
-writeBenchJson(const std::string &name,
-               const std::vector<WallMetric> &metrics)
-{
-    std::string path = "BENCH_" + name + ".json";
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return;
-    }
-    std::fprintf(f, "{\n  \"name\": \"%s\",\n  \"metrics\": [\n",
-                 name.c_str());
-    for (std::size_t i = 0; i < metrics.size(); i++) {
-        const WallMetric &m = metrics[i];
-        std::fprintf(f,
-                     "    {\"label\": \"%s\", \"reps\": %d, "
-                     "\"median_s\": %.9g, \"min_s\": %.9g, "
-                     "\"elements_per_s\": %.9g, "
-                     "\"bytes_per_s\": %.9g}%s\n",
-                     m.label.c_str(), m.reps, m.medianSeconds,
-                     m.minSeconds, m.elementsPerSecond, m.bytesPerSecond,
-                     i + 1 < metrics.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("# wrote %s\n", path.c_str());
 }
 
 /** Print a WallMetric row (pairs with printWallHeader). */

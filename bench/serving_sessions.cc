@@ -28,8 +28,6 @@
  *     two fresh SharedContexts over one cache directory — the warm
  *     one must compile zero kernels, loading every module from disk
  *     (`process:cold` / `process:warm`).
- *
- * Emits BENCH_serving_sessions.json via the harness.
  */
 
 #include <cstdlib>
@@ -94,7 +92,6 @@ main()
     const int threads = 4;
     const int sessions_per_thread = smoke ? 4 : 8;
     rt::MachineConfig machine = rt::MachineConfig::withGpus(4);
-    std::vector<WallMetric> metrics;
 
     std::printf("# serving_sessions — multi-session serving over one "
                 "SharedContext\n");
@@ -137,8 +134,6 @@ main()
                          plans_warm);
             return 1;
         }
-        metrics.push_back(cold);
-        metrics.push_back(warm);
     }
 
     // ---- 2. Shared vs isolated concurrent serving -------------------
@@ -165,7 +160,6 @@ main()
                 th.join();
         });
         bench::printWallRow(m);
-        metrics.push_back(m);
     }
     std::printf("# %d threads x %d sessions each; shared caches "
                 "compile once process-wide, isolated sessions "
@@ -246,7 +240,6 @@ main()
         std::sort(recover_times.begin(), recover_times.end());
         WallMetric recover;
         recover.label = "fault:recover";
-        recover.reps = frep;
         recover.medianSeconds = recover_times[recover_times.size() / 2];
         recover.minSeconds = recover_times.front();
         recover.elementsPerSecond = elems / recover.medianSeconds;
@@ -266,9 +259,6 @@ main()
                     "clean body: %.2fx\n",
                     degraded.medianSeconds / off.medianSeconds,
                     recover.medianSeconds / off.medianSeconds);
-        metrics.push_back(off);
-        metrics.push_back(degraded);
-        metrics.push_back(recover);
     }
 
     // ---- 4. Native JIT artifact cache: cold vs warm process ---------
@@ -327,10 +317,7 @@ main()
                          (unsigned long long)warm_cc);
             return 1;
         }
-        metrics.push_back(pcold);
-        metrics.push_back(pwarm);
     }
 
-    bench::writeBenchJson("serving_sessions", metrics);
     return 0;
 }

@@ -44,20 +44,6 @@ dtypeSize(DType t)
     return 8;
 }
 
-inline const char *
-dtypeName(DType t)
-{
-    switch (t) {
-      case DType::F64:
-        return "f64";
-      case DType::I32:
-        return "i32";
-      case DType::I64:
-        return "i64";
-    }
-    return "?";
-}
-
 /**
  * Privileges with which a task accesses a store (paper Fig 2a).
  */
@@ -87,22 +73,6 @@ inline bool
 privReduces(Privilege p)
 {
     return p == Privilege::Reduce;
-}
-
-inline const char *
-privilegeName(Privilege p)
-{
-    switch (p) {
-      case Privilege::Read:
-        return "R";
-      case Privilege::Write:
-        return "W";
-      case Privilege::Reduce:
-        return "Rd";
-      case Privilege::ReadWrite:
-        return "RW";
-    }
-    return "?";
 }
 
 /** Reduction operators supported for the Reduce privilege. */

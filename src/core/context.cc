@@ -86,23 +86,4 @@ SharedContext::createSession(const DiffuseOptions &options)
         new DiffuseRuntime(shared_from_this(), options));
 }
 
-std::shared_ptr<kir::CompiledKernel>
-SharedContext::singleKernel(
-    const std::string &key,
-    const std::function<std::shared_ptr<kir::CompiledKernel>()> &build)
-{
-    SingleShard &shard =
-        singles_[std::hash<std::string>{}(key) % kSingleShards];
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto it = shard.map.find(key);
-    if (it != shard.map.end())
-        return it->second;
-    // Build under the shard lock: concurrent sessions racing on the
-    // same cold signature compile it exactly once process-wide.
-    std::shared_ptr<kir::CompiledKernel> kernel = build();
-    shard.map.emplace(key, kernel);
-    singleCount_.fetch_add(1, std::memory_order_relaxed);
-    return kernel;
-}
-
 } // namespace diffuse

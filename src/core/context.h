@@ -38,7 +38,6 @@
 #ifndef DIFFUSE_CORE_CONTEXT_H
 #define DIFFUSE_CORE_CONTEXT_H
 
-#include <array>
 #include <atomic>
 #include <deque>
 #include <functional>
@@ -47,6 +46,7 @@
 #include <string>
 #include <unordered_map>
 
+#include "common/sharded_cache.h"
 #include "core/memo.h"
 #include "core/trace.h"
 #include "kernel/codegen.h"
@@ -161,12 +161,9 @@ class SharedContext
     std::shared_ptr<kir::CompiledKernel> singleKernel(
         const std::string &key,
         const std::function<std::shared_ptr<kir::CompiledKernel>()>
-            &build);
-
-    /** Cached single-task kernels (tests). */
-    std::size_t singleKernels() const
+            &build)
     {
-        return singleCount_.load(std::memory_order_relaxed);
+        return singleKernels_.getOrBuild(key, build);
     }
 
     /** Sessions handed out by createSession(), shared or isolated. */
@@ -176,16 +173,6 @@ class SharedContext
     }
 
   private:
-    static constexpr std::size_t kSingleShards = 8;
-
-    struct SingleShard
-    {
-        std::mutex mutex;
-        std::unordered_map<std::string,
-                           std::shared_ptr<kir::CompiledKernel>>
-            map;
-    };
-
     rt::MachineConfig machine_;
     kir::JitCompiler compiler_;
     kir::JitBackend jit_;
@@ -193,8 +180,7 @@ class SharedContext
     TraceCache traceCache_;
     ImageTable images_;
     std::shared_ptr<kir::WorkerPool> pool_;
-    std::array<SingleShard, kSingleShards> singles_;
-    std::atomic<std::size_t> singleCount_{0};
+    ShardedCache<std::shared_ptr<kir::CompiledKernel>> singleKernels_;
     std::atomic<std::uint64_t> sessions_{0};
 };
 

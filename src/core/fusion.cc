@@ -150,10 +150,7 @@ FusionPlanner::buildSingle(const IndexTask &task)
         fn.buffers[i].aliasClass = sig.args[i].aliasClass;
         fn.buffers[i].shapeClass = sig.args[i].shapeClass;
     }
-    if (options_.kernelOptimization)
-        group.kernel = compiler_.compileSingle(std::move(fn));
-    else
-        group.kernel = compiler_.compileSingle(std::move(fn));
+    group.kernel = compiler_.compileSingle(std::move(fn));
     return group;
 }
 

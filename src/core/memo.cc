@@ -66,65 +66,23 @@ Memoizer::encode(std::span<const IndexTask> prefix,
     return key;
 }
 
-Memoizer::Shard &
-Memoizer::shardFor(const std::string &key)
-{
-    return shards_[std::hash<std::string>{}(key) % kShards];
-}
-
-void
-Memoizer::countInsert(const CachedGroup &group)
-{
-    if (group.kernel != nullptr && group.kernel->plan != nullptr)
-        stats_.plansLowered.fetch_add(1, std::memory_order_relaxed);
-    stats_.entries.fetch_add(1, std::memory_order_relaxed);
-}
-
-const CachedGroup *
-Memoizer::lookup(const std::string &key)
-{
-    Shard &shard = shardFor(key);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto it = shard.map.find(key);
-    if (it == shard.map.end()) {
-        stats_.misses.fetch_add(1, std::memory_order_relaxed);
-        return nullptr;
-    }
-    stats_.hits.fetch_add(1, std::memory_order_relaxed);
-    return &it->second;
-}
-
-void
-Memoizer::insert(const std::string &key, CachedGroup group)
-{
-    Shard &shard = shardFor(key);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto [it, fresh] = shard.map.emplace(key, std::move(group));
-    if (fresh)
-        countInsert(it->second);
-}
-
 const CachedGroup *
 Memoizer::getOrBuild(const std::string &key,
                      const std::function<CachedGroup()> &build)
 {
-    Shard &shard = shardFor(key);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto it = shard.map.find(key);
-    if (it != shard.map.end()) {
+    bool built = false;
+    const CachedGroup &plan = plans_.getOrBuild(key, [&] {
+        built = true;
+        stats_.misses.fetch_add(1, std::memory_order_relaxed);
+        CachedGroup group = build();
+        if (group.kernel != nullptr && group.kernel->plan != nullptr)
+            stats_.plansLowered.fetch_add(1, std::memory_order_relaxed);
+        stats_.entries.fetch_add(1, std::memory_order_relaxed);
+        return group;
+    });
+    if (!built)
         stats_.hits.fetch_add(1, std::memory_order_relaxed);
-        return &it->second;
-    }
-    stats_.misses.fetch_add(1, std::memory_order_relaxed);
-    // Build under the shard lock: a concurrent session racing on the
-    // same cold key blocks here and then hits, so each unique group
-    // compiles exactly once process-wide. (Distinct keys in other
-    // shards keep compiling concurrently.)
-    CachedGroup group = build();
-    auto [ins, fresh] = shard.map.emplace(key, std::move(group));
-    if (fresh)
-        countInsert(ins->second);
-    return &ins->second;
+    return &plan;
 }
 
 CachedGroup

@@ -28,16 +28,14 @@
 #ifndef DIFFUSE_CORE_MEMO_H
 #define DIFFUSE_CORE_MEMO_H
 
-#include <array>
 #include <atomic>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "common/sharded_cache.h"
 #include "core/fusion.h"
 #include "core/index_task.h"
 #include "core/store.h"
@@ -68,14 +66,13 @@ struct CachedGroup
 /**
  * Group-level memoization cache.
  *
- * Thread-safe under sharded locks, so one memoizer may be shared by
- * every session of a process (core/context.h): entries hash to one of
- * `kShards` independently locked maps, lookups and inserts touch only
- * their shard, and entries are never erased — a returned plan pointer
- * stays valid for the cache's lifetime. `getOrBuild()` holds the
- * key's shard lock across the build, so each unique group is planned
- * and compiled exactly once process-wide even when many sessions race
- * on the same cold key (losers block briefly, then hit).
+ * A ShardedCache (common/sharded_cache.h), so one memoizer may be
+ * shared by every session of a process (core/context.h): entries are
+ * never erased — a returned plan pointer stays valid for the cache's
+ * lifetime — and `getOrBuild()` builds a cold key under its shard
+ * lock, so each unique group is planned and compiled exactly once
+ * process-wide even when many sessions race on it (losers block
+ * briefly, then hit).
  */
 class Memoizer
 {
@@ -105,16 +102,10 @@ class Memoizer
                        const std::function<bool(StoreId)> &live_after,
                        std::vector<StoreId> *slots_out) const;
 
-    /** Find a cached plan; counts a hit or miss. */
-    const CachedGroup *lookup(const std::string &key);
-
-    void insert(const std::string &key, CachedGroup group);
-
     /**
-     * Atomic lookup-or-insert: on a miss, `build` runs under the
-     * key's shard lock and its result is cached — the exactly-once
-     * compile path concurrent sessions use. Counts one hit or one
-     * miss, exactly like lookup()+insert().
+     * The plan cached under `key`; on a miss `build` runs under the
+     * key's shard lock and its result is cached. Counts one hit or
+     * one miss. A throwing build caches nothing.
      */
     const CachedGroup *
     getOrBuild(const std::string &key,
@@ -130,22 +121,9 @@ class Memoizer
                                       std::span<const StoreId> slots);
 
     const Stats &stats() const { return stats_; }
-    void resetStats() { stats_.hits = 0; stats_.misses = 0; }
 
   private:
-    static constexpr std::size_t kShards = 16;
-
-    struct Shard
-    {
-        std::mutex mutex;
-        std::unordered_map<std::string, CachedGroup> map;
-    };
-
-    Shard &shardFor(const std::string &key);
-    /** Record an insertion's stats (shard lock held). */
-    void countInsert(const CachedGroup &group);
-
-    std::array<Shard, kShards> shards_;
+    ShardedCache<CachedGroup> plans_;
     Stats stats_;
 };
 

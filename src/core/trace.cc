@@ -107,84 +107,74 @@ EpochEncoder::encode(const TraceEvent &ev, const StoreTable &stores,
     }
 }
 
-TraceCache::Shard &
-TraceCache::shardFor(const std::string &first_code)
-{
-    return shards_[std::hash<std::string>{}(first_code) % kShards];
-}
-
-const TraceCache::Shard &
-TraceCache::shardFor(const std::string &first_code) const
-{
-    return shards_[std::hash<std::string>{}(first_code) % kShards];
-}
-
 bool
 TraceCache::candidates(
     const std::string &first_code,
     std::vector<std::shared_ptr<TraceEpoch>> *out) const
 {
     out->clear();
-    const Shard &shard = shardFor(first_code);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto it = shard.byFirst.find(first_code);
-    if (it == shard.byFirst.end())
-        return false;
-    *out = it->second;
-    return true;
+    return buckets_.find(first_code,
+                         [&](const Bucket &list) { *out = list; });
 }
 
 bool
 TraceCache::store(std::shared_ptr<TraceEpoch> epoch)
 {
     diffuse_assert(!epoch->codes.empty(), "empty trace epoch");
-    Shard &shard = shardFor(epoch->codes.front());
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    std::vector<std::shared_ptr<TraceEpoch>> &list =
-        shard.byFirst[epoch->codes.front()];
-    std::size_t variants = 0;
-    std::shared_ptr<TraceEpoch> *coldest = nullptr;
-    for (std::shared_ptr<TraceEpoch> &existing : list) {
-        if (existing->codes != epoch->codes)
-            continue;
-        // A true duplicate (codes AND signatures) is a refresh: its
-        // non-signature validation data (liveness probes) went stale.
-        // Sessions holding the old epoch mid-speculation keep their
-        // shared_ptr alive and stay correct (their own validation
-        // gates the replay).
-        if (existing->slotSigs == epoch->slotSigs) {
-            epoch->replays.store(
-                existing->replays.load(std::memory_order_relaxed),
-                std::memory_order_relaxed);
-            existing = std::move(epoch);
+    const std::string &first = epoch->codes.front();
+    return buckets_.update(first, [&](Bucket *list, auto &&insert) {
+        Bucket none;
+        std::size_t variants = 0;
+        std::shared_ptr<TraceEpoch> *coldest = nullptr;
+        for (std::shared_ptr<TraceEpoch> &existing :
+             list != nullptr ? *list : none) {
+            if (existing->codes != epoch->codes)
+                continue;
+            // A true duplicate (codes AND signatures) is a refresh:
+            // its non-signature validation data (liveness probes)
+            // went stale. Sessions holding the old epoch
+            // mid-speculation keep their shared_ptr alive and stay
+            // correct (their own validation gates the replay).
+            if (existing->slotSigs == epoch->slotSigs) {
+                epoch->replays.store(
+                    existing->replays.load(std::memory_order_relaxed),
+                    std::memory_order_relaxed);
+                existing = std::move(epoch);
+                return true;
+            }
+            // Same codes, different state signatures: *distinct*
+            // steady states of one stream (e.g. the first and the
+            // settled repetition of a loop body). They coexist —
+            // candidate narrowing picks by signature — but only up to
+            // kTraceMaxVariants, lest a stream whose state drifts
+            // every repetition swallow the whole cache.
+            variants++;
+            if (coldest == nullptr ||
+                existing->replays.load(std::memory_order_relaxed) <
+                    (*coldest)->replays.load(
+                        std::memory_order_relaxed)) {
+                coldest = &existing;
+            }
+        }
+        if (variants >= kTraceMaxVariants) {
+            *coldest = std::move(epoch);
             return true;
         }
-        // Same codes, different state signatures: *distinct* steady
-        // states of one stream (e.g. the first and the settled
-        // repetition of a loop body). They coexist — candidate
-        // narrowing picks by signature — but only up to
-        // kTraceMaxVariants, lest a stream whose state drifts every
-        // repetition swallow the whole cache.
-        variants++;
-        if (coldest == nullptr ||
-            existing->replays.load(std::memory_order_relaxed) <
-                (*coldest)->replays.load(std::memory_order_relaxed)) {
-            coldest = &existing;
+        // Admission reserves its slot atomically: concurrent stores
+        // into different shards cannot jointly overshoot the hard cap.
+        // A refused epoch leaves no bucket behind, so its first code
+        // stays absent and later epochs opening with it bypass capture.
+        if (entries_.fetch_add(1, std::memory_order_relaxed) >=
+            kTraceMaxEntries) {
+            entries_.fetch_sub(1, std::memory_order_relaxed);
+            return false;
         }
-    }
-    if (variants >= kTraceMaxVariants) {
-        *coldest = std::move(epoch);
+        if (list != nullptr)
+            list->push_back(std::move(epoch));
+        else
+            insert(Bucket{std::move(epoch)});
         return true;
-    }
-    // Admission reserves its slot atomically: concurrent stores into
-    // different shards cannot jointly overshoot the hard cap.
-    if (entries_.fetch_add(1, std::memory_order_relaxed) >=
-        kTraceMaxEntries) {
-        entries_.fetch_sub(1, std::memory_order_relaxed);
-        return false;
-    }
-    list.push_back(std::move(epoch));
-    return true;
+    });
 }
 
 } // namespace diffuse

@@ -30,15 +30,14 @@
 #ifndef DIFFUSE_CORE_TRACE_H
 #define DIFFUSE_CORE_TRACE_H
 
-#include <array>
 #include <atomic>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "common/node_recycler.h"
+#include "common/sharded_cache.h"
 #include "core/constraints.h"
 #include "core/index_task.h"
 #include "core/store.h"
@@ -190,12 +189,12 @@ class EpochEncoder
  * their first event code, so speculation starts with the (few)
  * candidates whose opening matches and narrows them as events arrive.
  *
- * Thread-safe under sharded locks: buckets hash to independently
- * locked shards, candidates() hands out a snapshot of shared_ptr
- * epochs (a replacement store() drops only the cache's reference, so
- * a session mid-speculation keeps its candidate alive and replays it
- * against its own, still-matching state), and stored epochs are
- * immutable.
+ * The buckets are a ShardedCache (common/sharded_cache.h): each
+ * store() runs under its bucket's shard lock, candidates() hands out
+ * a snapshot of shared_ptr epochs (a replacement store() drops only
+ * the cache's reference, so a session mid-speculation keeps its
+ * candidate alive and replays it against its own, still-matching
+ * state), and stored epochs are immutable.
  */
 class TraceCache
 {
@@ -214,7 +213,8 @@ class TraceCache
      * Store a captured epoch. An existing epoch with the identical
      * code sequence is replaced (its state signatures or liveness
      * bits went stale); otherwise the epoch is appended, unless the
-     * cache is full — then it is dropped and false returned.
+     * cache is full — then it is dropped, no bucket is created and
+     * false is returned.
      */
     bool store(std::shared_ptr<TraceEpoch> epoch);
 
@@ -224,20 +224,9 @@ class TraceCache
     }
 
   private:
-    static constexpr std::size_t kShards = 8;
+    using Bucket = std::vector<std::shared_ptr<TraceEpoch>>;
 
-    struct Shard
-    {
-        mutable std::mutex mutex;
-        std::unordered_map<std::string,
-                           std::vector<std::shared_ptr<TraceEpoch>>>
-            byFirst;
-    };
-
-    Shard &shardFor(const std::string &first_code);
-    const Shard &shardFor(const std::string &first_code) const;
-
-    std::array<Shard, kShards> shards_;
+    ShardedCache<Bucket> buckets_;
     std::atomic<std::size_t> entries_{0};
 };
 

@@ -479,7 +479,6 @@ Context::value(const NDArray &scalar_arr)
 std::vector<double>
 Context::toHost(const NDArray &a)
 {
-    rt_.flushWindow();
     const auto full = rt_.readStoreF64(a.store());
     if (a.wholeStore())
         return full;

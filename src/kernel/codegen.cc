@@ -8,7 +8,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
-#include <unordered_map>
 
 #include <dlfcn.h>
 #include <unistd.h>
@@ -17,6 +16,7 @@
 #include "common/fastmath.h"
 #include "common/geometry.h"
 #include "common/logging.h"
+#include "common/sharded_cache.h"
 #include "kernel/compiler.h"
 #include "kernel/exec.h"
 
@@ -150,6 +150,8 @@ kValue(std::int32_t scalar, double imm)
     return s;
 }
 
+using ModulePtr = std::shared_ptr<const JitModule>;
+
 /**
  * In-process module registry for memory-only backends: tests create
  * many private contexts running the same kernels, and each unique
@@ -157,31 +159,14 @@ kValue(std::int32_t scalar, double imm)
  * context. Persistent backends skip this (the disk is the cache and
  * cold-process behavior must stay measurable). Keyed by the full
  * combined key hex, so collisions are as unlikely as the artifact
- * names'.
+ * names'. Allocated once and never freed: modules live as long as
+ * the process.
  */
-std::mutex g_registry_mutex;
-std::unordered_map<std::string, std::shared_ptr<const JitModule>>
-    *g_registry = nullptr;
-
-std::shared_ptr<const JitModule>
-registryLookup(const std::string &hexkey)
+ShardedCache<ModulePtr> &
+processModules()
 {
-    std::lock_guard<std::mutex> g(g_registry_mutex);
-    if (g_registry == nullptr)
-        return nullptr;
-    auto it = g_registry->find(hexkey);
-    return it != g_registry->end() ? it->second : nullptr;
-}
-
-void
-registryStore(const std::string &hexkey,
-              std::shared_ptr<const JitModule> mod)
-{
-    std::lock_guard<std::mutex> g(g_registry_mutex);
-    if (g_registry == nullptr)
-        g_registry = new std::unordered_map<
-            std::string, std::shared_ptr<const JitModule>>();
-    (*g_registry)[hexkey] = std::move(mod);
+    static auto *modules = new ShardedCache<ModulePtr>();
+    return *modules;
 }
 
 /** First line of `cmd`'s stdout (the toolchain version banner). */
@@ -728,14 +713,8 @@ JitBackend::attach(std::string_view key, CompiledKernel &kernel)
     std::snprintf(name, sizeof name, "%016llx%016llx",
                   (unsigned long long)h[0], (unsigned long long)h[1]);
 
-    std::shared_ptr<const JitModule> mod;
-    if (!cache_.persistent() && cfg_.shareProcessModules) {
-        mod = registryLookup(hexkey);
-        if (mod != nullptr)
-            memoryHits_.fetch_add(1, std::memory_order_relaxed);
-    }
-
-    if (mod == nullptr && cache_.persistent()) {
+    ModulePtr mod;
+    if (cache_.persistent()) {
         if (cache_.lookup(name)) {
             if (digestMatches(cache_, name))
                 mod = loadAndVerify(cache_.artifactPath(name), hexkey,
@@ -770,11 +749,25 @@ JitBackend::attach(std::string_view key, CompiledKernel &kernel)
             if (mod == nullptr)
                 mod = compileModule(plan, expressible, name, hexkey);
         }
-    } else if (mod == nullptr) {
+    } else if (cfg_.shareProcessModules) {
+        mod = processModules().update(
+            hexkey, [&](ModulePtr *hit, auto &&insert) {
+                if (hit != nullptr) {
+                    memoryHits_.fetch_add(1, std::memory_order_relaxed);
+                    return *hit;
+                }
+                artifactMisses_.fetch_add(1, std::memory_order_relaxed);
+                ModulePtr built =
+                    compileModule(plan, expressible, name, hexkey);
+                // A failed compile is not cached: the next attach of
+                // this key invokes the toolchain again.
+                if (built != nullptr)
+                    insert(built);
+                return built;
+            });
+    } else {
         artifactMisses_.fetch_add(1, std::memory_order_relaxed);
         mod = compileModule(plan, expressible, name, hexkey);
-        if (mod != nullptr && cfg_.shareProcessModules)
-            registryStore(hexkey, mod);
     }
 
     if (mod == nullptr) {

@@ -97,12 +97,6 @@ class JitCompiler
         std::lock_guard<std::mutex> lock(statsMutex_);
         return stats_;
     }
-    void
-    resetStats()
-    {
-        std::lock_guard<std::mutex> lock(statsMutex_);
-        stats_ = CompilerStats();
-    }
 
   private:
     std::shared_ptr<CompiledKernel> finish(KernelFunction fn,

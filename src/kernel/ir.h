@@ -260,8 +260,6 @@ class BodyBuilder
         return i.dst;
     }
 
-    int nextReg() const { return next_; }
-
   private:
     std::vector<Instr> &body_;
     int next_ = 0;

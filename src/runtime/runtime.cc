@@ -205,13 +205,6 @@ LowRuntime::destroyStore(StoreId id)
     stream_.forgetStore(id);
 }
 
-bool
-LowRuntime::storeExists(StoreId id) const
-{
-    auto it = stores_.find(id);
-    return it != stores_.end() && !it->second.zombie;
-}
-
 LowRuntime::StoreRec &
 LowRuntime::rec(StoreId id)
 {
@@ -228,18 +221,6 @@ LowRuntime::rec(StoreId id) const
     diffuse_assert(it != stores_.end(), "unknown store %llu",
                    (unsigned long long)id);
     return it->second;
-}
-
-Rect
-LowRuntime::storeShape(StoreId id) const
-{
-    return rec(id).shape;
-}
-
-DType
-LowRuntime::storeDtype(StoreId id) const
-{
-    return rec(id).dtype;
 }
 
 double *

@@ -258,10 +258,6 @@ class LowRuntime
      */
     void destroyStore(StoreId id);
 
-    bool storeExists(StoreId id) const;
-    Rect storeShape(StoreId id) const;
-    DType storeDtype(StoreId id) const;
-
     /**
      * Raw data access (Real mode; host initialization and readback).
      * Fences the store: every in-flight task touching it retires
@@ -292,9 +288,6 @@ class LowRuntime
     /** Retire every in-flight task. Never throws — failures are
      * recorded (check failed()/error()); safe from destructors. */
     void fence();
-
-    /** True when `id` has retired. */
-    bool eventComplete(EventId id) const { return stream_.complete(id); }
 
     /** Tasks submitted but not yet retired. */
     std::size_t streamPending() const { return stream_.pending(); }
@@ -346,7 +339,6 @@ class LowRuntime
 
     /** Session id used to attribute warnings/errors (0 = unset). */
     void setSessionId(std::uint64_t id) { sessionId_ = id; }
-    std::uint64_t sessionId() const { return sessionId_; }
 
     const MachineConfig &machine() const { return machine_; }
     ExecutionMode mode() const { return mode_; }

@@ -65,8 +65,6 @@ struct ShardStats
     std::uint64_t copiesPlanned = 0; ///< rank-to-rank pulls
     std::uint64_t gathersPlanned = 0; ///< shard -> canonical pulls
     std::uint64_t hostPulls = 0;      ///< canonical -> shard (free)
-
-    void reset() { *this = ShardStats(); }
 };
 
 /** A resolved view of one piece inside a rank's shard buffer. */
@@ -156,7 +154,6 @@ class ShardManager
                         bool with_pointer);
 
     const ShardStats &stats() const { return stats_; }
-    void resetStats() { stats_.reset(); }
 
     /** Credit planning counters recorded at capture (trace replay
      * resubmits the planned copies without re-planning them). */

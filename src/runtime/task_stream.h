@@ -272,13 +272,10 @@ class TaskStream
     bool complete(EventId id) const;
 
     /**
-     * True when `id` retired unsuccessfully: its execution raised a
-     * structured error, or an upstream hazard dependency failed and it
-     * was cancelled (its kernel never ran).
+     * The error of a failed event: its execution raised a structured
+     * error, or an upstream hazard dependency failed and it was
+     * cancelled (its kernel never ran). Null when it succeeded.
      */
-    bool eventFailed(EventId id) const { return failed_.count(id) != 0; }
-
-    /** The error of a failed event (nullptr when it succeeded). */
     const Error *eventError(EventId id) const
     {
         auto it = failed_.find(id);

@@ -51,13 +51,19 @@ TEST(MemoPlan, HitReusesSamePlanPointer)
     const kir::ExecutablePlan *plan_ptr = kernel->plan.get();
 
     Memoizer memo;
-    CachedGroup group;
-    group.kernel = kernel;
-    memo.insert("key", group);
+    (void)memo.getOrBuild("key", [&] {
+        CachedGroup group;
+        group.kernel = kernel;
+        return group;
+    });
     EXPECT_EQ(memo.stats().plansLowered, 1u);
 
     for (int i = 0; i < 3; i++) {
-        const CachedGroup *hit = memo.lookup("key");
+        const CachedGroup *hit =
+            memo.getOrBuild("key", []() -> CachedGroup {
+                ADD_FAILURE() << "a hit rebuilt the plan";
+                return {};
+            });
         ASSERT_NE(hit, nullptr);
         // The pointer identity IS the no-re-lowering guarantee.
         EXPECT_EQ(hit->kernel->plan.get(), plan_ptr);

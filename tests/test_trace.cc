@@ -517,6 +517,27 @@ TEST(TraceReplay, VariantCapEvictsColdestAndEvicteeStaysReplayable)
     EXPECT_EQ(cachedSigs(cache), all);
 }
 
+TEST(TraceReplay, RefusedAdmissionLeavesNoBucket)
+{
+    // A store a full cache refuses must not create its bucket: a
+    // present bucket tells a session that capture can still be
+    // admitted (as a replacement), so it would capture that stream
+    // on every later epoch and never store it, instead of bypassing.
+    TraceCache cache;
+    for (std::size_t i = 0; i < kTraceMaxEntries; i++) {
+        auto e = std::make_shared<TraceEpoch>();
+        e->codes = {"first-code-" + std::to_string(i)};
+        ASSERT_TRUE(cache.store(e));
+    }
+    auto novel = std::make_shared<TraceEpoch>();
+    novel->codes = {"novel"};
+    EXPECT_FALSE(cache.store(novel));
+    EXPECT_EQ(cache.entries(), kTraceMaxEntries);
+    std::vector<std::shared_ptr<TraceEpoch>> out;
+    EXPECT_FALSE(cache.candidates("novel", &out));
+    EXPECT_TRUE(out.empty());
+}
+
 TEST(TraceReplay, ShardedRanksReplayBitwise)
 {
     // Replay resubmits recorded exchange Copy tasks; at ranks > 1
