@@ -199,6 +199,15 @@ DiffuseRuntime::flushWindowAsync()
 void
 DiffuseRuntime::flushWindowImpl(bool drain)
 {
+    // Nothing buffered, nothing in the open epoch and nothing in
+    // flight: there is nothing to synchronize, so count nothing and
+    // leave the epoch open. A failure latched earlier still surfaces.
+    if (window_.empty() && traceEvent_ == 0 &&
+        low_.streamPending() == 0) {
+        if (low_.failed())
+            throw DiffuseError(low_.error());
+        return;
+    }
     Clock::time_point t0 = Clock::now();
     fusionStats_.flushes++;
     if (traceEnabled_) {

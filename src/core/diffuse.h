@@ -120,6 +120,8 @@ struct FusionStats
     std::uint64_t fusedGroups = 0;
     std::uint64_t singleTasks = 0;
     std::uint64_t tempsEliminated = 0;
+    /** Flushes that had work: a flush with nothing buffered, traced
+     * or in flight counts nothing. */
     std::uint64_t flushes = 0;
     std::uint64_t windowGrowths = 0;
     int windowSize = 0;

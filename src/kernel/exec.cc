@@ -379,6 +379,11 @@ Executor::ensureVecRegs(const ExecutablePlan &plan)
                        std::size_t(plan.stripWidth);
     if (vregs_.size() < need)
         vregs_.resize(need);
+    // Every slot starts on its own row. Tape instructions re-point
+    // the slots they define; invariant slots are never redefined.
+    operands_.resize(std::size_t(plan.maxRegCount));
+    for (std::size_t r = 0; r < operands_.size(); r++)
+        operands_[r] = vregs_.data() + r * std::size_t(plan.stripWidth);
 }
 
 void
@@ -403,6 +408,7 @@ Executor::execStrip(const DensePlan &dp, const ResolvedNest &rn,
     coord_t col0 = (strip % rn.stripsPerRow) * width;
     int len = int(std::min<coord_t>(width, rn.inner - col0));
     double *vr = vregs_.data();
+    const double **src = operands_.data();
     std::size_t w = std::size_t(width);
 
     for (const VecInstr &ins : dp.tape) {
@@ -412,7 +418,12 @@ Executor::execStrip(const DensePlan &dp, const ResolvedNest &rn,
                 rn.accesses[std::size_t(ins.access)];
             const double *p =
                 a.base + row * a.rowStride + col0 * a.step;
+            if (ins.inPlace && a.step == 1) {
+                src[std::size_t(ins.dst)] = p;
+                break;
+            }
             double *__restrict d = vr + std::size_t(ins.dst) * w;
+            src[std::size_t(ins.dst)] = d;
             if (a.step == 1) {
                 for (int k = 0; k < len; k++)
                     d[k] = p[k];
@@ -431,7 +442,11 @@ Executor::execStrip(const DensePlan &dp, const ResolvedNest &rn,
             const ResolvedAccess &a =
                 rn.accesses[std::size_t(ins.access)];
             double *p = a.base + row * a.rowStride + col0 * a.step;
-            const double *__restrict s = vr + std::size_t(ins.a) * w;
+            // An in-place Load of the identical view: the strip is
+            // already there (and __restrict forbids the self-copy).
+            if (src[std::size_t(ins.a)] == p)
+                break;
+            const double *__restrict s = src[std::size_t(ins.a)];
             if (a.step == 1) {
                 for (int k = 0; k < len; k++)
                     p[k] = s[k];
@@ -450,17 +465,19 @@ Executor::execStrip(const DensePlan &dp, const ResolvedNest &rn,
             // Hoisted into the invariant prefix at plan time.
             break;
 // The op table's rows (kernel/ops.h), one strip loop per shape. Each
-// loop binds the shape's operands by name and evaluates the row's
-// expression per element. A triad's product T is a statement of its
-// own and the build forbids FP contraction (-ffp-contract=off), so
-// both IEEE rounding steps survive.
+// loop binds the shape's operands by name (through the operand table,
+// so an operand may be an in-place Load's buffer) and evaluates the
+// row's expression per element into the destination's own row. A
+// triad's product T is a statement of its own and the build forbids
+// FP contraction (-ffp-contract=off), so both IEEE rounding steps
+// survive.
 #define POW std::pow
 #define EXP std::exp
 #define LOG std::log
 #define ERF fastErf
 #define SQRT std::sqrt
 #define FABS std::fabs
-#define DIFFUSE_VM_REG(R) (vr + std::size_t(ins.R) * w)
+#define DIFFUSE_VM_REG(R) (src[std::size_t(ins.R)])
 #define DIFFUSE_VM_IMM(S, I)                                            \
     (ins.S >= 0 ? scalars[std::size_t(ins.S)] : ins.I)
 #define DIFFUSE_VM_Unary(EXPR)                                          \
@@ -525,8 +542,10 @@ Executor::execStrip(const DensePlan &dp, const ResolvedNest &rn,
     }
 #define DIFFUSE_VM_CASE(Name, Shape, Expr)                              \
           case VecOp::Name: {                                           \
-            double *__restrict d = DIFFUSE_VM_REG(dst);                 \
-            DIFFUSE_VM_##Shape(Expr) break;                             \
+            double *__restrict d = vr + std::size_t(ins.dst) * w;       \
+            DIFFUSE_VM_##Shape(Expr)                                    \
+            src[std::size_t(ins.dst)] = d;                              \
+            break;                                                      \
           }
 #define DIFFUSE_VM_MIRROR(Name, Shape, Weight, Expr)                    \
     DIFFUSE_VM_CASE(Name, Shape, Expr)
@@ -558,7 +577,7 @@ Executor::execStrip(const DensePlan &dp, const ResolvedNest &rn,
     if (partials != nullptr) {
         for (std::size_t r = 0; r < dp.reductions.size(); r++) {
             const Reduction &red = dp.reductions[r];
-            const double *s = vr + std::size_t(red.srcReg) * w;
+            const double *s = src[std::size_t(red.srcReg)];
             double p = partials[r];
             for (int k = 0; k < len; k++)
                 p = applyReduction(red.op, p, s[k]);

@@ -11,9 +11,10 @@
  *    each as contiguous / strided / broadcast), allocates task-local
  *    temporaries from a reusable arena, and the executor then runs
  *    pointer-bumping inner loops over strips of N elements held in a
- *    register-vector file. Reductions fold lanes in element order, so
- *    results are bit-identical to the scalar oracle at every strip
- *    width.
+ *    register-vector file; contiguous Loads the plan marks in place
+ *    are read from the bound buffer instead of copied into it.
+ *    Reductions fold lanes in element order, so results are
+ *    bit-identical to the scalar oracle at every strip width.
  *
  *  - The **scalar interpreter** (the oracle): the original
  *    element-at-a-time switch interpreter, retained verbatim behind
@@ -288,6 +289,12 @@ class Executor
     std::vector<double> scalarArena_; ///< scalar-path locals, reused
     std::vector<double> regs_;        ///< scalar register file
     std::vector<double> vregs_;       ///< vector register file
+    /**
+     * Where each register slot's current strip lives: its row of
+     * vregs_, or the bound buffer for an in-place Load. Ops, Stores
+     * and reduction folds read through it; ops write only vregs_.
+     */
+    std::vector<const double *> operands_;
     std::vector<double> partials_;    ///< reduction scratch
     std::uint64_t invariantEpoch_ = 0;
     PointContext ownCtx_; ///< context for the sequential run() API

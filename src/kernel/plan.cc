@@ -517,6 +517,49 @@ rebuildAccesses(DensePlan &plan)
     plan.accesses = std::move(live);
 }
 
+/**
+ * Mark the Loads whose strip the ops may read straight from the bound
+ * buffer (VecInstr::inPlace). A Load qualifies when no Store to a
+ * buffer that may alias it comes between the Load and the last read
+ * of its register; a reduction folds its register after the whole
+ * tape, so it counts as a read at the end of the strip. A Store that
+ * is itself the last read copies element k before writing element k,
+ * and the bind-time hazard check leaves such a pair identical or
+ * disjoint, so it does not block. Runs on SSA registers.
+ */
+void
+markInPlaceLoads(DensePlan &plan, const KernelFunction &fn)
+{
+    const std::size_t end = plan.tape.size();
+    std::unordered_map<std::int32_t, std::size_t> last_read;
+    for (std::size_t i = 0; i < end; i++) {
+        const VecInstr &ins = plan.tape[i];
+        for (int r : {ins.a, ins.b, ins.c}) {
+            if (r >= 0)
+                last_read[r] = i;
+        }
+    }
+    for (const Reduction &r : plan.reductions)
+        last_read[r.srcReg] = end;
+
+    for (std::size_t i = 0; i < end; i++) {
+        VecInstr &ins = plan.tape[i];
+        if (ins.op != VecOp::Load)
+            continue;
+        auto it = last_read.find(ins.dst);
+        std::size_t last = it == last_read.end() ? i : it->second;
+        int buf = plan.accesses[std::size_t(ins.access)].buf;
+        ins.inPlace = true;
+        for (std::size_t j = i + 1; j < last && ins.inPlace; j++) {
+            const VecInstr &st = plan.tape[j];
+            if (st.op == VecOp::Store &&
+                mayAlias(fn, buf,
+                         plan.accesses[std::size_t(st.access)].buf))
+                ins.inPlace = false;
+        }
+    }
+}
+
 /** Drop splats whose destination no tape op or reduction reads. */
 void
 pruneSplats(DensePlan &plan)
@@ -588,6 +631,7 @@ lowerDense(const KernelFunction &fn, const LoopNest &nest)
     fuseChains(plan);
     pruneSplats(plan);
     rebuildAccesses(plan);
+    markInPlaceLoads(plan, fn);
 
     // Alias hazards: a store site and any site on a DIFFERENT buffer
     // that may overlap it. Whether the hazard is real (shifted views)

@@ -19,6 +19,9 @@
  * it as contiguous (unit inner stride), strided, or broadcast
  * (extent-1) — after which inner loops bump pointers with no
  * per-element address lambda and no per-element broadcast test.
+ * A contiguous Load that no later Store of the strip can overwrite
+ * is not copied at all: the ops read the bound buffer in place
+ * (VecInstr::inPlace).
  *
  * Plans are lowered by the JIT compiler right after the optimization
  * pipeline and cached inside kir::CompiledKernel, so the memoizer's
@@ -93,6 +96,13 @@ struct VecInstr
     double imm = 0.0;         ///< immediate for Splat / K-forms
     std::int32_t scalar2 = -1; ///< second scalar index (MulK*K forms)
     double imm2 = 0.0;         ///< second immediate (MulK*K forms)
+    /**
+     * Load only: the site may be read in place. No Store to a buffer
+     * that may alias it runs between this Load and the last read of
+     * its register, so readers see exactly what a copy would hold.
+     * The executor forwards contiguous sites only.
+     */
+    bool inPlace = false;
 };
 
 /** Strip-mined lowering of one Dense nest body. */

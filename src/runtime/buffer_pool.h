@@ -17,9 +17,15 @@
 #ifndef DIFFUSE_RUNTIME_BUFFER_POOL_H
 #define DIFFUSE_RUNTIME_BUFFER_POOL_H
 
+#if __has_include(<sys/mman.h>)
+#include <sys/mman.h> // MADV_HUGEPAGE, where the platform has it
+#endif
+
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
+#include <new>
 #include <unordered_map>
 #include <vector>
 
@@ -29,14 +35,45 @@ namespace rt {
 struct RuntimeStats;
 struct FaultStats;
 
+/** Frees a RawBuffer with the deallocator that matches its alloc(). */
+struct RawBufferFree
+{
+    bool aligned = false; ///< std::aligned_alloc, else new[]
+    void
+    operator()(std::byte *q) const
+    {
+        if (aligned)
+            std::free(q);
+        else
+            delete[] q;
+    }
+};
+
 /**
  * A host allocation. Unlike std::vector, alloc() leaves memory
  * uninitialized, so a store whose first use is a fully-covering write
  * never pays an init pass (the kernel overwrites every element).
+ *
+ * Large buffers are backed by 2 MiB pages where the kernel offers
+ * them (MADV_HUGEPAGE): a fresh 512 MiB temporary then faults in by
+ * ~256 huge pages instead of 131,072 small ones. size() stays the
+ * requested byte count (the pool's key; DIFFUSE_MEM_BUDGET counts it
+ * too), so the rounding up to whole huge pages is not counted.
  */
 struct RawBuffer
 {
-    std::unique_ptr<std::byte[]> p;
+#ifdef MADV_HUGEPAGE
+    /**
+     * Buffers from this size on get huge pages. glibc serves requests
+     * this large by a fresh mapping anyway (its mmap threshold never
+     * exceeds 32 MiB on 64-bit), so the 2 MiB alignment fragments no
+     * heap, and rounding up to whole huge pages wastes at most 1/16.
+     */
+    static constexpr std::size_t kHugePageThreshold = 32u << 20;
+    static constexpr std::size_t kHugePageBytes = 2u << 20;
+#endif
+
+    std::unique_ptr<std::byte[], RawBufferFree> p;
     std::size_t n = 0;
 
     bool empty() const { return n == 0; }
@@ -46,8 +83,23 @@ struct RawBuffer
     void
     alloc(std::size_t bytes)
     {
-        p.reset(new std::byte[bytes]);
         n = bytes;
+#ifdef MADV_HUGEPAGE
+        if (bytes >= kHugePageThreshold) {
+            std::size_t rounded = (bytes + kHugePageBytes - 1) /
+                                  kHugePageBytes * kHugePageBytes;
+            void *q = std::aligned_alloc(kHugePageBytes, rounded);
+            if (q == nullptr)
+                throw std::bad_alloc();
+            // Advice only: where it is refused, small pages serve.
+            (void)madvise(q, rounded, MADV_HUGEPAGE);
+            p = std::unique_ptr<std::byte[], RawBufferFree>(
+                static_cast<std::byte *>(q), RawBufferFree{true});
+            return;
+        }
+#endif
+        p = std::unique_ptr<std::byte[], RawBufferFree>(
+            new std::byte[bytes]);
     }
 };
 

@@ -406,6 +406,9 @@ TaskStream::waitStore(StoreId id)
 void
 TaskStream::fence()
 {
+    // Counts synchronized work: a fence with nothing pending is none.
+    if (pending_.empty())
+        return;
     stats_.fences++;
     while (!pending_.empty())
         retireOne(pending_.begin()->first);

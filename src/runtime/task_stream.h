@@ -177,6 +177,7 @@ struct StreamStats
     std::uint64_t retired = 0;
     /** Tasks retired while an earlier submission was still pending. */
     std::uint64_t retiredOutOfOrder = 0;
+    /** Fences that retired a task (an empty fence counts nothing). */
     std::uint64_t fences = 0;
     /** Dependence edges recorded, by hazard kind. */
     std::uint64_t rawDeps = 0;

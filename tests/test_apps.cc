@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <cstring>
 
 #include "apps/apps.h"
 
@@ -115,6 +117,42 @@ TEST(StencilApp, FusedMatchesUnfusedAcrossGpuCounts)
         for (std::size_t i = 0; i < grids[0].size(); i++)
             EXPECT_NEAR(grids[0][i], grids[1][i], 1e-12)
                 << "gpus=" << gpus;
+    }
+}
+
+TEST(StencilApp, HugePageStepMatchesScalarOracleBitwise)
+{
+    // n = 2048: the 2050^2 grid and the 2048^2 `work` temporary reach
+    // RawBuffer's 32 MiB huge-page threshold, and the fused step reads
+    // its five grid views in place. One step must equal the same step
+    // under DIFFUSE_SCALAR_EXEC=1 bit for bit.
+    struct ScalarExec
+    {
+        explicit ScalarExec(bool on)
+        {
+            if (on)
+                setenv("DIFFUSE_SCALAR_EXEC", "1", 1);
+        }
+        ~ScalarExec() { unsetenv("DIFFUSE_SCALAR_EXEC"); }
+    };
+    const coord_t n = 2048;
+    for (int workers : {1, 4}) {
+        std::vector<double> grids[2];
+        for (bool scalar : {false, true}) {
+            ScalarExec env(scalar);
+            DiffuseOptions o = opts(true);
+            o.workers = workers;
+            DiffuseRuntime rt(rt::MachineConfig::withGpus(4), o);
+            num::Context ctx(rt);
+            apps::Stencil st(ctx, n);
+            st.step();
+            grids[scalar] = ctx.toHost(st.grid());
+        }
+        ASSERT_EQ(grids[0].size(), grids[1].size());
+        EXPECT_EQ(std::memcmp(grids[0].data(), grids[1].data(),
+                              grids[0].size() * sizeof(double)),
+                  0)
+            << "workers " << workers;
     }
 }
 

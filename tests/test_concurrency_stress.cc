@@ -15,9 +15,10 @@
  * locks) and then replay each other's trace epochs.
  *
  * The default run is the tier-1 smoke (4 threads × 2 sessions, a
- * config subset). DIFFUSE_STRESS_FULL=1 — set by the `stress_full`
- * ctest target (label `slow`) and the TSan CI job — runs 8 threads ×
- * 8 sessions over the full configuration matrix. This suite is the
+ * config subset). The full matrix, 8 threads × 8 sessions over every
+ * configuration, is a disabled test that the `stress_full` ctest
+ * target (label `slow`, run by the TSan CI job) enables with
+ * --gtest_also_run_disabled_tests. This suite is the
  * ThreadSanitizer target: it must be TSan-clean.
  *
  * gtest assertions are not thread-safe, so worker threads only
@@ -28,7 +29,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -316,12 +316,8 @@ TEST(ConcurrencyStress, SmokeMixedSessionsBitwiseEqualSerialReference)
     runMatrix(configs, 4, 2);
 }
 
-TEST(ConcurrencyStress, FullMatrixEightThreadsEightSessions)
+TEST(ConcurrencyStress, DISABLED_FullMatrixEightThreadsEightSessions)
 {
-    if (std::getenv("DIFFUSE_STRESS_FULL") == nullptr) {
-        GTEST_SKIP() << "full matrix runs under DIFFUSE_STRESS_FULL=1 "
-                        "(ctest target stress_full, label slow)";
-    }
     std::vector<StressConfig> configs;
     for (int workers : {1, 8})
         for (int ranks : {1, 2})

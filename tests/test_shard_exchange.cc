@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 
 #include "core/partition.h"
 #include "cunumeric/ndarray.h"
@@ -337,6 +339,34 @@ TEST(BufferPool, HoldsAtMostTheCapAndCountsHitsMissesEvictions)
     EXPECT_EQ(faults.budgetEvictions, 1u);
     EXPECT_EQ(pool.pooledBytes(), 0u);
 }
+
+#ifdef MADV_HUGEPAGE
+TEST(BufferPool, LargeBuffersAreHugePageAlignedAndPoolWhole)
+{
+    rt::RuntimeStats stats;
+    rt::FaultStats faults;
+    rt::BufferPool pool(stats, faults);
+    // Not a whole number of huge pages: alloc() rounds the mapping up,
+    // but size() and the pool key stay the requested bytes.
+    const std::size_t bytes = rt::RawBuffer::kHugePageThreshold + 4104;
+    rt::RawBuffer a = pool.take(bytes);
+    ASSERT_EQ(a.size(), bytes);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(a.data()) %
+                  rt::RawBuffer::kHugePageBytes,
+              0u);
+    std::memset(a.data(), 0x5a, bytes);
+    EXPECT_EQ(a.data()[bytes - 1], std::byte{0x5a});
+    const std::byte *first = a.data();
+    pool.give(std::move(a));
+    rt::RawBuffer b = pool.take(bytes);
+    EXPECT_EQ(stats.bufferPoolHits, 1u);
+    EXPECT_EQ(b.data(), first);
+    EXPECT_EQ(b.data()[0], std::byte{0x5a});
+    pool.give(std::move(b));
+    pool.evictAll();
+    EXPECT_EQ(pool.pooledBytes(), 0u);
+}
+#endif
 
 TEST(BufferPool, ShardedTemporariesReuseBuffersAfterWarmup)
 {

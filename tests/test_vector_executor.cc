@@ -428,6 +428,111 @@ TEST(VectorExecutor, IdenticalAliasedViewsStayExact)
     }
 }
 
+/**
+ * Loads x, stores 1.5*x into x itself (or, `via_alias`, into an
+ * identical aliased view of x), then stores x+1 into y. The second
+ * store must see x as loaded, before the first store overwrote it:
+ * x's Load may not be read in place.
+ */
+KernelFunction
+makeStoreThenReadKernel(bool via_alias)
+{
+    KernelFunction fn;
+    fn.name = "store_then_read";
+    fn.numArgs = 3; // x, a view identical to x, y
+    fn.buffers.resize(3);
+    for (auto &b : fn.buffers) {
+        b.dims = 1;
+        b.shapeClass = 0;
+    }
+    fn.buffers[0].aliasClass = 0;
+    fn.buffers[1].aliasClass = 0;
+    LoopNest nest;
+    nest.domainBuf = 2;
+    BodyBuilder b(nest.body);
+    int x = b.load(0);
+    b.store(via_alias ? 1 : 0, b.binary(Op::Mul, x, b.constant(1.5)));
+    b.store(2, b.binary(Op::Add, x, b.constant(1.0)));
+    fn.nests.push_back(std::move(nest));
+    return fn;
+}
+
+TEST(VectorExecutor, StoreBetweenLoadAndLastReadKeepsTheCopy)
+{
+    for (bool via_alias : {false, true}) {
+        KernelFunction fn = makeStoreThenReadKernel(via_alias);
+        const coord_t n = 517;
+        std::vector<double> init(n);
+        fill(init, 14);
+        std::vector<double> ref_x = init, ref_y(n, 0.0);
+        Executor ex;
+        ex.runScalar(fn,
+                     std::vector<BufferBinding>{bindVec(ref_x),
+                                                bindVec(ref_x),
+                                                bindVec(ref_y)},
+                     {});
+        for (int w : kStrips) {
+            ExecutablePlan plan = lowerPlan(fn, w);
+            for (const VecInstr &ins : plan.nests[0].dense.tape) {
+                if (ins.op == VecOp::Load)
+                    EXPECT_FALSE(ins.inPlace);
+            }
+            std::vector<double> x = init, y(n, 0.0);
+            ex.run(fn, plan,
+                   std::vector<BufferBinding>{bindVec(x), bindVec(x),
+                                              bindVec(y)},
+                   {});
+            EXPECT_TRUE(bitEqual(x, ref_x))
+                << "alias " << via_alias << " strip " << w;
+            EXPECT_TRUE(bitEqual(y, ref_y))
+                << "alias " << via_alias << " strip " << w;
+        }
+    }
+}
+
+TEST(VectorExecutor, ReductionFoldsTheStripAsLoadedBeforeAStore)
+{
+    // sum(x) folds x's register at the end of the strip, after the
+    // nest stored 2*x back into x: the fold must see x as loaded.
+    KernelFunction fn;
+    fn.name = "store_then_fold";
+    fn.numArgs = 2; // x, acc
+    fn.buffers.resize(2);
+    fn.buffers[0].dims = 1;
+    fn.buffers[0].shapeClass = 0;
+    fn.buffers[1].dims = 1;
+    fn.buffers[1].shapeClass = 1;
+    LoopNest nest;
+    nest.domainBuf = 0;
+    BodyBuilder b(nest.body);
+    int x = b.load(0);
+    b.store(0, b.binary(Op::Mul, x, b.constant(2.0)));
+    Reduction red;
+    red.accBuf = 1;
+    red.op = ReductionOp::Sum;
+    red.srcReg = x;
+    nest.reductions.push_back(red);
+    fn.nests.push_back(std::move(nest));
+
+    const coord_t n = 1000;
+    std::vector<double> init(n);
+    fill(init, 15);
+    std::vector<double> ref_x = init, ref_acc{0.5};
+    Executor ex;
+    ex.runScalar(fn,
+                 std::vector<BufferBinding>{bindVec(ref_x),
+                                            bindVec(ref_acc)},
+                 {});
+    for (int w : kStrips) {
+        ExecutablePlan plan = lowerPlan(fn, w);
+        std::vector<double> x = init, acc{0.5};
+        ex.run(fn, plan,
+               std::vector<BufferBinding>{bindVec(x), bindVec(acc)}, {});
+        EXPECT_TRUE(bitEqual(x, ref_x)) << "strip " << w;
+        EXPECT_TRUE(bitEqual(acc, ref_acc)) << "strip " << w;
+    }
+}
+
 TEST(VectorExecutor, BroadcastStoreTargetKeepsLastWriteWins)
 {
     // Storing through an extent-1 buffer from a size-n domain: every
@@ -637,6 +742,54 @@ TEST(Plan, LoweringHoistsInvariantsAndClassifiesAccesses)
     EXPECT_GT(dp.flopsPerElem, 0.0);
     // Slot reuse keeps the register file far below the SSA count.
     EXPECT_LT(dp.regCount, registerCount(fn.nests[0].body));
+}
+
+TEST(Plan, StencilLoadsReadInPlace)
+{
+    // The fused FUSED_ADD_MULT task of paper Fig 1
+    // (Pipeline.Figure1StencilFusesToTwoTasks): five aliasing views of
+    // the grid summed and scaled into `work`, another store. No store
+    // of the nest can overwrite a grid view, so all five loads read
+    // the grid in place. The COPY task's load of `work` reads in place
+    // too: its only reader is the store into the center view.
+    KernelFunction fn;
+    fn.name = "fused_add_mult";
+    fn.numArgs = 6; // center, north, east, west, south, work
+    fn.buffers.resize(6);
+    for (auto &b : fn.buffers) {
+        b.dims = 2;
+        b.shapeClass = 0;
+        b.aliasClass = 0;
+    }
+    fn.buffers[5].aliasClass = 1;
+    LoopNest nest;
+    nest.domainBuf = 5;
+    BodyBuilder b(nest.body);
+    int sum = b.load(0);
+    for (int view = 1; view < 5; view++)
+        sum = b.binary(Op::Add, sum, b.load(view));
+    b.store(5, b.binary(Op::Mul, b.constant(0.2), sum));
+    fn.nests.push_back(std::move(nest));
+
+    LoopNest copy;
+    copy.domainBuf = 0;
+    BodyBuilder c(copy.body);
+    c.store(0, c.load(5));
+    fn.nests.push_back(std::move(copy));
+
+    ExecutablePlan plan = lowerPlan(fn);
+    ASSERT_EQ(plan.nests.size(), 2u);
+    int loads = 0, in_place = 0;
+    for (const VecInstr &ins : plan.nests[0].dense.tape) {
+        if (ins.op == VecOp::Load) {
+            loads++;
+            in_place += ins.inPlace ? 1 : 0;
+        }
+    }
+    EXPECT_EQ(loads, 5);
+    EXPECT_EQ(in_place, 5);
+    ASSERT_EQ(plan.nests[1].dense.tape.size(), 2u);
+    EXPECT_TRUE(plan.nests[1].dense.tape[0].inPlace);
 }
 
 TEST(Plan, CostMetadataMatchesIrWalk)
