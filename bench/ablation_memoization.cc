@@ -20,11 +20,10 @@ main()
     std::printf("# Ablation — memoization of fusion analysis, code "
                 "generation, plan lowering and whole-window traces "
                 "(8 GPUs, 20 CG iterations)\n");
-    std::printf("%-5s %-6s %9s %9s %9s %9s %8s %8s %13s %13s %7s "
-                "%7s %8s\n",
+    std::printf("%-5s %-6s %9s %9s %9s %9s %8s %8s %13s %13s\n",
                 "memo", "trace", "hits", "misses", "kernels",
                 "plans", "tr-hit", "tr-miss", "submit(us/w)",
-                "replay(us/w)", "jit-cc", "jit-hit", "jit-miss");
+                "replay(us/w)");
     bool traced_hit = false;
     for (bool memo : {true, false}) {
         for (int trace : {1, 0}) {
@@ -54,10 +53,9 @@ main()
                     1, fs.traceEpochsReplayed));
             traced_hit =
                 traced_hit || fs.traceEpochsReplayed > 0;
-            kir::JitBackend::Stats js = rt.jitStats();
             std::printf(
                 "%-5s %-6s %9llu %9llu %9d %9d %8llu %8llu %13.1f "
-                "%13.1f %7llu %7llu %8llu\n",
+                "%13.1f\n",
                 memo ? "on" : "off", trace ? "on" : "off",
                 (unsigned long long)rt.memoStats().hits,
                 (unsigned long long)rt.memoStats().misses,
@@ -67,10 +65,7 @@ main()
                 // Aborted windows recapture, so captured counts every
                 // planner-analyzed window once.
                 (unsigned long long)fs.traceEpochsCaptured,
-                planned_per, trace ? replay_per : 0.0,
-                (unsigned long long)js.kernelsCompiled,
-                (unsigned long long)js.artifactHits,
-                (unsigned long long)js.artifactMisses);
+                planned_per, trace ? replay_per : 0.0);
         }
     }
     std::printf(
@@ -82,11 +77,7 @@ main()
         "analyzed path's — while results stay bit-identical "
         "(DIFFUSE_TRACE=0 is the oracle).\n"
         "# memo hit counters stop moving under replay: the trace "
-        "sits above the memoizer.\n"
-        "# jit-cc/jit-hit/jit-miss are the native-codegen backend's "
-        "process-wide toolchain invocations and artifact-cache "
-        "hits/misses (zero unless DIFFUSE_JIT=1; with "
-        "DIFFUSE_CACHE_DIR a warm cache drives jit-cc to zero).\n\n");
+        "sits above the memoizer.\n\n");
     if (!traced_hit) {
         std::fprintf(stderr, "ablation_memoization: expected trace "
                              "replays in steady state\n");

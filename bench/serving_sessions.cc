@@ -22,16 +22,9 @@
  *     (`fault:transparent` — exchange retries + compile -> scalar
  *     interpreter), and the recovery latency after a hard injected
  *     kernel fault (`fault:recover` — resetAfterError() plus a clean
- *     re-run of the whole body);
- *  4. native JIT artifact cache (DIFFUSE_JIT + DIFFUSE_CACHE_DIR,
- *     kernel/codegen.h): cold vs warm *process* bring-up, modelled as
- *     two fresh SharedContexts over one cache directory — the warm
- *     one must compile zero kernels, loading every module from disk
- *     (`process:cold` / `process:warm`).
+ *     re-run of the whole body).
  */
 
-#include <cstdlib>
-#include <filesystem>
 #include <thread>
 
 #include "harness.h"
@@ -259,64 +252,6 @@ main()
                     "clean body: %.2fx\n",
                     degraded.medianSeconds / off.medianSeconds,
                     recover.medianSeconds / off.medianSeconds);
-    }
-
-    // ---- 4. Native JIT artifact cache: cold vs warm process ---------
-    {
-        // Two fresh SharedContexts over one DIFFUSE_CACHE_DIR model a
-        // process restart: persistent mode never consults the
-        // in-process module registry, so the second context's zero
-        // toolchain invocations are exactly what a warm process pays.
-        char tmpl[] = "/tmp/diffuse-jit-bench-XXXXXX";
-        const char *dir = mkdtemp(tmpl);
-        if (dir == nullptr) {
-            std::fprintf(stderr, "serving_sessions: mkdtemp failed\n");
-            return 1;
-        }
-        setenv("DIFFUSE_CACHE_DIR", dir, 1);
-        DiffuseOptions o = servingOpts(1);
-        o.jit = 1;
-
-        std::uint64_t cold_cc = 0;
-        WallMetric pcold = measureWall(
-            "process:cold", 1, double(n) * reps, 0.0, [&] {
-                auto ctx = SharedContext::create(machine);
-                auto s = ctx->createSession(o);
-                runSessionBody(*s, reps, n);
-                cold_cc = ctx->jit().stats().kernelsCompiled;
-            });
-        std::uint64_t warm_cc = 1, warm_hits = 0;
-        WallMetric pwarm = measureWall(
-            "process:warm", 1, double(n) * reps, 0.0, [&] {
-                auto ctx = SharedContext::create(machine);
-                auto s = ctx->createSession(o);
-                runSessionBody(*s, reps, n);
-                warm_cc = ctx->jit().stats().kernelsCompiled;
-                warm_hits = ctx->jit().stats().artifactHits;
-            });
-        unsetenv("DIFFUSE_CACHE_DIR");
-        std::filesystem::remove_all(dir);
-
-        std::printf("\n");
-        bench::printWallHeader();
-        bench::printWallRow(pcold);
-        bench::printWallRow(pwarm);
-        std::printf("# jit artifact cache: cold process compiled %llu "
-                    "kernels, warm process compiled %llu (loaded %llu "
-                    "from disk); cold-start reduction %.2fx\n",
-                    (unsigned long long)cold_cc,
-                    (unsigned long long)warm_cc,
-                    (unsigned long long)warm_hits,
-                    pcold.minSeconds / pwarm.minSeconds);
-        if (cold_cc == 0 || warm_cc != 0) {
-            std::fprintf(stderr,
-                         "serving_sessions: expected the cold process "
-                         "to compile (got %llu) and the warm process "
-                         "to compile nothing (got %llu)\n",
-                         (unsigned long long)cold_cc,
-                         (unsigned long long)warm_cc);
-            return 1;
-        }
     }
 
     return 0;

@@ -1,13 +1,12 @@
 /**
  * @file
  * ShardedCache — the one cache policy every process-wide cache of the
- * runtime follows (the memoizer, the single-task kernel cache, the
- * trace cache and the JIT module registry): a key hashes to one of
- * `kShards` independently locked maps; a cold key is built under its
- * shard's lock, so callers racing on it build it exactly once (losers
- * block briefly, then hit) while other shards stay available; and
- * entries are never erased, so a returned reference stays valid for
- * the cache's lifetime.
+ * runtime follows (the memoizer, the single-task kernel cache and the
+ * trace cache): a key hashes to one of `kShards` independently locked
+ * maps; a cold key is built under its shard's lock, so callers racing
+ * on it build it exactly once (losers block briefly, then hit) while
+ * other shards stay available; and entries are never erased, so a
+ * returned reference stays valid for the cache's lifetime.
  */
 
 #ifndef DIFFUSE_COMMON_SHARDED_CACHE_H

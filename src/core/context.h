@@ -49,7 +49,6 @@
 #include "common/sharded_cache.h"
 #include "core/memo.h"
 #include "core/trace.h"
-#include "kernel/codegen.h"
 #include "kernel/compiler.h"
 #include "kernel/exec.h"
 #include "runtime/machine.h"
@@ -139,13 +138,6 @@ class SharedContext
     Memoizer &memo() { return memo_; }
     TraceCache &traceCache() { return traceCache_; }
     ImageTable &images() { return images_; }
-    /**
-     * Native JIT backend (src/kernel/codegen.h): compiles plans to
-     * shared objects and persists artifacts across processes
-     * (DIFFUSE_CACHE_DIR). Sessions consult it only when they enable
-     * the JIT (DiffuseOptions::jit / DIFFUSE_JIT).
-     */
-    kir::JitBackend &jit() { return jit_; }
     /** The one worker pool every sharing session multiplexes onto. */
     const std::shared_ptr<kir::WorkerPool> &pool() const
     {
@@ -175,7 +167,6 @@ class SharedContext
   private:
     rt::MachineConfig machine_;
     kir::JitCompiler compiler_;
-    kir::JitBackend jit_;
     Memoizer memo_;
     TraceCache traceCache_;
     ImageTable images_;

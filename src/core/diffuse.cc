@@ -59,13 +59,6 @@ DiffuseRuntime::DiffuseRuntime(std::shared_ptr<SharedContext> shared,
     hashCombine64(planSalt_, std::uint64_t(low_.ranks()));
     hashCombine64(planSalt_, std::uint64_t(options_.initialWindow));
     hashCombine64(planSalt_, std::uint64_t(options_.maxWindow));
-    jitEnabled_ = options.jit >= 0
-                      ? options.jit != 0
-                      : envInt("DIFFUSE_JIT", 0, 0, 1) != 0;
-    // In planSalt_: attach() mutates the cached kernel (sets its jit
-    // module), so jit=0 and jit=1 sessions must never share entries —
-    // a jit=0 oracle session would otherwise dispatch native code.
-    hashCombine64(planSalt_, jitEnabled_ ? 1 : 0);
     traceEnabled_ = options.trace >= 0
                         ? options.trace != 0
                         : envInt("DIFFUSE_TRACE", 1, 0, 1) != 0;
@@ -372,13 +365,8 @@ DiffuseRuntime::buildSingleCached(const IndexTask &task)
     group.task = task;
     group.sourceTasks = 1;
     group.fused = false;
-    group.kernel = ctx_->singleKernel(key, [&] {
-        std::shared_ptr<kir::CompiledKernel> k =
-            planner_.buildSingle(task).kernel;
-        if (jitEnabled_ && k)
-            ctx_->jit().attach(key, *k);
-        return k;
-    });
+    group.kernel = ctx_->singleKernel(
+        key, [&] { return planner_.buildSingle(task).kernel; });
     return group;
 }
 
@@ -433,11 +421,8 @@ DiffuseRuntime::processOne()
             // and the group is planned and compiled exactly once
             // process-wide.
             const CachedGroup *plan = memo.getOrBuild(key, [&] {
-                CachedGroup g = Memoizer::canonicalize(
+                return Memoizer::canonicalize(
                     planner_.buildFused(prefix, live), slots);
-                if (jitEnabled_ && g.kernel)
-                    ctx_->jit().attach(key, *g.kernel);
-                return g;
             });
             group = Memoizer::instantiate(*plan, prefix, slots);
         } else {

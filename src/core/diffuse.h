@@ -98,18 +98,8 @@ struct DiffuseOptions
      * always isolated.
      */
     int sharedCache = -1;
-    /**
-     * Native JIT codegen (src/kernel/codegen.h): lower each memoized
-     * kernel's plan to C, compile it with the system toolchain, and
-     * dispatch the compiled entry points in place of the tape
-     * interpreter. Artifacts persist across processes under
-     * DIFFUSE_CACHE_DIR. 1 on, 0 off; < 0 reads DIFFUSE_JIT (default
-     * off). Results are bit-for-bit identical either way —
-     * DIFFUSE_JIT=0 (and below it DIFFUSE_SCALAR_EXEC=1) is the
-     * differential oracle; inexpressible nests and failed compiles
-     * fall back per-nest to the interpreter transparently.
-     */
-    int jit = -1;
+    /** Ignored: kept so callers that still assign it compile. */
+    int jit = 0;
 };
 
 /** Counters describing fusion behaviour. */
@@ -288,12 +278,6 @@ class DiffuseRuntime
     {
         return ctx_->compiler().stats();
     }
-    /** JIT-backend counters (process-wide when the context is
-     * shared): toolchain invocations, artifact cache hits/misses. */
-    kir::JitBackend::Stats jitStats() const
-    {
-        return ctx_->jit().stats();
-    }
     rt::RuntimeStats &runtimeStats() { return low_.stats(); }
     const StoreTable &stores() const { return stores_; }
 
@@ -414,8 +398,6 @@ class DiffuseRuntime
     /** flushWindowAsync() may have left its epoch in flight; the
      * next submit() retires it first. */
     bool epochInFlight_ = false;
-    /** Resolved DiffuseOptions::jit (native codegen attach). */
-    bool jitEnabled_ = false;
 
     // ---- Trace state (see the private trace* methods) ----------------
 

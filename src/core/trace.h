@@ -57,7 +57,7 @@ constexpr std::size_t kTraceMaxEntries = 64;
  * repetition cannot fill the whole cache.
  *
  * Sized by FusionFuzz.SharedCacheSessionsBitwiseEqualAndFullyReused
- * at 1,000 seeds (Release, DIFFUSE_JIT=0). Foreign retains and
+ * at 1,000 seeds (Release). Foreign retains and
  * releases stay out of the code stream, so one stream carries the
  * variants of every entry state a request can meet:
  *

@@ -24,8 +24,6 @@
 namespace diffuse {
 namespace kir {
 
-class JitModule;
-
 /**
  * An executable kernel plus its compilation record. The executable
  * plan (strip-mined vector tapes, see plan.h) is lowered once here and
@@ -38,14 +36,6 @@ struct CompiledKernel
     PipelineStats pipeline;
     CompileCost cost;
     std::shared_ptr<const ExecutablePlan> plan;
-    /**
-     * Natively compiled module for this plan (src/kernel/codegen.h),
-     * attached by the session's JitBackend under DIFFUSE_JIT=1; null
-     * runs the tape interpreter. Shared with the kernel across the
-     * memoizer / single-kernel caches, so cross-session reuse and
-     * trace replay dispatch native code with no extra plumbing.
-     */
-    std::shared_ptr<const JitModule> jit;
 };
 
 /** Aggregate compilation statistics for a whole run. */

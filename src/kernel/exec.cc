@@ -8,7 +8,6 @@
 #include "common/env.h"
 #include "common/fastmath.h"
 #include "common/logging.h"
-#include "kernel/codegen.h"
 #include "kernel/compiler.h"
 
 namespace diffuse {
@@ -274,12 +273,10 @@ profileCost(const CompiledKernel &kernel,
 void
 PointContext::bind(const KernelFunction &fn, const ExecutablePlan &plan,
                    std::span<const BufferBinding> bindings,
-                   std::span<const double> scalars,
-                   const JitModule *jit)
+                   std::span<const double> scalars)
 {
     fn_ = &fn;
     plan_ = &plan;
-    jit_ = jit;
     scalars_ = scalars;
     bindLocalBuffers(fn, bindings, all_, arena_);
 
@@ -611,30 +608,6 @@ Executor::runNest(PointContext &ctx, int nest)
     }
 
     const DensePlan &dp = np.dense;
-
-    // Natively compiled nest (src/kernel/codegen.h): same strip
-    // geometry, same element-order reduction folds, bitwise-identical
-    // to the interpreted tape below. Inexpressible nests hold a null
-    // entry and take the interpreter path.
-    if (ctx.jit_ != nullptr) {
-        if (JitModule::NestFn f = ctx.jit_->nest(nest)) {
-            partials_.resize(dp.reductions.size());
-            for (std::size_t r = 0; r < dp.reductions.size(); r++)
-                partials_[r] = reductionIdentity(dp.reductions[r].op);
-            f(rn.accesses.data(), ctx.scalars_.data(),
-              partials_.data(), 0, rn.strips, rn.stripsPerRow,
-              rn.inner, &jitFuncTable());
-            for (std::size_t r = 0; r < dp.reductions.size(); r++) {
-                const Reduction &red = dp.reductions[r];
-                const BufferBinding &acc =
-                    ctx.all_[std::size_t(red.accBuf)];
-                double *p = static_cast<double *>(acc.base);
-                *p = applyReduction(red.op, *p, partials_[r]);
-            }
-            return;
-        }
-    }
-
     ensureVecRegs(plan);
     splatInvariants(dp, plan.stripWidth, ctx.scalars_);
     invariantEpoch_ = 0; // register file no longer matches any epoch
@@ -666,16 +639,6 @@ Executor::runStrips(PointContext &ctx, int nest, coord_t strip0,
     diffuse_assert(dp.reductions.empty(),
                    "runStrips on a reduction-carrying nest");
 
-    // Native entry point: needs no register file or invariant splats
-    // (immediates are baked into the generated code).
-    if (ctx.jit_ != nullptr) {
-        if (JitModule::NestFn f = ctx.jit_->nest(nest)) {
-            f(rn.accesses.data(), ctx.scalars_.data(), nullptr, strip0,
-              strip1, rn.stripsPerRow, rn.inner, &jitFuncTable());
-            return;
-        }
-    }
-
     ensureVecRegs(plan);
     if (invariantEpoch_ != epoch) {
         splatInvariants(dp, plan.stripWidth, ctx.scalars_);
@@ -702,9 +665,9 @@ Executor::runCsrRows(PointContext &ctx, int nest, coord_t row0,
 void
 Executor::run(const KernelFunction &fn, const ExecutablePlan &plan,
               std::span<const BufferBinding> bindings,
-              std::span<const double> scalars, const JitModule *jit)
+              std::span<const double> scalars)
 {
-    ownCtx_.bind(fn, plan, bindings, scalars, jit);
+    ownCtx_.bind(fn, plan, bindings, scalars);
     for (int n = 0; n < ownCtx_.nestCount(); n++)
         runNest(ownCtx_, n);
 }

@@ -59,7 +59,6 @@ namespace diffuse {
 namespace kir {
 
 struct CompiledKernel;
-class JitModule;
 
 /** A strided view of a physical allocation bound to a kernel buffer. */
 struct BufferBinding
@@ -165,15 +164,11 @@ class PointContext
     /**
      * Resolve `plan` against external bindings. Allocates live local
      * buffers from the internal arena (grown monotonically, reused
-     * across calls) and classifies every access site. `jit`, when
-     * non-null, supplies natively compiled per-nest entry points
-     * (src/kernel/codegen.h) that the executor dispatches in place of
-     * the tape interpreter — bitwise-identical by construction.
+     * across calls) and classifies every access site.
      */
     void bind(const KernelFunction &fn, const ExecutablePlan &plan,
               std::span<const BufferBinding> bindings,
-              std::span<const double> scalars,
-              const JitModule *jit = nullptr);
+              std::span<const double> scalars);
 
     const ResolvedNest &nest(int i) const
     {
@@ -186,7 +181,6 @@ class PointContext
 
     const KernelFunction *fn_ = nullptr;
     const ExecutablePlan *plan_ = nullptr;
-    const JitModule *jit_ = nullptr;
     std::span<const double> scalars_;
     std::vector<BufferBinding> all_;
     std::vector<double> arena_; ///< local-temporary storage, reused
@@ -218,12 +212,10 @@ class Executor
              std::span<const BufferBinding> bindings,
              std::span<const double> scalars);
 
-    /** Execute a pre-lowered plan (the compile-once fast path).
-     * `jit`: optional natively compiled module for the plan. */
+    /** Execute a pre-lowered plan (the compile-once fast path). */
     void run(const KernelFunction &fn, const ExecutablePlan &plan,
              std::span<const BufferBinding> bindings,
-             std::span<const double> scalars,
-             const JitModule *jit = nullptr);
+             std::span<const double> scalars);
 
     /** The element-at-a-time reference interpreter (the oracle). */
     void runScalar(const KernelFunction &fn,

@@ -5,12 +5,11 @@
  * Each row names an op, the operand shape it reads and one expression
  * for its result. Everything else about the op is generated from the
  * row: the kir::Op and kir::VecOp enumerators, mirrorOp, opName and
- * opFlopWeight, the tape VM's strip loop (Executor::execStrip, which
- * expands the expression as code) and the JIT's C (emitNest, which
- * stringifies it). The VM and the JIT therefore agree by
- * construction. The scalar interpreter (Executor::runDense) is kept
- * apart on purpose: it is the independent oracle both engines are
- * checked against.
+ * opFlopWeight and the tape VM's strip loop (Executor::execStrip,
+ * which expands the expression as code). The scalar interpreter
+ * (Executor::runDense) is kept apart on purpose: it is the
+ * independent oracle the VM is checked against
+ * (VectorExecutor.EveryTableOpMatchesOracle).
  *
  * Rows come in two kinds:
  *  - MIRROR(Name, Shape, Weight, Expr): the tape form of the scalar
@@ -30,11 +29,10 @@
  *   ScaleK   A K K2, T = A * K
  * A, B and C read the registers VecInstr::a/b/c; K and K2 are the
  * immediates (imm or scalars[scalar], imm2 or scalars[scalar2]). T is
- * a fused triad's product. Both engines compute it as a statement of
- * its own, so both IEEE rounding steps survive: triads fuse register
+ * a fused triad's product. The VM computes it as a statement of its
+ * own, so both IEEE rounding steps survive: triads fuse register
  * traffic, not arithmetic. Expressions call POW, EXP, LOG, ERF, SQRT
- * and FABS, which each engine binds to the code the scalar oracle
- * runs.
+ * and FABS, which the VM binds to the code the scalar oracle runs.
  *
  * Adding a mirror op takes one row here and one case in runDense;
  * adding a derived op takes one row and its lowering rule in plan.cc.

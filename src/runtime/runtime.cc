@@ -955,9 +955,7 @@ LowRuntime::executeRetired(const LaunchedTask &task)
             if (scalar_oracle || task.kernel->plan == nullptr)
                 executors_[0].runScalar(fn, b, task.scalars);
             else
-                executors_[0].run(fn, *task.kernel->plan, b,
-                                  task.scalars,
-                                  task.kernel->jit.get());
+                executors_[0].run(fn, *task.kernel->plan, b, task.scalars);
         }
         return;
     }
@@ -1038,9 +1036,7 @@ LowRuntime::executeSharded(const LaunchedTask &task, Prepare &&prepare)
     std::vector<kir::BufferBinding> &scratch = workerBindings_[0];
     for (int p = 0; p < np; p++) {
         prepare(p, scratch);
-        pointCtxs_[std::size_t(p)].bind(fn, plan, scratch,
-                                        task.scalars,
-                                        task.kernel->jit.get());
+        pointCtxs_[std::size_t(p)].bind(fn, plan, scratch, task.scalars);
     }
 
     // Items per chunk of a nest with `items` work items and estimated

@@ -52,18 +52,13 @@ struct StressConfig
     int ranks = 1;
     int trace = 1;
     int sharedCache = 1;
-    /** Native JIT codegen: concurrent cold sessions race the backend
-     * on the same kernel keys (exactly-once attach under the shard
-     * locks). 0 is the interpreter oracle. */
-    int jit = 0;
 
     std::string
     label() const
     {
         return "w" + std::to_string(workers) + "/r" +
                std::to_string(ranks) + "/t" + std::to_string(trace) +
-               "/s" + std::to_string(sharedCache) + "/j" +
-               std::to_string(jit);
+               "/s" + std::to_string(sharedCache);
     }
 };
 
@@ -76,7 +71,6 @@ optionsFor(const StressConfig &cfg)
     o.ranks = cfg.ranks;
     o.trace = cfg.trace;
     o.sharedCache = cfg.sharedCache;
-    o.jit = cfg.jit;
     return o;
 }
 
@@ -308,10 +302,6 @@ TEST(ConcurrencyStress, SmokeMixedSessionsBitwiseEqualSerialReference)
         {8, 2, 1, 1}, // workers x ranks over shared caches
         {8, 1, 0, 1}, // shared caches without the trace layer
         {1, 2, 1, 0}, // isolated sessions (shared-cache oracle)
-        // Native JIT over the heavy config: concurrent cold sessions
-        // race the backend's exactly-once attach, then dispatch the
-        // same compiled modules.
-        {8, 2, 1, 1, 1},
     };
     runMatrix(configs, 4, 2);
 }

@@ -118,9 +118,7 @@ TEST(Docs, EveryDocumentedKnobIsStillUsed)
 {
     if (!sourceTreePresent())
         GTEST_SKIP() << "source tree not present";
-    // Tests count as users: DIFFUSE_FUZZ_SEEDS is a documented,
-    // test-only knob.
-    std::set<std::string> used = knobsUsed({"src", "bench", "tests"});
+    std::set<std::string> used = knobsUsed({"src", "bench"});
     for (const std::string &knob : knobsDocumented()) {
         EXPECT_TRUE(used.count(knob))
             << knob << " is documented in docs/env_reference.md but "

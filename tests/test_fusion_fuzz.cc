@@ -14,8 +14,10 @@
  * identical to the reference configuration (unfused, scalar
  * interpreter, one worker, one rank).
  *
- * DIFFUSE_FUZZ_SEEDS selects the number of seeds (default 8; the
- * ctest `slow` configuration runs more). A second suite locks the
+ * Each FusionFuzz test takes its seed count as its parameter: the
+ * `Seeds` instantiation runs 8 seeds in tier-1, and the disabled
+ * `DISABLED_Seeds` instantiation runs 1,000, which the `fuzz_slow`
+ * and `fuzz_reuse` ctest entries enable. A second suite locks the
  * same property on the real applications (stencil, Black-Scholes,
  * Jacobi, CG, BiCGSTAB, GMG).
  */
@@ -28,7 +30,6 @@
 #include <vector>
 
 #include "apps/apps.h"
-#include "common/env.h"
 #include "common/rng.h"
 #include "cunumeric/ndarray.h"
 #include "solvers/solvers.h"
@@ -50,10 +51,6 @@ struct Config
     /** Trace-memoized window replay (core/trace.h); the reference
      * configuration keeps it off — DIFFUSE_TRACE=0 is the oracle. */
     int trace = 0;
-    /** Native JIT codegen (kernel/codegen.h): retired nests dispatch
-     * compiled C instead of the tape interpreter. DIFFUSE_JIT=0 is
-     * the bitwise oracle. */
-    int jit = 0;
 
     std::string
     label() const
@@ -61,7 +58,7 @@ struct Config
         return std::string(fused ? "fused" : "unfused") +
                (scalarExec ? "/scalar" : "/vector") + "/w" +
                std::to_string(workers) + "/r" + std::to_string(ranks) +
-               "/t" + std::to_string(trace) + "/j" + std::to_string(jit);
+               "/t" + std::to_string(trace);
     }
 };
 
@@ -263,14 +260,18 @@ runProgram(std::uint64_t seed, const Config &cfg)
     o.workers = cfg.workers;
     o.ranks = cfg.ranks;
     o.trace = cfg.trace;
-    o.jit = cfg.jit;
     DiffuseRuntime rt(rt::MachineConfig::withGpus(4), o);
     return runProgramBody(rt, seed);
 }
 
-TEST(FusionFuzz, AllConfigurationsBitwiseEqual)
+/** The FusionFuzz tests' parameter: how many seeds each runs. */
+class FusionFuzz : public ::testing::TestWithParam<int>
 {
-    const int seeds = envInt("DIFFUSE_FUZZ_SEEDS", 8, 1, 100000);
+};
+
+TEST_P(FusionFuzz, AllConfigurationsBitwiseEqual)
+{
+    const int seeds = GetParam();
     const Config reference{false, true, 1, 1, 0};
     const Config variants[] = {
         {true, false, 1, 1, 1},  // the production configuration
@@ -280,11 +281,6 @@ TEST(FusionFuzz, AllConfigurationsBitwiseEqual)
         {false, false, 1, 4, 1}, // unfused over shards
         {true, true, 8, 4, 1},   // scalar oracle over shards
         {true, false, 8, 4, 0},  // trace kill switch over the rest
-        // Native JIT codegen stacked over the heaviest configuration:
-        // compiled nests must stay bitwise equal to the interpreter
-        // (the in-process module registry keeps repeat tapes to one
-        // toolchain invocation each across the whole run).
-        {true, false, 8, 4, 1, 1},
     };
     for (int s = 0; s < seeds; s++) {
         std::uint64_t seed = 0xD1FFu + std::uint64_t(s) * 7919;
@@ -311,9 +307,9 @@ TEST(FusionFuzz, AllConfigurationsBitwiseEqual)
 // runtime must be bitwise-identical to a never-faulted run.
 // ---------------------------------------------------------------------
 
-TEST(FusionFuzz, TransparentFaultsKeepBitwiseEquality)
+TEST_P(FusionFuzz, TransparentFaultsKeepBitwiseEquality)
 {
-    const int seeds = envInt("DIFFUSE_FUZZ_SEEDS", 8, 1, 100000);
+    const int seeds = GetParam();
     const Config production{true, false, 8, 4, 1};
     const unsigned transparent =
         (1u << unsigned(rt::FaultKind::Exchange)) |
@@ -336,9 +332,9 @@ TEST(FusionFuzz, TransparentFaultsKeepBitwiseEquality)
     }
 }
 
-TEST(FusionFuzz, HardFaultRecoveryRerunsBitwise)
+TEST_P(FusionFuzz, HardFaultRecoveryRerunsBitwise)
 {
-    const int seeds = envInt("DIFFUSE_FUZZ_SEEDS", 8, 1, 100000);
+    const int seeds = GetParam();
     const Config production{true, false, 8, 4, 1};
     for (int s = 0; s < seeds; s++) {
         std::uint64_t seed = 0xDEAD + std::uint64_t(s) * 7919;
@@ -463,9 +459,9 @@ runLoopProgram(std::uint64_t seed, int trace,
     return out;
 }
 
-TEST(FusionFuzz, RepeatedBodiesReplayBitwise)
+TEST_P(FusionFuzz, RepeatedBodiesReplayBitwise)
 {
-    const int seeds = envInt("DIFFUSE_FUZZ_SEEDS", 8, 1, 100000);
+    const int seeds = GetParam();
     std::uint64_t replays = 0;
     for (int s = 0; s < seeds; s++) {
         std::uint64_t seed = 0x7ace + std::uint64_t(s) * 7919;
@@ -485,9 +481,9 @@ TEST(FusionFuzz, RepeatedBodiesReplayBitwise)
 // first's compiled plans and trace epochs
 // ---------------------------------------------------------------------
 
-TEST(FusionFuzz, SharedCacheSessionsBitwiseEqualAndFullyReused)
+TEST_P(FusionFuzz, SharedCacheSessionsBitwiseEqualAndFullyReused)
 {
-    const int seeds = envInt("DIFFUSE_FUZZ_SEEDS", 8, 1, 100000);
+    const int seeds = GetParam();
     for (int s = 0; s < seeds; s++) {
         std::uint64_t seed = 0x5ca1e + std::uint64_t(s) * 7919;
         DiffuseOptions o = loopProgramOptions(seed, /*trace=*/1);
@@ -530,6 +526,12 @@ TEST(FusionFuzz, SharedCacheSessionsBitwiseEqualAndFullyReused)
             << "seed " << seed;
     }
 }
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FusionFuzz, ::testing::Values(8));
+// The long configuration: disabled in tier-1, enabled by the
+// `fuzz_slow` and `fuzz_reuse` ctest entries.
+INSTANTIATE_TEST_SUITE_P(DISABLED_Seeds, FusionFuzz,
+                         ::testing::Values(1000));
 
 // ---------------------------------------------------------------------
 // Application determinism: every app, bitwise, ranks 1 vs 4 and

@@ -3,12 +3,13 @@
  * Differential tests for the vectorized kernel executor: every Op,
  * every addressing class (contiguous / strided / transposed-stride /
  * broadcast), strip widths 1, 3 and 256, and domain sizes that are
- * not strip multiples — all asserting the vector engine matches the
- * scalar oracle BITWISE.
+ * not strip multiples, and every row of the op table (kernel/ops.h) —
+ * all asserting the vector engine matches the scalar oracle BITWISE.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -236,6 +237,184 @@ TEST(VectorExecutor, EveryOp2dTransposedStride)
     double scal = 2.0;
     expectDifferentialMatch(fn, {ba, bb, bo}, out, std::span(&scal, 1),
                             std::vector<double>(rows * cols, 0.0));
+}
+
+/**
+ * Append to `b` a body that lowers to tape op `op`, built from the
+ * scalar ops lowering derives it from: x, y and z are loads, k and k2
+ * loop invariants. Returns the result register, or -1 when `op` has
+ * no recipe (a new table row needs one here).
+ */
+int
+buildTableOp(BodyBuilder &b, VecOp op, int x, int y, int z, int k,
+             int k2)
+{
+    auto bin = [&](Op o, int p, int q) { return b.binary(o, p, q); };
+    auto mul = [&](int p, int q) { return b.binary(Op::Mul, p, q); };
+    switch (op) {
+      case VecOp::Copy: return b.unary(Op::Copy, x);
+      case VecOp::Add: return bin(Op::Add, x, y);
+      case VecOp::Sub: return bin(Op::Sub, x, y);
+      case VecOp::Mul: return bin(Op::Mul, x, y);
+      case VecOp::Div: return bin(Op::Div, x, y);
+      case VecOp::Max: return bin(Op::Max, x, y);
+      case VecOp::Min: return bin(Op::Min, x, y);
+      case VecOp::Pow: return bin(Op::Pow, x, y);
+      case VecOp::Neg: return b.unary(Op::Neg, x);
+      case VecOp::Sqrt: return b.unary(Op::Sqrt, x);
+      case VecOp::Exp: return b.unary(Op::Exp, x);
+      case VecOp::Log: return b.unary(Op::Log, x);
+      case VecOp::Erf: return b.unary(Op::Erf, x);
+      case VecOp::Abs: return b.unary(Op::Abs, x);
+      case VecOp::CmpLt: return bin(Op::CmpLt, x, y);
+      case VecOp::CmpGt: return bin(Op::CmpGt, x, y);
+      case VecOp::Select: return b.select(x, y, z);
+      case VecOp::AddK: return bin(Op::Add, x, k);
+      case VecOp::SubK: return bin(Op::Sub, x, k);
+      case VecOp::RsubK: return bin(Op::Sub, k, x);
+      case VecOp::MulK: return bin(Op::Mul, x, k);
+      case VecOp::DivK: return bin(Op::Div, x, k);
+      case VecOp::RdivK: return bin(Op::Div, k, x);
+      case VecOp::MaxK: return bin(Op::Max, x, k);
+      case VecOp::MinK: return bin(Op::Min, x, k);
+      case VecOp::PowK: return bin(Op::Pow, x, k);
+      case VecOp::CmpLtK: return bin(Op::CmpLt, x, k);
+      case VecOp::CmpGtK: return bin(Op::CmpGt, x, k);
+      case VecOp::MulAdd: return bin(Op::Add, mul(x, y), z);
+      case VecOp::AddMul: return bin(Op::Add, z, mul(x, y));
+      case VecOp::MulSub: return bin(Op::Sub, mul(x, y), z);
+      case VecOp::SubMul: return bin(Op::Sub, z, mul(x, y));
+      case VecOp::MulAddK: return bin(Op::Add, mul(x, y), k);
+      case VecOp::MulSubK: return bin(Op::Sub, mul(x, y), k);
+      case VecOp::MulRsubK: return bin(Op::Sub, k, mul(x, y));
+      case VecOp::MulKAdd: return bin(Op::Add, mul(x, k), z);
+      case VecOp::AddMulK: return bin(Op::Add, z, mul(x, k));
+      case VecOp::MulKSub: return bin(Op::Sub, mul(x, k), z);
+      case VecOp::SubMulK: return bin(Op::Sub, z, mul(x, k));
+      case VecOp::MulKAddK: return bin(Op::Add, mul(x, k), k2);
+      case VecOp::MulKSubK: return bin(Op::Sub, mul(x, k), k2);
+      case VecOp::MulKRsubK: return bin(Op::Sub, k2, mul(x, k));
+      default: return -1;
+    }
+}
+
+struct TableRow
+{
+    VecOp op;
+    const char *name;
+};
+
+/** Every row of the op table, in table order. */
+std::vector<TableRow>
+tableRows()
+{
+#define DIFFUSE_TEST_ROW(Name, ...) TableRow{VecOp::Name, #Name},
+    return {DIFFUSE_TAPE_OPS(DIFFUSE_TEST_ROW, DIFFUSE_TEST_ROW)};
+#undef DIFFUSE_TEST_ROW
+}
+
+/**
+ * One nest per table row over the shared inputs x, y, z (args 0-2);
+ * the nest for row i stores into arg 3 + i. K and K2 are the literals
+ * -0 and +0, or scalars 0 and 1 when `scalar_k` is set.
+ */
+KernelFunction
+makeTableKernel(const std::vector<TableRow> &rows, bool scalar_k)
+{
+    KernelFunction fn;
+    fn.name = "op_table";
+    fn.numArgs = 3 + int(rows.size());
+    fn.numScalars = 2;
+    fn.buffers.resize(std::size_t(fn.numArgs));
+    for (auto &buf : fn.buffers) {
+        buf.dims = 1;
+        buf.shapeClass = 0;
+    }
+    for (std::size_t i = 0; i < rows.size(); i++) {
+        LoopNest nest;
+        nest.domainBuf = 3 + int(i);
+        BodyBuilder b(nest.body);
+        int x = b.load(0), y = b.load(1), z = b.load(2);
+        int k1 = scalar_k ? b.scalar(0) : b.constant(-0.0);
+        int k2 = scalar_k ? b.scalar(1) : b.constant(0.0);
+        int r = buildTableOp(b, rows[i].op, x, y, z, k1, k2);
+        EXPECT_GE(r, 0) << "no recipe for " << rows[i].name;
+        b.store(nest.domainBuf, r < 0 ? x : r);
+        fn.nests.push_back(std::move(nest));
+    }
+    return fn;
+}
+
+/** Every row of the op table (kernel/ops.h) runs bitwise equal to
+ * the scalar oracle, at every strip width, with K as a literal and
+ * as a run-time scalar, on signed zeros and equal pairs included. */
+TEST(VectorExecutor, EveryTableOpMatchesOracle)
+{
+    const std::vector<TableRow> rows = tableRows();
+    const coord_t n = 517; // not a multiple of 3 or 256
+    std::vector<double> x(n), y(n), z(n);
+    fill(x, 41);
+    fill(y, 42);
+    fill(z, 43);
+    for (coord_t i = 0; i < n; i++) {
+        if (i % 7 == 3)
+            y[i] = x[i]; // equal pairs
+        if (i % 11 == 5) {
+            x[i] = 0.0; // +0 against -0, both orders
+            y[i] = -0.0;
+        } else if (i % 11 == 6) {
+            x[i] = -0.0;
+            y[i] = 0.0;
+        }
+    }
+    // K pairs: signed zeros against the signed-zero inputs (the
+    // Max/Min tie-break), then ordinary values.
+    const std::vector<std::array<double, 2>> pairs = {
+        {0.0, -0.0}, {-0.0, 0.0}, {1.5, -0.75}};
+
+    std::vector<std::vector<double>> outs(rows.size());
+    std::vector<BufferBinding> binds{bindVec(x), bindVec(y), bindVec(z)};
+    for (auto &o : outs) {
+        o.assign(std::size_t(n), 0.0);
+        binds.push_back(bindVec(o));
+    }
+    Executor ex;
+    auto runAll = [&](const KernelFunction &fn, std::span<const double> sc,
+                      const ExecutablePlan *plan) {
+        for (auto &o : outs)
+            std::fill(o.begin(), o.end(), 0.0);
+        if (plan == nullptr)
+            ex.runScalar(fn, binds, sc);
+        else
+            ex.run(fn, *plan, binds, sc);
+        return outs;
+    };
+
+    // K and K2 as literals baked into the tape (-0 and +0), then as
+    // scalars that take every pair at run time.
+    for (bool scalar_k : {false, true}) {
+        KernelFunction fn = makeTableKernel(rows, scalar_k);
+        ExecutablePlan probe = lowerPlan(fn, 256);
+        for (std::size_t i = 0; i < rows.size(); i++) {
+            bool found = false;
+            for (const VecInstr &ins : probe.nests[i].dense.tape)
+                found = found || ins.op == rows[i].op;
+            EXPECT_TRUE(found) << rows[i].name << " not in its tape";
+        }
+        for (int w : kStrips) {
+            ExecutablePlan plan = lowerPlan(fn, w);
+            for (const auto &pair : pairs) {
+                std::span<const double> sc(pair);
+                auto want = runAll(fn, sc, nullptr);
+                auto vm = runAll(fn, sc, &plan);
+                for (std::size_t i = 0; i < rows.size(); i++) {
+                    EXPECT_TRUE(bitEqual(vm[i], want[i]))
+                        << rows[i].name << ": strip " << w
+                        << ", scalar K " << scalar_k << ", K " << sc[0];
+                }
+            }
+        }
+    }
 }
 
 TEST(VectorExecutor, FusedTriadsMatchOracleInAllOrders)
