@@ -18,11 +18,10 @@
  *  3. failure domains: the same warm body with the fault injector
  *     disarmed (`fault:off` — comparing this label across commits
  *     measures the fault-free cost of the error-tracking layer),
- *     under ambient transparently-degrading faults
- *     (`fault:transparent` — exchange retries + compile -> scalar
- *     interpreter), and the recovery latency after a hard injected
- *     kernel fault (`fault:recover` — resetAfterError() plus a clean
- *     re-run of the whole body).
+ *     under ambient trace faults (`fault:transparent` — each one
+ *     sends a replay back to the analyzed path), and the recovery
+ *     latency after a hard injected kernel fault (`fault:recover` —
+ *     resetAfterError() plus a clean re-run of the whole body).
  */
 
 #include <thread>
@@ -171,34 +170,25 @@ main()
         const int frep = smoke ? 3 : 5;
         const double elems = double(n) * reps;
 
-        // Injector disarmed (the DIFFUSE_FAULT_RATE=0 default): every
-        // per-task failure check, poison lookup and session-state
-        // latch still runs, so this label tracked across commits is
-        // the fault-free overhead of the error-tracking layer.
+        // Injector disarmed (the default): every per-task failure
+        // check, poison lookup and session-state latch still runs, so
+        // this label tracked across commits is the fault-free
+        // overhead of the error-tracking layer.
         WallMetric off = measureWall("fault:off", frep, elems, 0.0, [&] {
             auto s = ctx->createSession(servingOpts(1));
             runSessionBody(*s, reps, n);
         });
 
-        // Ambient transparent faults: exchange retries, compile ->
-        // scalar-interpreter fallbacks and trace -> analyzed-path
-        // recaptures are all absorbed by the degradation ladder —
-        // results identical, only slower. (Trace faults matter here:
-        // a warm session replays memoized traces, which bypasses the
-        // submit-time compile seam entirely until a trace fault
-        // forces it back onto the analyzed path.)
-        const unsigned transparent =
-            (1u << unsigned(rt::FaultKind::Exchange)) |
-            (1u << unsigned(rt::FaultKind::Compile)) |
-            (1u << unsigned(rt::FaultKind::Trace));
-        rt::FaultStats degraded_stats;
+        // Ambient trace faults: each aborts a replay to the analyzed
+        // path and recaptures, absorbed by the degradation ladder —
+        // results identical, only slower.
+        const unsigned transparent = 1u << unsigned(rt::FaultKind::Trace);
         std::uint64_t degraded_traces = 0;
         WallMetric degraded = measureWall(
             "fault:transparent", frep, elems, 0.0, [&] {
                 auto s = ctx->createSession(servingOpts(1));
                 s->low().faults().configure(42, 1000, transparent);
                 runSessionBody(*s, reps, n);
-                degraded_stats = s->low().faultStats();
                 degraded_traces = s->fusionStats().traceAborts;
             });
 
@@ -242,11 +232,8 @@ main()
         bench::printWallRow(off);
         bench::printWallRow(degraded);
         bench::printWallRow(recover);
-        std::printf("# ambient faults absorbed: %llu exchange retries, "
-                    "%llu scalar fallbacks, %llu trace recaptures "
+        std::printf("# ambient faults absorbed: %llu trace recaptures "
                     "(results bitwise-identical)\n",
-                    (unsigned long long)degraded_stats.exchangeRetries,
-                    (unsigned long long)degraded_stats.scalarFallbacks,
                     (unsigned long long)degraded_traces);
         std::printf("# degraded/clean slowdown: %.2fx; recovery vs "
                     "clean body: %.2fx\n",

@@ -14,8 +14,6 @@ const char *errorCodeName(ErrorCode code)
         case ErrorCode::MemBudgetExceeded: return "MemBudgetExceeded";
         case ErrorCode::KernelFault: return "KernelFault";
         case ErrorCode::ExchangeFault: return "ExchangeFault";
-        case ErrorCode::CompileFault: return "CompileFault";
-        case ErrorCode::TraceFault: return "TraceFault";
         case ErrorCode::DependencyFailed: return "DependencyFailed";
         case ErrorCode::StorePoisoned: return "StorePoisoned";
         case ErrorCode::SessionFailed: return "SessionFailed";

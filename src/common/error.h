@@ -2,9 +2,8 @@
  * @file
  * Structured errors for recoverable failures.
  *
- * The historical error model (common/logging.h) knows only
- * `diffuse_panic` (abort) and `diffuse_fatal` (exit): any fault takes
- * down the whole process — unacceptable once many client sessions
+ * `diffuse_panic` (common/logging.h) aborts the whole process, which
+ * is right only for a bug in Diffuse itself: many client sessions
  * share one process (core/context.h). Recoverable failures instead
  * carry a structured Error: a code, a human-readable message, and the
  * origin (task name, store, stream event) of the root cause, wrapped
@@ -42,13 +41,8 @@ enum class ErrorCode : std::uint8_t {
     MemBudgetExceeded,
     /** A kernel faulted while executing a retired task. */
     KernelFault,
-    /** An exchange Copy task failed after bounded retries. */
+    /** An exchange Copy task failed. */
     ExchangeFault,
-    /** Plan/lowering failure (degrades to the scalar interpreter;
-     * surfaces only when even that is impossible). */
-    CompileFault,
-    /** Trace-epoch validation failure that could not fall back. */
-    TraceFault,
     /** Task cancelled because an upstream hazard dependency failed. */
     DependencyFailed,
     /** Host read of a store poisoned by an upstream failure. */
@@ -93,19 +87,6 @@ class DiffuseError : public std::runtime_error
 
   private:
     Error err_;
-};
-
-/**
- * Thrown by `diffuse_fatal` instead of exit(1) when
- * DIFFUSE_THROW_ON_FATAL=1 (tests exercise fatal paths without dying).
- */
-class FatalError : public std::runtime_error
-{
-  public:
-    explicit FatalError(const std::string &what)
-        : std::runtime_error(what)
-    {
-    }
 };
 
 /** Convenience constructor for store-scoped errors. */

@@ -1,10 +1,8 @@
 #include "logging.h"
 
-#include "error.h"
 #include "types.h"
 
 #include <atomic>
-#include <cstring>
 #include <limits>
 #include <map>
 #include <mutex>
@@ -37,20 +35,6 @@ panicImpl(const char *file, int line, const char *fmt, ...)
     va_end(ap);
     std::fprintf(stderr, "panic: %s (%s:%d)\n", msg.c_str(), file, line);
     std::abort();
-}
-
-void
-fatalImpl(const char *file, int line, const char *fmt, ...)
-{
-    va_list ap;
-    va_start(ap, fmt);
-    std::string msg = vformat(fmt, ap);
-    va_end(ap);
-    std::fprintf(stderr, "fatal: %s (%s:%d)\n", msg.c_str(), file, line);
-    const char *t = std::getenv("DIFFUSE_THROW_ON_FATAL");
-    if (t && std::strcmp(t, "1") == 0)
-        throw FatalError(msg);
-    std::exit(1);
 }
 
 namespace {

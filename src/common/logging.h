@@ -3,8 +3,9 @@
  * Error-reporting helpers in the style of gem5's logging.hh.
  *
  * `panic` reports an internal invariant violation (a Diffuse bug) and
- * aborts; `fatal` reports a user/configuration error and exits. Both
- * accept printf-style formatting.
+ * aborts; `warn` reports a recoverable condition to stderr. Both
+ * accept printf-style formatting. Recoverable failures that a caller
+ * must handle are structured errors instead (common/error.h).
  */
 
 #ifndef DIFFUSE_COMMON_LOGGING_H
@@ -19,14 +20,6 @@
 namespace diffuse {
 
 [[noreturn]] void panicImpl(const char *file, int line, const char *fmt,
-                            ...) __attribute__((format(printf, 3, 4)));
-
-/**
- * Reports the error and exits, or — when DIFFUSE_THROW_ON_FATAL=1 —
- * throws diffuse::FatalError so tests can exercise fatal paths
- * without killing the process. Never returns either way.
- */
-[[noreturn]] void fatalImpl(const char *file, int line, const char *fmt,
                             ...) __attribute__((format(printf, 3, 4)));
 
 /**
@@ -62,10 +55,6 @@ std::string strprintf(const char *fmt, ...)
 /** Internal invariant violation — a bug in Diffuse itself. */
 #define diffuse_panic(...) \
     ::diffuse::panicImpl(__FILE__, __LINE__, __VA_ARGS__)
-
-/** Unrecoverable user/configuration error. */
-#define diffuse_fatal(...) \
-    ::diffuse::fatalImpl(__FILE__, __LINE__, __VA_ARGS__)
 
 /** Non-fatal warning to stderr. */
 #define diffuse_warn(...) ::diffuse::warnImpl(__VA_ARGS__)

@@ -1,11 +1,5 @@
 #include "runtime/fault.h"
 
-#include <cstring>
-#include <string>
-
-#include "common/env.h"
-#include "common/logging.h"
-
 namespace diffuse {
 namespace rt {
 
@@ -23,38 +17,6 @@ mix64(std::uint64_t x)
     return x ^ (x >> 31);
 }
 
-unsigned
-parseKinds(const char *env)
-{
-    const unsigned all = (1u << unsigned(FaultKind::kCount)) - 1;
-    if (env == nullptr || *env == '\0')
-        return all;
-    unsigned mask = 0;
-    std::string s(env);
-    std::size_t pos = 0;
-    while (pos <= s.size()) {
-        std::size_t comma = s.find(',', pos);
-        if (comma == std::string::npos)
-            comma = s.size();
-        std::string tok = s.substr(pos, comma - pos);
-        pos = comma + 1;
-        if (tok.empty())
-            continue;
-        bool known = false;
-        for (unsigned k = 0; k < unsigned(FaultKind::kCount); k++) {
-            if (tok == faultKindName(FaultKind(k))) {
-                mask |= 1u << k;
-                known = true;
-                break;
-            }
-        }
-        if (!known)
-            diffuse_warn("DIFFUSE_FAULT_KINDS: unknown kind \"%s\" ignored",
-                         tok.c_str());
-    }
-    return mask ? mask : all;
-}
-
 } // namespace
 
 const char *
@@ -65,18 +27,9 @@ faultKindName(FaultKind kind)
         case FaultKind::Kernel: return "kernel";
         case FaultKind::Exchange: return "exchange";
         case FaultKind::Trace: return "trace";
-        case FaultKind::Compile: return "compile";
         case FaultKind::kCount: break;
     }
     return "?";
-}
-
-FaultInjector::FaultInjector()
-{
-    int rate = envInt("DIFFUSE_FAULT_RATE", 0, 0, 10000);
-    int seed = envInt("DIFFUSE_FAULT_SEED", 1, 1, INT32_MAX);
-    unsigned mask = parseKinds(std::getenv("DIFFUSE_FAULT_KINDS"));
-    configure(std::uint64_t(seed), rate, mask);
 }
 
 void
@@ -127,7 +80,6 @@ FaultInjector::shouldFault(FaultKind kind)
         return false;
     KindState &ks = kinds_[std::size_t(kind)];
     std::uint64_t n = ks.count.fetch_add(1, std::memory_order_relaxed) + 1;
-    opportunities_.fetch_add(1, std::memory_order_relaxed);
     std::uint64_t at = ks.shotAt.load(std::memory_order_relaxed);
     if (at != 0) {
         if (n >= at && n < ks.shotEnd.load(std::memory_order_relaxed)) {

@@ -11,15 +11,10 @@
  * threads), so a given (seed, rate, kinds) configuration fires at
  * identical points regardless of DIFFUSE_WORKERS or timing.
  *
- * Configuration (see docs/env_reference.md):
- *   DIFFUSE_FAULT_SEED   PRNG seed (default 1)
- *   DIFFUSE_FAULT_RATE   per-10000 firing probability (default 0=off)
- *   DIFFUSE_FAULT_KINDS  comma list: alloc,kernel,exchange,trace,compile
- *                        (default: all kinds armed)
- *
- * Tests can also arm an exact shot with armOneShot(): "fail the Nth
- * opportunity of this kind, for `burst` consecutive opportunities" —
- * bursts outlast the bounded retry loops and force hard failures.
+ * A default-constructed injector is disarmed and reads no
+ * environment. Tests arm it through configure() (a seeded
+ * probabilistic rate over a kind mask) or armOneShot() ("fail the Nth
+ * opportunity of this kind, for `burst` consecutive opportunities").
  *
  * With rate 0 and no armed shot, shouldFault() is a single relaxed
  * load and the injector has zero observable effect (the fault-free
@@ -39,9 +34,8 @@ namespace rt {
 enum class FaultKind : std::uint8_t {
     Alloc = 0,    ///< store allocation fails
     Kernel,       ///< kernel body throws inside a WorkerPool job
-    Exchange,     ///< exchange Copy task fails (transient by default)
+    Exchange,     ///< exchange Copy task fails
     Trace,        ///< trace-epoch validation rejects the trace
-    Compile,      ///< plan/lowering fails (degrade to scalar interpreter)
     kCount,
 };
 
@@ -50,9 +44,6 @@ const char *faultKindName(FaultKind kind);
 class FaultInjector
 {
   public:
-    /** Reads DIFFUSE_FAULT_{SEED,RATE,KINDS} from the environment. */
-    FaultInjector();
-
     /** Programmatic (re)configuration; mask bit i arms FaultKind(i).
      * Clears any armed shot — configure(seed, 0, mask) disarms. */
     void configure(std::uint64_t seed, int ratePerTenK, unsigned kindMask);
@@ -93,12 +84,6 @@ class FaultInjector
         return fired_.load(std::memory_order_relaxed);
     }
 
-    /** Opportunities sampled so far (all kinds). */
-    std::uint64_t opportunities() const
-    {
-        return opportunities_.load(std::memory_order_relaxed);
-    }
-
   private:
     struct KindState
     {
@@ -112,7 +97,6 @@ class FaultInjector
     unsigned kindMask_ = 0;
     std::atomic<bool> armed_{false};
     std::atomic<std::uint64_t> fired_{0};
-    std::atomic<std::uint64_t> opportunities_{0};
     std::array<KindState, std::size_t(FaultKind::kCount)> kinds_;
 };
 

@@ -1,10 +1,8 @@
 #include "runtime.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 #include <span>
-#include <thread>
 
 #include "common/env.h"
 #include "common/logging.h"
@@ -16,12 +14,6 @@ namespace {
 
 /** Reserved layout key: valid everywhere. */
 constexpr std::uint64_t REPLICATED_LAYOUT = 1;
-
-/** Exchange faults are transient by default: retried with a short
- * exponential backoff up to this bound before the Copy task fails for
- * real. Under probabilistic injection the chance of a genuine failure
- * is rate^5 per copy — tests force one with an armed burst instead. */
-constexpr int kMaxExchangeAttempts = 5;
 
 /** rowMajorStrides with the store-layer failure message. */
 void
@@ -556,22 +548,6 @@ LowRuntime::submit(LaunchedTask task)
     task.parallelSafe = mode_ == ExecutionMode::Real &&
                         workers_ > 1 && pointsIndependent(task);
 
-    // Injected plan/lowering fault: degrade this task to the scalar
-    // interpreter. The scalar path is the bitwise reference for the
-    // vector plans, so the fallback is transparent to results — only
-    // throughput suffers.
-    if (mode_ == ExecutionMode::Real && faults_.enabled() &&
-        task.kernel->plan != nullptr &&
-        faults_.shouldFault(FaultKind::Compile)) {
-        task.forceScalar = true;
-        faultStats_.scalarFallbacks++;
-        diffuse_warn_session(
-            sessionId_,
-            "session %llu: compile fault on task %s; degrading "
-            "to scalar interpreter",
-            (unsigned long long)sessionId_, task.name.c_str());
-    }
-
     for (const LowArg &arg : task.args)
         rec(arg.store).pendingUses++;
 
@@ -847,12 +823,6 @@ LowRuntime::fence()
 }
 
 void
-LowRuntime::execute(const LaunchedTask &task)
-{
-    wait(submit(task));
-}
-
-void
 LowRuntime::executeRetired(const LaunchedTask &task)
 {
     if (mode_ != ExecutionMode::Real)
@@ -866,38 +836,18 @@ LowRuntime::executeRetired(const LaunchedTask &task)
             ensureAllocated(r);
             canonical = r.data.data();
         }
-        // Exchange faults are transient (a dropped message, a busy
-        // link): retry with a short exponential backoff. Only a
-        // persistent fault — kMaxExchangeAttempts consecutive fires —
-        // fails the Copy task for real.
-        for (int attempt = 1;; attempt++) {
-            if (faults_.enabled() &&
-                faults_.shouldFault(FaultKind::Exchange)) {
-                if (attempt >= kMaxExchangeAttempts)
-                    throw DiffuseError(makeError(
-                        ErrorCode::ExchangeFault,
-                        strprintf("exchange failed after %d attempts",
-                                  attempt),
-                        task.name, task.copy.store));
-                faultStats_.exchangeRetries++;
-                diffuse_warn_session(
-                    sessionId_,
-                    "session %llu: transient exchange fault on "
-                    "store %llu (attempt %d); retrying",
-                    (unsigned long long)sessionId_,
-                    (unsigned long long)task.copy.store, attempt);
-                std::this_thread::sleep_for(
-                    std::chrono::microseconds(1 << attempt));
-                continue;
-            }
-            break;
-        }
+        // A failed exchange fails its Copy task the way a kernel
+        // fault fails a compute task: dependents are cancelled and
+        // the stores they write are poisoned.
+        if (faults_.enabled() && faults_.shouldFault(FaultKind::Exchange))
+            throw DiffuseError(makeError(ErrorCode::ExchangeFault,
+                                         "injected exchange fault",
+                                         task.name, task.copy.store));
         shards_.executeCopy(task.copy, canonical);
         return;
     }
     const kir::KernelFunction &fn = task.kernel->fn;
-    const bool scalar_oracle =
-        kir::Executor::scalarForced() || task.forceScalar;
+    const bool scalar_oracle = kir::Executor::scalarForced();
     // Sample the kernel-fault decision here, on the retiring thread:
     // the per-kind opportunity count (and hence the firing pattern of
     // a given seed) is identical for every worker count. The throw

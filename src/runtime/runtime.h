@@ -111,10 +111,6 @@ struct RuntimeStats
  */
 struct FaultStats
 {
-    /** Transient exchange faults absorbed by the retry loop. */
-    std::uint64_t exchangeRetries = 0;
-    /** Tasks degraded to the scalar interpreter (compile faults). */
-    std::uint64_t scalarFallbacks = 0;
     /** Stores poisoned by failed or cancelled tasks. */
     std::uint64_t storesPoisoned = 0;
     /** Recycled buffers (canonical or shard) dropped under
@@ -294,9 +290,6 @@ class LowRuntime
 
     /** The worker pool executing sharded nests (possibly shared). */
     kir::WorkerPool &pool() { return *pool_; }
-
-    /** Synchronous convenience: wait(submit(task)). */
-    void execute(const LaunchedTask &task);
 
     /**
      * Host-side read of a scalar store's value (Real mode). Fences

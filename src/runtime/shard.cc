@@ -428,55 +428,7 @@ ShardManager::planTask(LaunchedTask &task, std::vector<CopyDesc> &copies)
         }
     }
 
-    // ---- Write effects (program order) ------------------------------
-    for (std::size_t i = 0; i < na; i++) {
-        const LowArg &a = task.args[i];
-        StoreState &s = state(a.store);
-        if (privReduces(a.priv)) {
-            // Combined and broadcast by the collective: the canonical
-            // copy becomes the sole owner, resident everywhere.
-            s.hostValid = {s.shape};
-            for (Shard &sh : s.shards)
-                sh.valid.clear();
-            s.hasOwner = false;
-            continue;
-        }
-        if (!privWrites(a.priv))
-            continue;
-        if (task.argCanonical[i]) {
-            if (a.replicated) {
-                s.hostValid = {s.shape};
-                for (Shard &sh : s.shards)
-                    sh.valid.clear();
-                s.hasOwner = false;
-            } else {
-                for (const Rect &piece : a.pieces) {
-                    if (piece.empty())
-                        continue;
-                    markValid(s.hostValid, piece);
-                    for (Shard &sh : s.shards)
-                        invalidate(sh.valid, piece);
-                }
-            }
-            continue;
-        }
-        for (std::size_t p = 0; p < a.pieces.size(); p++) {
-            const Rect &piece = a.pieces[p];
-            if (piece.empty())
-                continue;
-            int r = rankOf(int(p));
-            invalidate(s.hostValid, piece);
-            for (int r2 = 0; r2 < ranks_; r2++) {
-                if (r2 != r)
-                    invalidate(s.shards[std::size_t(r2)].valid, piece);
-            }
-            markValid(s.shards[std::size_t(r)].valid, piece);
-        }
-        s.hasOwner = true;
-        s.ownerPart = a.part;
-        s.ownerDomain = task.launchDomain;
-        s.ownerPieces = a.pieces;
-    }
+    applyWriteEffects(task);
 }
 
 void
@@ -518,11 +470,18 @@ ShardManager::replayTask(const LaunchedTask &task)
         }
     }
 
-    // ---- Write effects: identical to planTask (program order) -------
-    for (std::size_t i = 0; i < na; i++) {
+    applyWriteEffects(task);
+}
+
+void
+ShardManager::applyWriteEffects(const LaunchedTask &task)
+{
+    for (std::size_t i = 0; i < task.args.size(); i++) {
         const LowArg &a = task.args[i];
         StoreState &s = state(a.store);
         if (privReduces(a.priv)) {
+            // Combined and broadcast by the collective: the canonical
+            // copy becomes the sole owner, resident everywhere.
             s.hostValid = {s.shape};
             for (Shard &sh : s.shards)
                 sh.valid.clear();

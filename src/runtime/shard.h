@@ -222,6 +222,14 @@ class ShardManager
     void planGather(StoreId id, StoreState &s,
                     std::vector<CopyDesc> &copies);
 
+    /**
+     * Apply `task`'s write and reduce effects to the placement map, in
+     * argument (program) order. Shared by planTask and replayTask, so
+     * a replayed task leaves the validity lists exactly as planning
+     * did: state signatures hash them in order.
+     */
+    void applyWriteEffects(const LaunchedTask &task);
+
     ExecutionMode mode_;
     int ranks_;
     BufferPool &buffers_;

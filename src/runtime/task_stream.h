@@ -135,13 +135,6 @@ struct LaunchedTask
      * inactive.
      */
     std::vector<std::uint8_t> argCanonical;
-    /**
-     * Degradation flag: execute this task on the scalar interpreter
-     * even when a vector plan exists (set when plan/lowering faulted —
-     * the scalar path is the bitwise reference, so the fallback is
-     * transparent).
-     */
-    bool forceScalar = false;
 };
 
 /** Cost-model inputs of one submitted task (computed at submission). */

@@ -175,16 +175,14 @@ struct ProgramRun
     /** Final: every task has retired. */
     rt::StreamStats stream;
     std::uint64_t epochsReplayed = 0;
-    /** Helper threads the pool spawned (counted with a pinned engine). */
+    /** Helper threads the pool spawned (-1 unless counted). */
     int spawned = -1;
 };
 
 /**
  * Four solver-like iterations, each closed by a flush: flushWindow(),
  * or flushWindowAsync() when `async` is set. With `count_spawned` the
- * default engine is pinned: an ambient compile fault would degrade a
- * task to the scalar oracle, which shards whole points over the pool
- * whatever their size.
+ * run records the helper threads the pool spawned.
  */
 ProgramRun
 schedulerProgram(const DiffuseOptions &base, int chunk,
@@ -195,8 +193,6 @@ schedulerProgram(const DiffuseOptions &base, int chunk,
     DiffuseOptions o = base;
     o.mode = rt::ExecutionMode::Real;
     DiffuseRuntime rt(rt::MachineConfig::withGpus(4), o);
-    if (count_spawned)
-        rt.low().faults().configure(1, 0, 0);
     Context ctx(rt);
     NDArray x = ctx.random(n, 0x5eed, -1.0, 1.0);
     NDArray y = ctx.random(n, 0xfeed, -1.0, 1.0);
