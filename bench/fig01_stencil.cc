@@ -6,9 +6,10 @@
  *
  * Besides the simulated weak-scaling sweep, the binary measures the
  * Real-mode wall clock of the kernel executor itself: the scalar
- * interpreter (DIFFUSE_SCALAR_EXEC=1 oracle) against the strip-mined
- * vector executor, at 1 and 8 workers. Results are bit-identical
- * across all four configurations; only the speed differs.
+ * interpreter (DIFFUSE_SCALAR_EXEC=1 oracle) at 1 worker against the
+ * strip-mined vector executor at 1 and 8 workers. Results are
+ * bit-identical across all three configurations; only the speed
+ * differs.
  * DIFFUSE_BENCH_SMOKE=1 skips the sweep and shrinks the wall-clock
  * section to CI size.
  */

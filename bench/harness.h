@@ -20,6 +20,7 @@
 #include <cstdlib>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/apps.h"
@@ -300,9 +301,24 @@ struct WallMetric
 };
 
 /**
- * Time `iter` for `reps` repetitions and derive element/byte rates
- * from the median (min also reported: the least-disturbed rep).
+ * Summarize per-rep wall times: element/byte rates come from the
+ * median (min also reported: the least-disturbed rep).
  */
+inline WallMetric
+wallMetric(const std::string &label, std::vector<double> times,
+           double elements_per_iter, double bytes_per_iter)
+{
+    std::sort(times.begin(), times.end());
+    WallMetric m;
+    m.label = label;
+    m.medianSeconds = times[times.size() / 2];
+    m.minSeconds = times.front();
+    m.elementsPerSecond = elements_per_iter / m.medianSeconds;
+    m.bytesPerSecond = bytes_per_iter / m.medianSeconds;
+    return m;
+}
+
+/** Time `iter` for `reps` repetitions (see wallMetric). */
 template <typename Fn>
 inline WallMetric
 measureWall(const std::string &label, int reps,
@@ -317,14 +333,8 @@ measureWall(const std::string &label, int reps,
         auto t1 = clock::now();
         times.push_back(std::chrono::duration<double>(t1 - t0).count());
     }
-    std::sort(times.begin(), times.end());
-    WallMetric m;
-    m.label = label;
-    m.medianSeconds = times[times.size() / 2];
-    m.minSeconds = times.front();
-    m.elementsPerSecond = elements_per_iter / m.medianSeconds;
-    m.bytesPerSecond = bytes_per_iter / m.medianSeconds;
-    return m;
+    return wallMetric(label, std::move(times), elements_per_iter,
+                      bytes_per_iter);
 }
 
 /** Print a WallMetric row (pairs with printWallHeader). */

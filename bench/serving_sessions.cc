@@ -21,7 +21,10 @@
  *     under ambient trace faults (`fault:transparent` — each one
  *     sends a replay back to the analyzed path), and the recovery
  *     latency after a hard injected kernel fault (`fault:recover` —
- *     resetAfterError() plus a clean re-run of the whole body).
+ *     resetAfterError() plus a clean re-run of the whole body). All
+ *     three time only the body (and the reset) in a session opened
+ *     before the clock starts, interleaved rep by rep, so their
+ *     ratios compare like scopes under like host conditions.
  */
 
 #include <thread>
@@ -169,63 +172,67 @@ main()
         }
         const int frep = smoke ? 3 : 5;
         const double elems = double(n) * reps;
-
-        // Injector disarmed (the default): every per-task failure
-        // check, poison lookup and session-state latch still runs, so
-        // this label tracked across commits is the fault-free
-        // overhead of the error-tracking layer.
-        WallMetric off = measureWall("fault:off", frep, elems, 0.0, [&] {
-            auto s = ctx->createSession(servingOpts(1));
-            runSessionBody(*s, reps, n);
-        });
-
-        // Ambient trace faults: each aborts a replay to the analyzed
-        // path and recaptures, absorbed by the degradation ladder —
-        // results identical, only slower.
         const unsigned transparent = 1u << unsigned(rt::FaultKind::Trace);
         std::uint64_t degraded_traces = 0;
-        WallMetric degraded = measureWall(
-            "fault:transparent", frep, elems, 0.0, [&] {
-                auto s = ctx->createSession(servingOpts(1));
-                s->low().faults().configure(42, 1000, transparent);
-                runSessionBody(*s, reps, n);
-                degraded_traces = s->fusionStats().traceAborts;
-            });
-
-        // Recovery latency: arm one hard kernel fault, let it surface
-        // as a structured error, then time resetAfterError() plus a
-        // clean re-run of the whole body — the cost a serving layer
-        // pays to bring a failed session back instead of tearing it
-        // down.
-        std::vector<double> recover_times;
+        // All three series time the same scope: the body (plus the
+        // reset, for recovery) in a session created and readied just
+        // before the clock starts, so session bring-up and teardown
+        // never count. They interleave rep by rep, so a host whose
+        // speed drifts during the run skews all three alike.
+        std::vector<double> times[3];
+        auto timed = [&](int series, auto &&fn) {
+            auto t0 = std::chrono::steady_clock::now();
+            fn();
+            auto t1 = std::chrono::steady_clock::now();
+            times[series].push_back(
+                std::chrono::duration<double>(t1 - t0).count());
+        };
         for (int r = 0; r < frep; r++) {
-            auto s = ctx->createSession(servingOpts(1));
-            s->low().faults().armOneShot(rt::FaultKind::Kernel, 4);
+            // Injector disarmed (the default): every per-task failure
+            // check, poison lookup and session-state latch still
+            // runs, so this label tracked across commits is the
+            // fault-free overhead of the error-tracking layer.
+            auto clean = ctx->createSession(servingOpts(1));
+            timed(0, [&] { runSessionBody(*clean, reps, n); });
+
+            // Ambient trace faults: each aborts a replay to the
+            // analyzed path and recaptures, absorbed by the
+            // degradation ladder — results identical, only slower.
+            auto ambient = ctx->createSession(servingOpts(1));
+            ambient->low().faults().configure(42, 1000, transparent);
+            timed(1, [&] { runSessionBody(*ambient, reps, n); });
+            degraded_traces = ambient->fusionStats().traceAborts;
+
+            // Recovery latency: arm one hard kernel fault and let it
+            // surface as a structured error, then time
+            // resetAfterError() plus a clean re-run of the whole body
+            // — the cost a serving layer pays to bring a failed
+            // session back instead of tearing it down.
+            auto failed = ctx->createSession(servingOpts(1));
+            failed->low().faults().armOneShot(rt::FaultKind::Kernel, 4);
             bool faulted = false;
             try {
-                runSessionBody(*s, reps, n);
+                runSessionBody(*failed, reps, n);
             } catch (const DiffuseError &) {
                 faulted = true;
             }
-            if (!faulted || !s->failed()) {
+            if (!faulted || !failed->failed()) {
                 std::fprintf(stderr, "serving_sessions: armed kernel "
                                      "fault did not surface\n");
                 return 1;
             }
-            auto t0 = std::chrono::steady_clock::now();
-            s->resetAfterError();
-            s->low().faults().configure(1, 0, ~0u); // disarm
-            runSessionBody(*s, reps, n);
-            auto t1 = std::chrono::steady_clock::now();
-            recover_times.push_back(
-                std::chrono::duration<double>(t1 - t0).count());
+            timed(2, [&] {
+                failed->resetAfterError();
+                failed->low().faults().configure(1, 0, ~0u); // disarm
+                runSessionBody(*failed, reps, n);
+            });
         }
-        std::sort(recover_times.begin(), recover_times.end());
-        WallMetric recover;
-        recover.label = "fault:recover";
-        recover.medianSeconds = recover_times[recover_times.size() / 2];
-        recover.minSeconds = recover_times.front();
-        recover.elementsPerSecond = elems / recover.medianSeconds;
+        WallMetric off =
+            bench::wallMetric("fault:off", times[0], elems, 0.0);
+        WallMetric degraded =
+            bench::wallMetric("fault:transparent", times[1], elems, 0.0);
+        WallMetric recover =
+            bench::wallMetric("fault:recover", times[2], elems, 0.0);
 
         std::printf("\n");
         bench::printWallHeader();

@@ -990,80 +990,43 @@ WorkerPool::~WorkerPool()
                             std::memory_order_relaxed);
 }
 
-bool
-WorkerPool::nextSpan(Job &job, int slot, coord_t &begin, coord_t &end)
-{
-    // Own deque first: LIFO keeps a worker on the span it just split,
-    // so consecutive chunks stay cache-adjacent.
-    {
-        Job::SlotDeque &own = job.deques[std::size_t(slot)];
-        std::lock_guard<std::mutex> lock(own.m);
-        if (!own.q.empty()) {
-            begin = own.q.back().first;
-            end = own.q.back().second;
-            own.q.pop_back();
-            return true;
-        }
-    }
-    // Steal round-robin from the other slots' fronts (the oldest —
-    // largest — remainder of the victim's current span).
-    for (int i = 1; i < job.slotLimit; i++) {
-        int victim = (slot + i) % job.slotLimit;
-        Job::SlotDeque &vd = job.deques[std::size_t(victim)];
-        std::lock_guard<std::mutex> lock(vd.m);
-        if (vd.q.empty())
-            continue;
-        begin = vd.q.front().first;
-        end = vd.q.front().second;
-        vd.q.pop_front();
-        steals_.fetch_add(1, std::memory_order_relaxed);
-        return true;
-    }
-    return false;
-}
-
 void
-WorkerPool::runStint(const std::shared_ptr<Job> &job, int slot)
+WorkerPool::runStint(Job &job, int slot)
 {
-    const std::function<void(int, coord_t, coord_t)> &fn = *job->fn;
-    coord_t begin = 0, end = 0;
-    while (nextSpan(*job, slot, begin, end)) {
-        // Split one chunk off the span; the remainder goes back onto
-        // the own deque where thieves can reach it.
-        coord_t e = std::min(end, begin + job->chunk);
-        if (end > e) {
-            Job::SlotDeque &own = job->deques[std::size_t(slot)];
-            std::lock_guard<std::mutex> lock(own.m);
-            own.q.emplace_back(e, end);
-        }
-        job->itemsTaken.fetch_add(e - begin, std::memory_order_relaxed);
+    for (;;) {
+        coord_t begin = job.next.fetch_add(job.chunk);
+        if (begin >= job.numItems)
+            return;
+        coord_t end = std::min(job.numItems, begin + job.chunk);
+        if (slot != 0)
+            steals_.fetch_add(1, std::memory_order_relaxed);
         // A cancelled job's chunks are credited without executing:
         // the accounting still converges and the stint drains fast.
         bool run;
         {
-            std::lock_guard<std::mutex> lock(job->m);
-            run = !job->cancelled;
+            std::lock_guard<std::mutex> lock(job.m);
+            run = !job.cancelled;
         }
         if (run) {
             try {
-                fn(slot, begin, e);
+                (*job.fn)(slot, begin, end);
             } catch (...) {
                 // A kernel share may throw (injected faults, real
                 // bugs). Letting it escape workerLoop() would
                 // std::terminate the process; record the first
                 // exception and cancel the remainder so runJob can
                 // rethrow it on the submitting thread.
-                std::lock_guard<std::mutex> lock(job->m);
-                if (!job->error)
-                    job->error = std::current_exception();
-                job->cancelled = true;
+                std::lock_guard<std::mutex> lock(job.m);
+                if (!job.error)
+                    job.error = std::current_exception();
+                job.cancelled = true;
             }
         }
-        std::lock_guard<std::mutex> lock(job->m);
-        job->itemsDone += e - begin;
-        if (job->itemsDone >= job->numItems) {
-            job->done = true;
-            job->cv.notify_all();
+        std::lock_guard<std::mutex> lock(job.m);
+        job.itemsDone += end - begin;
+        if (job.itemsDone >= job.numItems) {
+            job.done = true;
+            job.cv.notify_all();
         }
     }
 }
@@ -1080,20 +1043,17 @@ WorkerPool::workerLoop()
                 if (stop_)
                     return;
                 // Lease a free worker slot on any active job that
-                // still has unclaimed items. Scanning in registration
-                // order is fair enough: a job whose items are all
-                // taken is skipped, so helpers spill onto younger
+                // still has unclaimed chunks. Scanning in registration
+                // order is fair enough: a job whose chunks are all
+                // claimed is skipped, so helpers spill onto younger
                 // jobs instead of piling up.
                 for (const std::shared_ptr<Job> &j : activeJobs_) {
-                    if (j->itemsTaken.load(std::memory_order_relaxed) >=
-                        j->numItems) {
+                    if (j->next.load() >= j->numItems)
                         continue;
-                    }
                     std::lock_guard<std::mutex> jl(j->m);
-                    if (j->freeSlots.empty())
+                    if (j->freeSlots == 0)
                         continue;
-                    slot = j->freeSlots.back();
-                    j->freeSlots.pop_back();
+                    slot = j->freeSlots--;
                     job = j;
                     break;
                 }
@@ -1105,25 +1065,10 @@ WorkerPool::workerLoop()
                 });
             }
         }
-        runStint(job, slot);
-        bool more;
-        {
-            // Return the slot lease. If items are still unclaimed
-            // (this helper simply lost every race), another parked
-            // helper may be able to use the slot — wake one.
-            std::lock_guard<std::mutex> lock(job->m);
-            job->freeSlots.push_back(slot);
-            more = job->itemsTaken.load(std::memory_order_relaxed) <
-                   job->numItems;
-        }
-        job.reset();
-        if (more) {
-            {
-                std::lock_guard<std::mutex> lock(mutex_);
-                signal_++;
-            }
-            start_.notify_one();
-        }
+        // The stint ends only once every chunk is claimed, so the
+        // slot lease is never returned: no chunk is left for another
+        // helper to run on it.
+        runStint(*job, slot);
     }
 }
 
@@ -1135,16 +1080,9 @@ WorkerPool::runJob(coord_t n, coord_t chunk, int cap,
     job->fn = &fn;
     job->numItems = n;
     job->chunk = chunk;
-    job->slotLimit = cap;
-    job->deques = std::vector<Job::SlotDeque>(std::size_t(cap));
     // The caller owns slot 0 for the whole job; helpers lease
-    // 1..cap-1 (descending so slot 1 is handed out first).
-    job->freeSlots.reserve(std::size_t(cap) - 1);
-    for (int s = cap - 1; s >= 1; s--)
-        job->freeSlots.push_back(s);
-    // Seed the whole range onto the caller's deque: the caller starts
-    // splitting chunks off it immediately and helpers steal the tail.
-    job->deques[0].q.emplace_back(coord_t(0), n);
+    // 1..cap-1.
+    job->freeSlots = cap - 1;
 
     {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -1154,11 +1092,11 @@ WorkerPool::runJob(coord_t n, coord_t chunk, int cap,
     }
     start_.notify_all();
 
-    runStint(job, 0);
+    runStint(*job, 0);
 
-    // The caller's stint found no more spans; chunks may still be
-    // executing on helper slots. Wait for the accounting to converge
-    // rather than for a quiescent pool — other jobs keep running.
+    // Every chunk is claimed; some may still be executing on helper
+    // slots. Wait for the accounting to converge rather than for a
+    // quiescent pool — other jobs keep running.
     {
         std::unique_lock<std::mutex> lock(job->m);
         job->cv.wait(lock, [&] { return job->done; });

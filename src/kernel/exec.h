@@ -40,14 +40,12 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <span>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "common/geometry.h"
@@ -251,10 +249,10 @@ class Executor
                     coord_t row1);
 
     /**
-     * True when DIFFUSE_SCALAR_EXEC=1: the runtime executes every
-     * kernel on the scalar oracle (differential-testing toggle).
-     * Re-read from the environment on every call so benchmarks can
-     * flip it between phases.
+     * True when DIFFUSE_SCALAR_EXEC=1: execute every kernel on the
+     * scalar oracle (differential-testing toggle). Reads the
+     * environment on each call; rt::LowRuntime samples it once, at
+     * construction.
      */
     static bool scalarForced();
 
@@ -293,35 +291,31 @@ class Executor
 };
 
 /**
- * Work-stealing task scheduler sharding the strip/row ranges of
- * retired index tasks. A `parallelFor`/`parallelForChunked` call
- * submits one *job* — a range [0, n) cut into chunk-granular work
- * items — and the calling thread immediately participates as the
- * job's slot 0. Up to `workers() - 1` helper threads are spawned
- * **lazily** on the first job that can use them (a pool that never
- * runs parallel work never spawns a thread) and parked on a
- * condition variable between jobs.
+ * Task scheduler sharding the strip/row ranges of retired index tasks.
+ * A `parallelFor`/`parallelForChunked` call submits one *job* — a
+ * range [0, n) cut into fixed chunks — and the calling thread
+ * immediately participates as the job's slot 0. Up to `workers() - 1`
+ * helper threads are spawned **lazily** on the first job that can use
+ * them (a pool that never runs parallel work never spawns a thread)
+ * and parked on a condition variable between jobs.
  *
- * Each job keeps one deque of spans per worker slot: a worker pops
- * its own deque LIFO (splitting one chunk off the front of a span
- * and pushing the remainder back, so the tail stays stealable) and,
- * when its deque runs dry, steals FIFO from the other slots of the
- * job. Load balance is dynamic, so any determinism requirement must
- * be met by indexing results by item (not by worker), as the
- * runtime's reduction merge does.
+ * Each job hands out its chunks from one atomic claim cursor: every
+ * participant claims the next `[b, min(n, b + chunk))` with
+ * `b = next.fetch_add(chunk)` until `b >= n`. Which slot runs which
+ * chunk is a race, so any determinism requirement must be met by
+ * indexing results by item (not by worker), as the runtime's
+ * reduction merge does.
  *
  * One pool may be shared by several runtime sessions (see
- * core/context.h). Unlike the historical one-job-at-a-time pool —
- * whose busy-pool `try_lock` fallback silently ran a whole job
- * serially — concurrent jobs coexist: every job is registered with
- * the scheduler, and idle helpers lease a free worker slot on *any*
- * active job, so N sessions' point-task shards interleave instead of
- * queueing. `reserve()` raises the thread target to the largest
- * session request, and each job caps its dense worker-slot ids at
- * the caller's `max_workers` — so a workers=1 session sharing an
- * 8-thread pool still executes exactly like an isolated workers=1
- * runtime, and per-session scratch arrays sized for `max_workers`
- * slots are never indexed beyond it.
+ * core/context.h). Concurrent jobs coexist: every job is registered
+ * with the scheduler, and idle helpers lease a free worker slot on
+ * *any* active job that still has chunks to claim, so N sessions'
+ * point-task shards interleave instead of queueing. `reserve()`
+ * raises the thread target to the largest session request, and each
+ * job caps its dense worker-slot ids at the caller's `max_workers` —
+ * so a workers=1 session sharing an 8-thread pool still executes
+ * exactly like an isolated workers=1 runtime, and per-session scratch
+ * arrays sized for `max_workers` slots are never indexed beyond it.
  */
 class WorkerPool
 {
@@ -380,7 +374,7 @@ class WorkerPool
      * Run `fn(worker, begin, end)` over [0, n) in chunks of `chunk`
      * items claimed dynamically; blocks until all chunks complete.
      * This is how workers split strip ranges: claiming ranges instead
-     * of single items keeps the claim counter off the hot path. A
+     * of single items keeps the claim cursor off the hot path. A
      * range of one chunk (or a one-worker cap) runs inline on the
      * calling thread: no job, and no copy of `fn`.
      */
@@ -401,12 +395,6 @@ class WorkerPool
         runJob(n, chunk, cap,
                std::function<void(int, coord_t, coord_t)>(std::ref(fn)));
     }
-    template <typename Fn>
-    void
-    parallelForChunked(coord_t n, coord_t chunk, Fn &&fn)
-    {
-        parallelForChunked(n, chunk, workers(), fn);
-    }
 
     /**
      * Worker count from the environment: DIFFUSE_WORKERS when set (>=
@@ -415,8 +403,8 @@ class WorkerPool
      */
     static int defaultWorkers();
 
-    /** Spans stolen across worker slots so far (tests: steal-heavy
-     * configurations must actually steal). */
+    /** Chunks claimed by helper slots (not the submitting thread's
+     * slot 0) so far: the work callers handed off to the pool. */
     std::uint64_t steals() const
     {
         return steals_.load(std::memory_order_relaxed);
@@ -424,11 +412,11 @@ class WorkerPool
 
   private:
     /**
-     * One submitted parallel job. Spans of un-started items live in
-     * per-slot deques; `freeSlots` leases the dense helper slot ids
-     * (the caller permanently owns slot 0), `itemsDone` drives
+     * One submitted parallel job. Participants claim chunks from
+     * `next`; helpers lease the dense slot ids 1..`freeSlots` for
+     * good (the caller permanently owns slot 0), `itemsDone` drives
      * completion, and the first exception cancels the remainder —
-     * cancelled spans are credited without executing, so accounting
+     * cancelled chunks are credited without executing, so accounting
      * always converges and the error is rethrown on the submitting
      * thread.
      */
@@ -437,39 +425,25 @@ class WorkerPool
         const std::function<void(int, coord_t, coord_t)> *fn = nullptr;
         coord_t numItems = 0;
         coord_t chunk = 1;
-        int slotLimit = 1;
-        /** Items split off into executing chunks so far (gate for the
-         * helper scan: nothing left to claim once == numItems). */
-        std::atomic<coord_t> itemsTaken{0};
+        /** Start of the next unclaimed chunk; >= numItems once every
+         * chunk is claimed. */
+        std::atomic<coord_t> next{0};
 
         /** Guards the fields below. Lock order: pool mutex_ before
          * any Job::m; never the reverse. */
         std::mutex m;
         std::condition_variable cv;
-        std::vector<int> freeSlots; ///< leasable helper slots (1..)
+        int freeSlots = 0; ///< helper slots not yet leased
         coord_t itemsDone = 0;
         std::exception_ptr error;
         bool cancelled = false;
         bool done = false;
-
-        /** Per-slot span deques (owner pops back, thieves steal
-         * front). Sized to slotLimit at submission. */
-        struct SlotDeque
-        {
-            std::mutex m;
-            std::deque<std::pair<coord_t, coord_t>> q;
-        };
-        std::vector<SlotDeque> deques;
     };
 
     void workerLoop();
     /** Execute (or credit, once cancelled) chunks of `job` as slot
-     * `slot` until neither the own deque nor a steal yields a span. */
-    void runStint(const std::shared_ptr<Job> &job, int slot);
-    /** Pop the next span: own deque back first, then steal round-robin
-     * from the other slots' fronts. Returns false when the job has no
-     * unclaimed span left. */
-    bool nextSpan(Job &job, int slot, coord_t &begin, coord_t &end);
+     * `slot` until the claim cursor passes the end of the range. */
+    void runStint(Job &job, int slot);
     /** Submit a job to the scheduler and run the caller's stint. */
     void runJob(coord_t n, coord_t chunk, int cap,
                 const std::function<void(int, coord_t, coord_t)> &fn);

@@ -76,6 +76,7 @@ LowRuntime::LowRuntime(const MachineConfig &machine, ExecutionMode mode,
     memBudgetBytes_ =
         std::size_t(envInt("DIFFUSE_MEM_BUDGET", 0, 1, 1 << 20)) << 20;
     chunkOverride_ = envInt("DIFFUSE_CHUNK", 0, 0, 1 << 20);
+    scalarOracle_ = kir::Executor::scalarForced();
 }
 
 StoreId
@@ -809,14 +810,6 @@ LowRuntime::submitCopy(const CopyDesc &c)
 }
 
 void
-LowRuntime::wait(EventId id)
-{
-    stream_.wait(id);
-    if (const Error *e = stream_.eventError(id))
-        throw DiffuseError(*e);
-}
-
-void
 LowRuntime::fence()
 {
     stream_.fence();
@@ -847,7 +840,6 @@ LowRuntime::executeRetired(const LaunchedTask &task)
         return;
     }
     const kir::KernelFunction &fn = task.kernel->fn;
-    const bool scalar_oracle = kir::Executor::scalarForced();
     // Sample the kernel-fault decision here, on the retiring thread:
     // the per-kind opportunity count (and hence the firing pattern of
     // a given seed) is identical for every worker count. The throw
@@ -884,7 +876,7 @@ LowRuntime::executeRetired(const LaunchedTask &task)
     if (inject_kernel) {
         // Fault from inside a pool job: with workers > 1 the
         // exception crosses a helper thread and must be captured and
-        // rethrown on this thread (WorkerPool::jobError_), never
+        // rethrown on this thread (WorkerPool::runJob), never
         // std::terminate. Exactly one point throws, so the resulting
         // error is deterministic regardless of chunk interleaving.
         pool_->parallelFor(np, workers_, [&](int, coord_t p) {
@@ -902,7 +894,7 @@ LowRuntime::executeRetired(const LaunchedTask &task)
         std::vector<kir::BufferBinding> &b = workerBindings_[0];
         for (int p = 0; p < np; p++) {
             buildBindings(task, p, b, true);
-            if (scalar_oracle || task.kernel->plan == nullptr)
+            if (scalarOracle_ || task.kernel->plan == nullptr)
                 executors_[0].runScalar(fn, b, task.scalars);
             else
                 executors_[0].run(fn, *task.kernel->plan, b, task.scalars);
@@ -930,7 +922,7 @@ LowRuntime::executeRetired(const LaunchedTask &task)
     }
     std::span<RedSlot> reds(redSlots_.data(), nreds);
 
-    if (scalar_oracle || task.kernel->plan == nullptr) {
+    if (scalarOracle_ || task.kernel->plan == nullptr) {
         // Oracle path: whole points shard across workers, private
         // interpreter state per worker (the pre-plan reference shape).
         pool_->parallelFor(np, workers_, [&](int worker, coord_t p) {

@@ -14,7 +14,7 @@
  * dependency-tracked TaskStream (RAW/WAR/WAW hazards derived from
  * privileges and piece intersections) and returns an EventId
  * immediately. Tasks retire out of submission order when dependencies
- * allow; wait()/fence() force retirement, and host-side accessors
+ * allow; fence() forces retirement, and host-side accessors
  * (readScalarValue, dataF64/I32/I64) fence the affected store
  * implicitly. In Real mode retired point tasks run against host
  * allocations on the vectorized kernel executor (strip-mined tapes
@@ -272,14 +272,10 @@ class LowRuntime
     /**
      * Submit one (possibly fused) index task to the asynchronous
      * stream. Dependence analysis, the cost model and coherence
-     * updates run immediately; real execution is deferred until the
-     * returned event (or a fence) is waited on.
+     * updates run immediately; real execution is deferred until a
+     * fence or a host-side accessor retires the task.
      */
     EventId submit(LaunchedTask task);
-
-    /** Block until `id` (and its dependencies) have retired. Throws
-     * DiffuseError when the event failed or was cancelled. */
-    void wait(EventId id);
 
     /** Retire every in-flight task. Never throws — failures are
      * recorded (check failed()/error()); safe from destructors. */
@@ -527,10 +523,13 @@ class LowRuntime
     int workers_ = 1;
     /** DIFFUSE_CHUNK: fixed chunk size for sharded nests, which also
      * bypasses the fan-out grain (0 = auto: total/(workers*8), but no
-     * chunk below the grain). Small values force steal-heavy schedules
-     * in the determinism tests; results are chunk-invariant by
-     * design. */
+     * chunk below the grain). It is the pool's claim size: small
+     * values make every worker claim many chunks in the determinism
+     * tests; results are chunk-invariant by design. */
     int chunkOverride_ = 0;
+    /** DIFFUSE_SCALAR_EXEC, read at construction: run every kernel on
+     * the scalar oracle. */
+    bool scalarOracle_ = false;
     std::shared_ptr<kir::WorkerPool> pool_;
     /** Per-worker executor state (executors are not thread-safe). */
     std::vector<kir::Executor> executors_;

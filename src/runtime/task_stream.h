@@ -265,17 +265,6 @@ class TaskStream
     /** True when `id` has retired (or was never issued). */
     bool complete(EventId id) const;
 
-    /**
-     * The error of a failed event: its execution raised a structured
-     * error, or an upstream hazard dependency failed and it was
-     * cancelled (its kernel never ran). Null when it succeeded.
-     */
-    const Error *eventError(EventId id) const
-    {
-        auto it = failed_.find(id);
-        return it == failed_.end() ? nullptr : &it->second;
-    }
-
     /** Forget recorded failures (session resetAfterError()). */
     void clearFailures() { failed_.clear(); }
 

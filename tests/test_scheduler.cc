@@ -1,19 +1,20 @@
 /**
  * @file
- * Work-stealing scheduler and asynchronous flush tests.
+ * Worker-pool scheduler and asynchronous flush tests.
  *
  * The first suite drives kir::WorkerPool directly: concurrent jobs
  * from different sessions must both execute in parallel (the
  * regression for the old one-job-at-a-time pool, whose busy-pool
- * fallback ran the losing caller 100% serial), and helpers must
- * acquire work by stealing. The second suite locks the determinism
- * contract: results and simulated schedules are bitwise-identical
- * across worker counts, steal-heavy chunk sizes, and the draining
- * vs asynchronous flush. The third locks flushWindowAsync()'s
- * contract: at most one epoch in flight, retired by the next
- * submit() at the latest, and a failure inside it still cancels
- * dependents and latches the session with the root cause at the next
- * synchronizing point.
+ * fallback ran the losing caller 100% serial), helpers must claim
+ * chunks while the caller is busy, and every item of concurrent jobs
+ * runs exactly once, with steals() counting the chunks helpers
+ * claimed. The second suite locks the determinism contract: results
+ * and simulated schedules are bitwise-identical across worker counts,
+ * chunk sizes down to one item, and the draining vs asynchronous
+ * flush. The third locks flushWindowAsync()'s contract: at most one
+ * epoch in flight, retired by the next submit() at the latest, and a
+ * failure inside it still cancels dependents and latches the session
+ * with the root cause at the next synchronizing point.
  */
 
 #include <gtest/gtest.h>
@@ -52,7 +53,7 @@ spinUntil(Pred &&pred)
 }
 
 // ---------------------------------------------------------------------
-// WorkerPool: concurrent jobs and stealing
+// WorkerPool: concurrent jobs and chunk claiming
 // ---------------------------------------------------------------------
 
 TEST(Scheduler, ConcurrentJobsBothExecuteInParallel)
@@ -92,7 +93,7 @@ TEST(Scheduler, ConcurrentJobsBothExecuteInParallel)
     EXPECT_TRUE(ok[1].load()) << "job 1 ran serially on its caller";
 }
 
-TEST(Scheduler, HelpersAcquireWorkByStealing)
+TEST(Scheduler, HelpersClaimChunksWhileCallerIsParked)
 {
     kir::WorkerPool pool(8);
     std::uint64_t steals0 = pool.steals();
@@ -100,9 +101,8 @@ TEST(Scheduler, HelpersAcquireWorkByStealing)
     pool.parallelForChunked(
         4096, 1, 8, [&](int worker, coord_t begin, coord_t end) {
             if (worker == 0 && begin == 0) {
-                // Hold the caller inside item 0: the only way the
-                // remaining items (parked in the caller's deque) get
-                // executed promptly is a helper stealing them.
+                // Hold the caller inside item 0: the remaining items
+                // only run while it is parked if a helper claims them.
                 (void)spinUntil(
                     [&] { return pool.steals() > steals0; });
             }
@@ -110,6 +110,45 @@ TEST(Scheduler, HelpersAcquireWorkByStealing)
         });
     EXPECT_EQ(executed.load(), 4096u);
     EXPECT_GT(pool.steals(), steals0);
+}
+
+TEST(Scheduler, ConcurrentJobsRunEveryItemExactlyOnce)
+{
+    // Three callers share one 4-thread pool, each with a range that is
+    // not a multiple of the chunk, so every job ends on a short chunk.
+    constexpr coord_t kItems = 1000;
+    constexpr coord_t kChunk = 7;
+    constexpr int kJobs = 3;
+    kir::WorkerPool pool(4);
+    std::vector<std::atomic<int>> hits(std::size_t(kJobs * kItems));
+    std::atomic<std::uint64_t> chunks{0};
+    std::atomic<std::uint64_t> helperChunks{0};
+    std::uint64_t steals0 = pool.steals();
+    std::vector<std::thread> callers;
+    for (int j = 0; j < kJobs; j++) {
+        callers.emplace_back([&, j] {
+            pool.parallelForChunked(
+                kItems, kChunk, 4,
+                [&, j](int worker, coord_t begin, coord_t end) {
+                    EXPECT_LE(end - begin, kChunk);
+                    chunks.fetch_add(1);
+                    if (worker != 0)
+                        helperChunks.fetch_add(1);
+                    for (coord_t i = begin; i < end; i++)
+                        hits[std::size_t(j * kItems + i)].fetch_add(1);
+                });
+        });
+    }
+    for (std::thread &t : callers)
+        t.join();
+    for (std::size_t i = 0; i < hits.size(); i++)
+        ASSERT_EQ(hits[i].load(), 1) << "job " << i / kItems << " item "
+                                     << i % kItems;
+    // One callback per claimed chunk, and steals() counts exactly the
+    // chunks helper slots claimed.
+    EXPECT_EQ(chunks.load(),
+              std::uint64_t(kJobs * ((kItems + kChunk - 1) / kChunk)));
+    EXPECT_EQ(pool.steals() - steals0, helperChunks.load());
 }
 
 TEST(Scheduler, CallerThreadParticipates)
@@ -253,7 +292,7 @@ TEST(Scheduler, ResultsAndSchedulesBitwiseAcrossWorkersChunkPipeline)
     struct Case
     {
         int workers;
-        int chunk; // 0 = auto; 1 = steal-heavy
+        int chunk; // 0 = auto; 1 = one item per claim
         bool async;
     };
     const Case reference{1, 0, false};
@@ -261,15 +300,15 @@ TEST(Scheduler, ResultsAndSchedulesBitwiseAcrossWorkersChunkPipeline)
         {8, 0, false},
         {8, 1, false},
         {1, 1, false},
-        // The asynchronous flush over the steal-heavy configuration:
+        // The asynchronous flush over one-item chunks:
         // each epoch retires in the next iteration's first submit.
         {8, 1, true},
     };
     // Below the fan-out grain every nest runs inline at any worker
     // count; above it the default chunking fans out over the pool.
-    // Whether helpers actually steal is a host-scheduling race (on a
-    // loaded single-core runner the caller can drain every chunk
-    // first); HelpersAcquireWorkByStealing pins the steal path.
+    // Whether helpers actually claim a chunk is a host-scheduling race
+    // (on a loaded single-core runner the caller can drain every chunk
+    // first); HelpersClaimChunksWhileCallerIsParked pins that path.
     for (coord_t n : {kBelowGrain, kAboveGrain}) {
         auto run = [n](const Case &c) {
             DiffuseOptions o;
