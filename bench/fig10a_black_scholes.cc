@@ -8,13 +8,16 @@
  * The Real-mode wall-clock section measures the kernel executor on
  * the fused Black-Scholes body (transcendental-heavy, fully fusible):
  * scalar oracle (DIFFUSE_SCALAR_EXEC=1) vs. the strip-mined vector
- * executor on the same build. DIFFUSE_BENCH_SMOKE=1 runs only this
+ * executor on the same build, one 1-worker row per copy of the VM's
+ * strip loop this CPU runs (kir::forceVmCopy), so the baseline copy's
+ * cost shows on any host. DIFFUSE_BENCH_SMOKE=1 runs only this
  * section at CI size.
  */
 
 #include <memory>
 
 #include "harness.h"
+#include "kernel/exec.h"
 
 namespace {
 
@@ -80,15 +83,29 @@ main()
     WallMetric scalar_w1 = measureBs("scalar_w1", 1, true, n, steps,
                                      reps);
     printWallRow(scalar_w1);
-    WallMetric vector_w1 = measureBs("vector_w1", 1, false, n, steps,
-                                     reps);
-    printWallRow(vector_w1);
+    // One row per copy of the strip loop, each forced in turn; the
+    // default copy (the widest this CPU runs) is the one compared.
+    const kir::VmCopy chosen = kir::vmCopy();
+    WallMetric vector_w1;
+    for (kir::VmCopy copy : {kir::VmCopy::Baseline, kir::VmCopy::Avx512}) {
+        if (!kir::vmCopySupported(copy))
+            continue;
+        kir::forceVmCopy(copy);
+        WallMetric m = measureBs(std::string("vector_w1 ") +
+                                     kir::vmCopyName(copy),
+                                 1, false, n, steps, reps);
+        printWallRow(m);
+        if (copy == chosen)
+            vector_w1 = m;
+    }
+    kir::forceVmCopy(chosen);
     WallMetric vector_w8 = measureBs("vector_w8", 8, false, n, steps,
                                      reps);
     printWallRow(vector_w8);
     // Speedups from the least-disturbed rep: on busy hosts the median
     // absorbs scheduler noise that hits both series at random.
-    std::printf("# vector vs scalar (1 worker): %.2fx\n",
+    std::printf("# vector (%s) vs scalar (1 worker): %.2fx\n",
+                kir::vmCopyName(chosen),
                 scalar_w1.minSeconds / vector_w1.minSeconds);
     std::printf("# vector 8 vs 1 workers:      %.2fx\n",
                 vector_w1.minSeconds / vector_w8.minSeconds);

@@ -1,3 +1,13 @@
+// The engines' bitwise contract forbids FMA contraction: GCC would
+// otherwise fuse a triad's two statements, or the steps of fastmath.h's
+// polynomials, wherever the target has FMA, and the AVX-512 copy of
+// the strip loop always does. CMake also passes -ffp-contract=off, but
+// a build of these sources that does not (perfbench's) still gets it
+// here. Placed before the includes so that it covers fastmath.h too.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC optimize("fp-contract=off")
+#endif
+
 #include "exec.h"
 
 #include <algorithm>
@@ -396,16 +406,56 @@ Executor::splatInvariants(const DensePlan &dp, int width,
     }
 }
 
-void
-Executor::execStrip(const DensePlan &dp, const ResolvedNest &rn,
-                    coord_t strip, int width,
-                    std::span<const double> scalars, double *partials)
+// The AVX-512 copy needs GCC 12 on x86-64 (a target attribute with an
+// arch, __builtin_cpu_supports("x86-64-v4")). It is compiled for
+// x86-64-v4, or for the build's own target where that already has
+// AVX-512. Under any other -march (native on a host without AVX-512,
+// say) GCC cannot inline the loop body, compiled for that target, into
+// an x86-64-v4 function, and only the baseline copy is built.
+#if defined(__GNUC__) && !defined(__clang__) && __GNUC__ >= 12 &&        \
+    defined(__x86_64__)
+#if defined(__AVX512F__) && defined(__AVX512BW__) &&                     \
+    defined(__AVX512CD__) && defined(__AVX512DQ__) && defined(__AVX512VL__)
+#define DIFFUSE_VM_AVX512 1
+#define DIFFUSE_VM_AVX512_TARGET
+#elif defined(__k8__) && !defined(__3dNOW__) // the generic x86-64 levels
+#define DIFFUSE_VM_AVX512 1
+#define DIFFUSE_VM_AVX512_TARGET [[gnu::target("arch=x86-64-v4")]]
+#endif
+#endif
+#ifndef DIFFUSE_VM_AVX512
+#define DIFFUSE_VM_AVX512 0
+#endif
+
+namespace {
+
+/** The VM's erf: the select form where the loop vectorizes, the
+ * branchy form in scalar code. The two return equal bits. */
+template <bool SelectErf>
+[[gnu::always_inline]] inline double
+vmErf(double x)
+{
+    if constexpr (SelectErf)
+        return fastErfSelect(x);
+    else
+        return fastErf(x);
+}
+
+/**
+ * One strip of the tape VM: the single body of every copy of the
+ * strip loop (VmCopy). Each copy inlines it, so the compiler generates
+ * it once per instruction set. `vr` is the vector register file and
+ * `src` the operand table (Executor::vregs_ and operands_).
+ */
+template <bool SelectErf>
+[[gnu::always_inline]] inline void
+execStrip(const DensePlan &dp, const ResolvedNest &rn, coord_t strip,
+          int width, std::span<const double> scalars, double *vr,
+          const double **src, double *partials)
 {
     coord_t row = strip / rn.stripsPerRow;
     coord_t col0 = (strip % rn.stripsPerRow) * width;
     int len = int(std::min<coord_t>(width, rn.inner - col0));
-    double *vr = vregs_.data();
-    const double **src = operands_.data();
     std::size_t w = std::size_t(width);
 
     for (const VecInstr &ins : dp.tape) {
@@ -465,13 +515,13 @@ Executor::execStrip(const DensePlan &dp, const ResolvedNest &rn,
 // loop binds the shape's operands by name (through the operand table,
 // so an operand may be an in-place Load's buffer) and evaluates the
 // row's expression per element into the destination's own row. A
-// triad's product T is a statement of its own and the build forbids
-// FP contraction (-ffp-contract=off), so both IEEE rounding steps
-// survive.
+// triad's product T is a statement of its own and this file forbids
+// FP contraction (the pragma at its top), so both IEEE rounding steps
+// survive. EXP, LOG and ERF are the runtime's own (common/fastmath.h).
 #define POW std::pow
-#define EXP std::exp
-#define LOG std::log
-#define ERF fastErf
+#define EXP fastExp
+#define LOG fastLog
+#define ERF vmErf<SelectErf>
 #define SQRT std::sqrt
 #define FABS std::fabs
 #define DIFFUSE_VM_REG(R) (src[std::size_t(ins.R)])
@@ -583,6 +633,93 @@ Executor::execStrip(const DensePlan &dp, const ResolvedNest &rn,
     }
 }
 
+/** The baseline copy: the build's own target. */
+void
+execStripsBaseline(const DensePlan &dp, const ResolvedNest &rn,
+                   coord_t strip0, coord_t strip1, int width,
+                   std::span<const double> scalars, double *vr,
+                   const double **src, double *partials)
+{
+    for (coord_t s = strip0; s < strip1; s++)
+        execStrip<false>(dp, rn, s, width, scalars, vr, src, partials);
+}
+
+#if DIFFUSE_VM_AVX512
+/** The AVX-512 copy: masked vector code for the selects of exp, log
+ * and erf. Not target_clones, whose ifunc cannot be forced. */
+DIFFUSE_VM_AVX512_TARGET void
+execStripsAvx512(const DensePlan &dp, const ResolvedNest &rn,
+                 coord_t strip0, coord_t strip1, int width,
+                 std::span<const double> scalars, double *vr,
+                 const double **src, double *partials)
+{
+    for (coord_t s = strip0; s < strip1; s++)
+        execStrip<true>(dp, rn, s, width, scalars, vr, src, partials);
+}
+#endif
+
+/** The copy in use: picked on first use, until forceVmCopy(). */
+std::atomic<VmCopy> &
+currentCopy()
+{
+    static std::atomic<VmCopy> copy{vmCopySupported(VmCopy::Avx512)
+                                        ? VmCopy::Avx512
+                                        : VmCopy::Baseline};
+    return copy;
+}
+
+} // namespace
+
+const char *
+vmCopyName(VmCopy copy)
+{
+    return copy == VmCopy::Avx512 ? "avx512" : "baseline";
+}
+
+bool
+vmCopySupported(VmCopy copy)
+{
+    if (copy == VmCopy::Baseline)
+        return true;
+#if DIFFUSE_VM_AVX512
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("x86-64-v4");
+#else
+    return false;
+#endif
+}
+
+VmCopy
+vmCopy()
+{
+    return currentCopy().load(std::memory_order_relaxed);
+}
+
+VmCopy
+forceVmCopy(VmCopy copy)
+{
+    diffuse_assert(vmCopySupported(copy),
+                   "strip-loop copy %s is not supported here",
+                   vmCopyName(copy));
+    return currentCopy().exchange(copy, std::memory_order_relaxed);
+}
+
+void
+Executor::execStrips(const DensePlan &dp, const ResolvedNest &rn,
+                     coord_t strip0, coord_t strip1, int width,
+                     std::span<const double> scalars, double *partials)
+{
+#if DIFFUSE_VM_AVX512
+    if (vmCopy() == VmCopy::Avx512) {
+        execStripsAvx512(dp, rn, strip0, strip1, width, scalars,
+                         vregs_.data(), operands_.data(), partials);
+        return;
+    }
+#endif
+    execStripsBaseline(dp, rn, strip0, strip1, width, scalars,
+                       vregs_.data(), operands_.data(), partials);
+}
+
 void
 Executor::runNest(PointContext &ctx, int nest)
 {
@@ -616,9 +753,8 @@ Executor::runNest(PointContext &ctx, int nest)
     for (std::size_t r = 0; r < dp.reductions.size(); r++)
         partials_[r] = reductionIdentity(dp.reductions[r].op);
 
-    for (coord_t s = 0; s < rn.strips; s++)
-        execStrip(dp, rn, s, plan.stripWidth, ctx.scalars_,
-                  partials_.data());
+    execStrips(dp, rn, 0, rn.strips, plan.stripWidth, ctx.scalars_,
+               partials_.data());
 
     for (std::size_t r = 0; r < dp.reductions.size(); r++) {
         const Reduction &red = dp.reductions[r];
@@ -644,8 +780,8 @@ Executor::runStrips(PointContext &ctx, int nest, coord_t strip0,
         splatInvariants(dp, plan.stripWidth, ctx.scalars_);
         invariantEpoch_ = epoch;
     }
-    for (coord_t s = strip0; s < strip1; s++)
-        execStrip(dp, rn, s, plan.stripWidth, ctx.scalars_, nullptr);
+    execStrips(dp, rn, strip0, strip1, plan.stripWidth, ctx.scalars_,
+               nullptr);
 }
 
 void
@@ -800,10 +936,10 @@ Executor::runDense(const KernelFunction &fn, const LoopNest &nest,
                     regs[ins.dst] = std::sqrt(regs[ins.a]);
                     break;
                   case Op::Exp:
-                    regs[ins.dst] = std::exp(regs[ins.a]);
+                    regs[ins.dst] = fastExp(regs[ins.a]);
                     break;
                   case Op::Log:
-                    regs[ins.dst] = std::log(regs[ins.a]);
+                    regs[ins.dst] = fastLog(regs[ins.a]);
                     break;
                   case Op::Erf:
                     regs[ins.dst] = fastErf(regs[ins.a]);

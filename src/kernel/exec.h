@@ -14,13 +14,19 @@
  *    register-vector file; contiguous Loads the plan marks in place
  *    are read from the bound buffer instead of copied into it.
  *    Reductions fold lanes in element order, so results are
- *    bit-identical to the scalar oracle at every strip width.
+ *    bit-identical to the scalar oracle at every strip width. The
+ *    strip loop is compiled twice from one body, as a baseline copy
+ *    and an AVX-512 (x86-64-v4) copy; each process runs the widest
+ *    copy its CPU supports (see VmCopy).
  *
  *  - The **scalar interpreter** (the oracle): the original
  *    element-at-a-time switch interpreter, retained verbatim behind
  *    DIFFUSE_SCALAR_EXEC=1 for differential testing and as the
  *    fallback for nest instances whose resolved views genuinely
  *    overlap at shifted indices (element-interleaved semantics).
+ *
+ * Both engines take Exp, Log and Erf from common/fastmath.h, never
+ * from libm, so every copy of the VM matches the oracle bitwise.
  *
  * A binding is a strided view of a physical allocation — the moral
  * equivalent of the memrefs the paper's MLIR kernels receive. In Real
@@ -111,6 +117,33 @@ TaskCost profileCost(const KernelFunction &fn,
  */
 TaskCost profileCost(const CompiledKernel &kernel,
                      std::span<const BufferBinding> bindings);
+
+/**
+ * The instruction-set copies of the tape VM's strip loop. Both are
+ * compiled from one body: Baseline for the build's target, and Avx512
+ * for x86-64-v4 (GCC on x86-64 only), which vectorizes exp, log and
+ * erf. The process picks the widest copy its CPU supports, once; every
+ * copy is bitwise equal to the scalar oracle.
+ */
+enum class VmCopy { Baseline, Avx512 };
+
+/** "baseline" or "avx512". */
+const char *vmCopyName(VmCopy copy);
+
+/** True when the build contains `copy` and this CPU can run it. */
+bool vmCopySupported(VmCopy copy);
+
+/** The copy every Executor in the process runs now: the widest
+ * supported one, unless forceVmCopy() replaced it. */
+VmCopy vmCopy();
+
+/**
+ * Run `copy` from now on, process-wide, and return the copy it
+ * replaces. For tests and benches that check or time one copy on a
+ * host that supports several; `copy` must be supported. Not meant to
+ * race running kernels: set it between them.
+ */
+VmCopy forceVmCopy(VmCopy copy);
 
 /** An access site resolved against a concrete binding. */
 struct ResolvedAccess
@@ -260,9 +293,11 @@ class Executor
     void ensureVecRegs(const ExecutablePlan &plan);
     void splatInvariants(const DensePlan &dp, int width,
                          std::span<const double> scalars);
-    void execStrip(const DensePlan &dp, const ResolvedNest &rn,
-                   coord_t strip, int width,
-                   std::span<const double> scalars, double *partials);
+    /** Strips [strip0, strip1) of a Dense nest, on the copy of the
+     * strip loop the process runs (vmCopy()). */
+    void execStrips(const DensePlan &dp, const ResolvedNest &rn,
+                    coord_t strip0, coord_t strip1, int width,
+                    std::span<const double> scalars, double *partials);
 
     void runDense(const KernelFunction &fn, const LoopNest &nest,
                   std::span<const BufferBinding> bindings,

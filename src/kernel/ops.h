@@ -5,7 +5,7 @@
  * Each row names an op, the operand shape it reads and one expression
  * for its result. Everything else about the op is generated from the
  * row: the kir::Op and kir::VecOp enumerators, mirrorOp, opName and
- * opFlopWeight and the tape VM's strip loop (Executor::execStrip,
+ * opFlopWeight and the tape VM's strip loop (execStrip in exec.cc,
  * which expands the expression as code). The scalar interpreter
  * (Executor::runDense) is kept apart on purpose: it is the
  * independent oracle the VM is checked against
@@ -32,7 +32,11 @@
  * a fused triad's product. The VM computes it as a statement of its
  * own, so both IEEE rounding steps survive: triads fuse register
  * traffic, not arithmetic. Expressions call POW, EXP, LOG, ERF, SQRT
- * and FABS, which the VM binds to the code the scalar oracle runs.
+ * and FABS, which the VM binds to the code the scalar oracle runs:
+ * std::pow, std::sqrt and std::fabs, and for EXP, LOG and ERF the
+ * runtime's own fastExp, fastLog and fastErf (common/fastmath.h). The
+ * VM's AVX-512 copy binds ERF to fastErfSelect, the branch-free form
+ * that returns fastErf's bits.
  *
  * Adding a mirror op takes one row here and one case in runDense;
  * adding a derived op takes one row and its lowering rule in plan.cc.

@@ -4,7 +4,8 @@
  * every addressing class (contiguous / strided / transposed-stride /
  * broadcast), strip widths 1, 3 and 256, and domain sizes that are
  * not strip multiples, and every row of the op table (kernel/ops.h) —
- * all asserting the vector engine matches the scalar oracle BITWISE.
+ * all asserting the vector engine matches the scalar oracle BITWISE,
+ * on every copy of the strip loop (VmCopy) this CPU can run.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,8 @@
 #include <array>
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "kernel/compiler.h"
@@ -24,6 +27,47 @@ namespace kir {
 namespace {
 
 const int kStrips[] = {1, 3, 256};
+
+/** Every copy of the VM's strip loop. */
+const VmCopy kCopies[] = {VmCopy::Baseline, VmCopy::Avx512};
+
+/** Runs one copy of the strip loop for the scope's lifetime. */
+class ForcedCopy
+{
+  public:
+    explicit ForcedCopy(VmCopy copy) : prev_(forceVmCopy(copy)) {}
+    ~ForcedCopy() { forceVmCopy(prev_); }
+    ForcedCopy(const ForcedCopy &) = delete;
+    ForcedCopy &operator=(const ForcedCopy &) = delete;
+
+  private:
+    VmCopy prev_;
+};
+
+/**
+ * Run `check` once per copy of the strip loop, each forced in turn. A
+ * copy the build lacks or this CPU cannot run skips the test, naming
+ * the copy, after the others ran: a copy never passes unchecked.
+ */
+template <typename Fn>
+void
+forEachCopy(Fn &&check)
+{
+    std::string missing;
+    for (VmCopy copy : kCopies) {
+        if (!vmCopySupported(copy)) {
+            missing += std::string(" ") + vmCopyName(copy);
+            continue;
+        }
+        ForcedCopy forced(copy);
+        SCOPED_TRACE(std::string("strip-loop copy ") + vmCopyName(copy));
+        check();
+    }
+    if (!missing.empty())
+        GTEST_SKIP() << "strip-loop copy not in this build or not run by "
+                        "this CPU:"
+                     << missing;
+}
 
 /** Bitwise comparison of two double vectors. */
 ::testing::AssertionResult
@@ -110,8 +154,9 @@ makeEveryOpKernel(int dims)
     return fn;
 }
 
-/** Run `fn` on the oracle and on plans of every strip width; compare
- * the full output allocations bitwise. */
+/** Run `fn` on the oracle and on plans of every strip width, on
+ * every copy of the strip loop; compare the full output allocations
+ * bitwise. */
 void
 expectDifferentialMatch(const KernelFunction &fn,
                         std::vector<BufferBinding> binds,
@@ -124,12 +169,14 @@ expectDifferentialMatch(const KernelFunction &fn,
     ex.runScalar(fn, binds, scalars);
     std::vector<double> want = out_alloc;
 
-    for (int w : kStrips) {
-        ExecutablePlan plan = lowerPlan(fn, w);
-        out_alloc = out_init;
-        ex.run(fn, plan, binds, scalars);
-        EXPECT_TRUE(bitEqual(out_alloc, want)) << "strip width " << w;
-    }
+    forEachCopy([&] {
+        for (int w : kStrips) {
+            ExecutablePlan plan = lowerPlan(fn, w);
+            out_alloc = out_init;
+            ex.run(fn, plan, binds, scalars);
+            EXPECT_TRUE(bitEqual(out_alloc, want)) << "strip width " << w;
+        }
+    });
 }
 
 TEST(VectorExecutor, EveryOpContiguous1d)
@@ -401,19 +448,22 @@ TEST(VectorExecutor, EveryTableOpMatchesOracle)
                 found = found || ins.op == rows[i].op;
             EXPECT_TRUE(found) << rows[i].name << " not in its tape";
         }
-        for (int w : kStrips) {
-            ExecutablePlan plan = lowerPlan(fn, w);
-            for (const auto &pair : pairs) {
-                std::span<const double> sc(pair);
-                auto want = runAll(fn, sc, nullptr);
-                auto vm = runAll(fn, sc, &plan);
-                for (std::size_t i = 0; i < rows.size(); i++) {
-                    EXPECT_TRUE(bitEqual(vm[i], want[i]))
-                        << rows[i].name << ": strip " << w
-                        << ", scalar K " << scalar_k << ", K " << sc[0];
+        forEachCopy([&] {
+            for (int w : kStrips) {
+                ExecutablePlan plan = lowerPlan(fn, w);
+                for (const auto &pair : pairs) {
+                    std::span<const double> sc(pair);
+                    auto want = runAll(fn, sc, nullptr);
+                    auto vm = runAll(fn, sc, &plan);
+                    for (std::size_t i = 0; i < rows.size(); i++) {
+                        EXPECT_TRUE(bitEqual(vm[i], want[i]))
+                            << rows[i].name << ": strip " << w
+                            << ", scalar K " << scalar_k << ", K "
+                            << sc[0];
+                    }
                 }
             }
-        }
+        });
     }
 }
 
@@ -510,14 +560,165 @@ TEST(VectorExecutor, ReductionsBitIdenticalAtEveryStripWidth)
         ex.runScalar(fn, binds, {});
         double want = acc[0];
 
-        for (int w : kStrips) {
-            ExecutablePlan plan = lowerPlan(fn, w);
-            acc[0] = 0.125;
-            ex.run(fn, plan, binds, {});
-            EXPECT_EQ(std::memcmp(&acc[0], &want, sizeof(double)), 0)
-                << reductionOpName(op) << " strip " << w;
+        forEachCopy([&] {
+            for (int w : kStrips) {
+                ExecutablePlan plan = lowerPlan(fn, w);
+                acc[0] = 0.125;
+                ex.run(fn, plan, binds, {});
+                EXPECT_EQ(std::memcmp(&acc[0], &want, sizeof(double)), 0)
+                    << reductionOpName(op) << " strip " << w;
+            }
+        });
+    }
+}
+
+/**
+ * A Black-Scholes pricing nest (div, log, sqrt, exp, two erf and the
+ * triads lowering fuses) over option inputs S, K, T and the rate as
+ * a scalar; call and put land in the two halves of one allocation.
+ */
+KernelFunction
+makeBlackScholesKernel()
+{
+    KernelFunction fn;
+    fn.name = "black_scholes";
+    fn.numArgs = 5; // S, K, T, call, put
+    fn.numScalars = 1;
+    fn.buffers.resize(5);
+    for (auto &buf : fn.buffers) {
+        buf.dims = 1;
+        buf.shapeClass = 0;
+    }
+    const double vol = 0.25;
+    LoopNest nest;
+    nest.domainBuf = 3;
+    BodyBuilder b(nest.body);
+    int s = b.load(0), k = b.load(1), t = b.load(2), r = b.scalar(0);
+    int vsqrt = b.binary(Op::Mul, b.unary(Op::Sqrt, t), b.constant(vol));
+    int mu = b.binary(Op::Add, r, b.constant(0.5 * vol * vol));
+    int lsk = b.unary(Op::Log, b.binary(Op::Div, s, k));
+    int drift = b.binary(Op::Mul, mu, t);
+    int d1 = b.binary(Op::Div, b.binary(Op::Add, lsk, drift), vsqrt);
+    int d2 = b.binary(Op::Sub, d1, vsqrt);
+    auto cdf = [&](int d) {
+        int scaled = b.binary(Op::Mul, d, b.constant(M_SQRT1_2));
+        int e = b.unary(Op::Erf, scaled);
+        return b.binary(Op::Add, b.binary(Op::Mul, e, b.constant(0.5)),
+                        b.constant(0.5));
+    };
+    int nd1 = cdf(d1), nd2 = cdf(d2);
+    // exp((0 - r) T), not exp(-(r T)): negating a NaN flips its sign,
+    // and the engines may pick either of two NaNs an add or multiply
+    // meets (operand order is the compiler's), so keep one per lane.
+    int negRate = b.binary(Op::Sub, b.constant(0.0), r);
+    int disc = b.unary(Op::Exp, b.binary(Op::Mul, negRate, t));
+    int kd = b.binary(Op::Mul, k, disc);
+    int call = b.binary(Op::Sub, b.binary(Op::Mul, s, nd1),
+                        b.binary(Op::Mul, kd, nd2));
+    b.store(3, call);
+    b.store(4, b.binary(Op::Add, b.binary(Op::Sub, call, s), kd));
+    fn.nests.push_back(std::move(nest));
+    return fn;
+}
+
+/** The Black-Scholes nest matches the oracle bitwise on every copy
+ * of the strip loop, with erf's argument in each of its three ranges
+ * and beyond, and exp, log and erf on their edge values. */
+TEST(VectorExecutor, BlackScholesNestMatchesOracle)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double denorm = std::numeric_limits<double>::denorm_min();
+    const double rate = 1.0; // exp's argument is -T
+    std::vector<double> s, k, t;
+    auto option = [&](double sv, double kv, double tv) {
+        s.push_back(sv);
+        k.push_back(kv);
+        t.push_back(tv);
+    };
+    // Moneyness swept over [e^-4, e^4]: erf's argument spans [-12, 12].
+    for (int i = 0; i < 600; i++)
+        option(std::exp(-4.0 + 8.0 * i / 599.0), 1.0, 1.0);
+    // Quasi-random options, negatives and zeros included.
+    std::vector<double> f1(300), f2(300), f3(300);
+    fill(f1, 61);
+    fill(f2, 62);
+    fill(f3, 63);
+    for (std::size_t i = 0; i < f1.size(); i++)
+        option(f1[i], f2[i], f3[i]);
+    // log's edge values, as S / K.
+    for (double v : {0.0, -0.0, inf, -inf, nan, -1.0, -1e-310, denorm,
+                     2.2e-308, 1.0})
+        option(v, 1.0, 1.0);
+    // exp's edge values, as -T (sqrt(T) is NaN for T < 0).
+    for (double v : {709.78, 709.79, -745.13, -745.14, -708.4, -744.0,
+                     0.0, -0.0, inf, -inf, nan, denorm})
+        option(1.1, 1.0, v == v ? -v : v);
+    // erf's: the log lanes above give it ±inf and NaN, and a subnormal
+    // T a tiny argument.
+    option(1.0, 1.0, denorm);
+
+    // Every erf range is reached: |x| <= 0.46875, <= 4, <= 6, > 6.
+    int ranges[4] = {0, 0, 0, 0};
+    for (std::size_t i = 0; i < s.size(); i++) {
+        double d1 = (std::log(s[i] / k[i]) + 1.03125 * t[i]) /
+                    (std::sqrt(t[i]) * 0.25);
+        for (double x : {d1 * M_SQRT1_2, (d1 - std::sqrt(t[i]) * 0.25) *
+                                             M_SQRT1_2}) {
+            double y = std::fabs(x);
+            if (y <= 0.46875)
+                ranges[0]++;
+            else if (y <= 4.0)
+                ranges[1]++;
+            else if (y <= 6.0)
+                ranges[2]++;
+            else if (y > 6.0)
+                ranges[3]++;
         }
     }
+    for (int r = 0; r < 4; r++)
+        EXPECT_GT(ranges[r], 10) << "erf range " << r;
+
+    KernelFunction fn = makeBlackScholesKernel();
+    {
+        ExecutablePlan plan = lowerPlan(fn);
+        int seen[3] = {0, 0, 0}; // Erf, Exp and Log
+        bool triad = false;
+        for (const VecInstr &ins : plan.nests[0].dense.tape) {
+            seen[0] += ins.op == VecOp::Erf;
+            seen[1] += ins.op == VecOp::Exp;
+            seen[2] += ins.op == VecOp::Log;
+            triad = triad || ins.op == VecOp::MulSub ||
+                    ins.op == VecOp::SubMul || ins.op == VecOp::AddMul ||
+                    ins.op == VecOp::MulAdd || ins.op == VecOp::MulKAddK;
+        }
+        EXPECT_EQ(seen[0], 2);
+        EXPECT_EQ(seen[1], 1);
+        EXPECT_EQ(seen[2], 1);
+        EXPECT_TRUE(triad);
+    }
+
+    const coord_t n = coord_t(s.size());
+    std::vector<double> out(std::size_t(2 * n), 0.0);
+    BufferBinding call = bindVec(out), put = bindVec(out);
+    call.extent[0] = put.extent[0] = n;
+    put.base = out.data() + n;
+    expectDifferentialMatch(
+        fn, {bindVec(s), bindVec(k), bindVec(t), call, put}, out,
+        std::span(&rate, 1), std::vector<double>(std::size_t(2 * n), 0.0));
+}
+
+/** A CPU that runs the AVX-512 copy gets it without being asked
+ * (every test that forces a copy restores the one it found). */
+TEST(VectorExecutor, DefaultCopyIsTheWidestSupported)
+{
+    EXPECT_TRUE(vmCopySupported(VmCopy::Baseline));
+    if (!vmCopySupported(VmCopy::Avx512)) {
+        EXPECT_EQ(vmCopy(), VmCopy::Baseline);
+        GTEST_SKIP() << "strip-loop copy avx512 not in this build or not "
+                        "run by this CPU";
+    }
+    EXPECT_EQ(vmCopy(), VmCopy::Avx512);
 }
 
 TEST(VectorExecutor, ShiftedAliasFallsBackToOracleSemantics)
