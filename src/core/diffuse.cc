@@ -675,6 +675,7 @@ DiffuseRuntime::traceBeginCapture()
     traceRec_ = std::make_unique<TraceEpoch>();
     traceLog_.clear();
     traceLogMark_ = 0;
+    traceScalarMark_ = 0;
     traceProbes_.clear();
     low_.beginSubmitCapture(&traceLog_);
     traceCaptureUnits_ = true;
@@ -726,24 +727,34 @@ DiffuseRuntime::traceRecordUnit(int prefix_len, FusionBlock block,
     u.temps = std::uint32_t(group.temps.size());
     u.probes = std::move(traceProbes_);
     traceProbes_.clear();
-    u.subs.reserve(traceLog_.size() - traceLogMark_);
+    u.opBegin = std::uint32_t(traceLogMark_);
+    u.opEnd = std::uint32_t(traceLog_.size());
+    // A fused group's scalar block is the prefix's scalars in task
+    // order (memo.h instantiates the same way); the replay's scalar
+    // block holds every task's, so the unit's is the next run of it.
+    std::uint32_t nscalars = 0;
+    for (int t = 0; t < prefix_len; t++)
+        nscalars += std::uint32_t(window_[std::size_t(t)].scalars.size());
     for (std::size_t i = traceLogMark_; i < traceLog_.size(); i++) {
-        rt::RecordedSubmission &sub = traceLog_[i];
+        rt::ProgramOp &op = traceLog_[i];
         // Canonicalize store ids to epoch slots (every store of a
         // scheduled group appeared in this epoch's event stream).
-        for (rt::LowArg &a : sub.task.args) {
+        for (rt::LowArg &a : op.task.args) {
             int slot = traceEnc_.slotOf(a.store);
             diffuse_assert(slot >= 0, "captured store %llu has no slot",
                            (unsigned long long)a.store);
             a.store = StoreId(slot);
         }
-        if (sub.task.kind == rt::TaskKind::Copy) {
-            int slot = traceEnc_.slotOf(sub.task.copy.store);
+        if (op.task.kind == rt::TaskKind::Copy) {
+            int slot = traceEnc_.slotOf(op.task.copy.store);
             diffuse_assert(slot >= 0, "captured copy has no slot");
-            sub.task.copy.store = StoreId(slot);
+            op.task.copy.store = StoreId(slot);
+        } else {
+            op.scalarBegin = traceScalarMark_;
+            op.scalarCount = nscalars;
         }
-        u.subs.push_back(std::move(sub));
     }
+    traceScalarMark_ += nscalars;
     traceLogMark_ = traceLog_.size();
     traceRec_->units.push_back(std::move(u));
 }
@@ -763,6 +774,23 @@ DiffuseRuntime::traceFinalizeCapture()
         traceRec_->codes.assign(epochCodes_.begin(),
                                 epochCodes_.begin() + traceEvent_);
         traceRec_->slotSigs = traceSigs_;
+        // Compile the program once, before publication: the units'
+        // submissions move (not copy) into one flat op array.
+        rt::TraceProgram &prog = traceRec_->program;
+        std::vector<std::uint8_t> used(traceEnc_.slots().size(), 0);
+        prog.ops.reserve(traceLog_.size());
+        for (rt::ProgramOp &op : traceLog_) {
+            for (const rt::LowArg &a : op.task.args)
+                used[std::size_t(a.store)] = 1;
+            prog.ops.push_back(std::move(op));
+        }
+        traceLog_.clear();
+        traceLogMark_ = 0;
+        for (std::size_t s = 0; s < used.size(); s++) {
+            if (used[s])
+                prog.slots.push_back(std::uint32_t(s));
+        }
+        prog.scalarCount = traceScalarMark_;
         traceRec_->windowSizeAfter = windowSize_;
         // Counted per-epoch, not by FusionStats delta: the app may
         // reset the stats mid-epoch (benches do, after warmup).
@@ -777,16 +805,16 @@ DiffuseRuntime::traceFinalizeCapture()
 bool
 DiffuseRuntime::traceTryReplay()
 {
-    TraceEpoch *match = nullptr;
+    const std::shared_ptr<TraceEpoch> *match = nullptr;
     for (const std::shared_ptr<TraceEpoch> &c : traceCands_) {
         if (int(c->codes.size()) == traceEvent_) {
-            match = c.get();
+            match = &c;
             break;
         }
     }
     if (match == nullptr)
         return false;
-    if (!traceValidateProbes(*match)) {
+    if (!traceValidateProbes(**match)) {
         fusionStats_.traceValidationFailures++;
         return false;
     }
@@ -803,7 +831,7 @@ DiffuseRuntime::traceTryReplay()
 }
 
 bool
-DiffuseRuntime::traceValidateProbes(const TraceEpoch &epoch) const
+DiffuseRuntime::traceValidateProbes(const TraceEpoch &epoch)
 {
     // Reconstruct each probed store's application refcount at its
     // unit's decision point: the current (epoch-entry) value plus the
@@ -811,7 +839,8 @@ DiffuseRuntime::traceValidateProbes(const TraceEpoch &epoch) const
     // endEvent, clamped to the deferred events. Units are in endEvent
     // order, so one pass over the events with per-slot running deltas
     // serves every probe.
-    std::vector<int> delta(traceEnc_.slots().size(), 0);
+    std::vector<int> &delta = traceDelta_;
+    delta.assign(traceEnc_.slots().size(), 0);
     const int last = int(tracePending_.size()) - 1;
     int next = 0; // first event not yet counted
     for (const TraceUnit &u : epoch.units) {
@@ -835,13 +864,26 @@ DiffuseRuntime::traceValidateProbes(const TraceEpoch &epoch) const
 }
 
 void
-DiffuseRuntime::traceReplay(TraceEpoch &epoch)
+DiffuseRuntime::traceReplay(const std::shared_ptr<TraceEpoch> &epoch)
 {
     // The recorded hazard edges are epoch-local: nothing older may
     // still be pending (see submit()).
     diffuse_assert(low_.streamPending() == 0,
                    "trace replay must start on a drained stream");
-    traceEvents_.clear();
+    // The loop-variant half of the rebinding (stores are the other):
+    // the deferred tasks' scalars, in submission order.
+    traceScalars_.clear();
+    for (const TraceEvent &ev : tracePending_) {
+        if (ev.kind == TraceEventKind::Submit)
+            traceScalars_.insert(traceScalars_.end(),
+                                 ev.task.scalars.begin(),
+                                 ev.task.scalars.end());
+    }
+    // The program shares the epoch's ownership: it outlives a cache
+    // replacement while its ops are in flight.
+    low_.beginProgram(
+        std::shared_ptr<const rt::TraceProgram>(epoch, &epoch->program),
+        traceEnc_.slots(), traceScalars_);
     traceQueue_.clear();
     traceQueueHead_ = 0;
     std::size_t ui = 0;
@@ -860,24 +902,24 @@ DiffuseRuntime::traceReplay(TraceEpoch &epoch)
                 break;
             }
         }
-        while (ui < epoch.units.size() &&
-               epoch.units[ui].endEvent == i) {
-            traceReplayUnit(epoch.units[ui++]);
+        while (ui < epoch->units.size() &&
+               epoch->units[ui].endEvent == i) {
+            traceReplayUnit(epoch->units[ui++]);
         }
     }
-    diffuse_assert(ui == epoch.units.size() &&
+    diffuse_assert(ui == epoch->units.size() &&
                        traceQueueHead_ == traceQueue_.size(),
                    "trace replay consumed %zu of %zu units",
-                   ui, epoch.units.size());
+                   ui, epoch->units.size());
     traceQueue_.clear();
     tracePending_.clear();
-    if (windowSize_ != epoch.windowSizeAfter) {
-        windowSize_ = epoch.windowSizeAfter;
+    if (windowSize_ != epoch->windowSizeAfter) {
+        windowSize_ = epoch->windowSizeAfter;
         fusionStats_.windowSize = windowSize_;
     }
-    fusionStats_.windowGrowths += epoch.growths;
-    fusionStats_.traceGroupsReplayed += epoch.units.size();
-    epoch.replays.fetch_add(1, std::memory_order_relaxed);
+    fusionStats_.windowGrowths += epoch->growths;
+    fusionStats_.traceGroupsReplayed += epoch->units.size();
+    epoch->replays.fetch_add(1, std::memory_order_relaxed);
 }
 
 void
@@ -887,22 +929,7 @@ DiffuseRuntime::traceReplayUnit(const TraceUnit &unit)
     diffuse_assert(end <= traceQueue_.size(),
                    "replay unit needs %d tasks, window has %zu",
                    unit.prefixLen, traceQueue_.size() - traceQueueHead_);
-    // A fused group's scalar block is the prefix's scalars in task
-    // order (memo.h instantiates the same way) — the loop-variant
-    // half of the rebinding; stores are the other.
-    traceScalars_.clear();
-    for (std::size_t t = traceQueueHead_; t < end; t++) {
-        const IndexTask &task = traceQueue_[t];
-        traceScalars_.insert(traceScalars_.end(), task.scalars.begin(),
-                             task.scalars.end());
-    }
-    for (const rt::RecordedSubmission &sub : unit.subs) {
-        const std::vector<double> *sc =
-            sub.task.kind == rt::TaskKind::Compute ? &traceScalars_
-                                                   : nullptr;
-        traceEvents_.push_back(low_.submitRecorded(
-            sub, traceEnc_.slots(), sc, traceEvents_));
-    }
+    low_.submitProgramOps(unit.opBegin, unit.opEnd);
     fusionStats_.groupsLaunched++;
     if (unit.fused)
         fusionStats_.fusedGroups++;

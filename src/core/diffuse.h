@@ -15,8 +15,8 @@
  * Above all of that sits trace-memoized window replay (core/trace.h,
  * DIFFUSE_TRACE): a flushed window whose canonical event stream
  * matches a cached epoch bypasses the planner, memoizer, lowering
- * and hazard analysis entirely, resubmitting the recorded
- * schedulable units with only store buffers and scalars rebound.
+ * and hazard analysis entirely, replaying the epoch's compiled
+ * program with only store buffers and scalars rebound.
  *
  * Window sizing follows the paper (§7): the window grows whenever all
  * tasks in a full window fused into one group, so steady state reaches
@@ -355,11 +355,14 @@ class DiffuseRuntime
     bool traceTryReplay();
 
     /** Revalidate the liveness bits a candidate's units consumed. */
-    bool traceValidateProbes(const TraceEpoch &epoch) const;
+    bool traceValidateProbes(const TraceEpoch &epoch);
 
-    void traceReplay(TraceEpoch &epoch);
+    /** Replay `epoch`'s program, applying the deferred events in
+     * between its units as the analyzed path would have. */
+    void traceReplay(const std::shared_ptr<TraceEpoch> &epoch);
 
-    /** Resubmit one unit, consuming its tasks from traceQueue_. */
+    /** Submit one unit's program ops, consuming its tasks from
+     * traceQueue_. */
     void traceReplayUnit(const TraceUnit &unit);
 
     /** Host acquired mutable access to `id` (LowRuntime observer).
@@ -420,9 +423,13 @@ class DiffuseRuntime
     std::vector<std::shared_ptr<TraceEpoch>> traceCands_;
     /** Epoch under capture. */
     std::unique_ptr<TraceEpoch> traceRec_;
-    /** Runtime submission log (LowRuntime capture target). */
-    std::vector<rt::RecordedSubmission> traceLog_;
+    /** Runtime submission log (LowRuntime capture target): the
+     * program under capture, its first traceLogMark_ ops assigned to
+     * units. */
+    std::vector<rt::ProgramOp> traceLog_;
     std::size_t traceLogMark_ = 0;
+    /** Scalars of the tasks the captured units consumed so far. */
+    std::uint32_t traceScalarMark_ = 0;
     /** Probes collected by the wrapped liveness callback. */
     std::vector<TraceProbe> traceProbes_;
     /** Events received this epoch (live prefix of epochCodes_). */
@@ -434,12 +441,13 @@ class DiffuseRuntime
     /** Window growths this epoch (immune to FusionStats::reset). */
     std::uint32_t traceEpochGrowths_ = 0;
     /** traceReplay's scratch, reused across epochs: the deferred
-     * tasks (consumed from traceQueueHead_ on), the replayed
-     * submissions' events, and one fused group's scalars. */
+     * tasks (consumed from traceQueueHead_ on), the scalar block (the
+     * deferred tasks' scalars, in order) and traceValidateProbes'
+     * per-slot refcount deltas. */
     std::vector<IndexTask> traceQueue_;
     std::size_t traceQueueHead_ = 0;
-    std::vector<rt::EventId> traceEvents_;
     std::vector<double> traceScalars_;
+    std::vector<int> traceDelta_;
     /** Submission-side wall seconds accumulated this epoch. */
     double traceEpochSeconds_ = 0.0;
 };

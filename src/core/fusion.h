@@ -31,7 +31,7 @@ namespace diffuse {
  * `temps`, so a group re-instantiates against fresh stores by id
  * substitution alone (Memoizer::instantiate; the trace layer applies
  * the same parameterization to the *lowered* form in
- * rt::RecordedSubmission).
+ * rt::ProgramOp).
  */
 struct ExecutionGroup
 {

@@ -8,11 +8,11 @@
  * seen (any other retain/release applies at once, outside the stream),
  * with store ids canonicalized to first-appearance slots — and, when
  * an epoch repeats, bypasses the fusion planner, constraint checker,
- * memo encoder, lowering and hazard analysis entirely: the cached
- * schedulable units (compiled kernels, promoted privileges, expanded
- * pieces, exchange Copy tasks, dependence edges, cost-model timings)
- * are resubmitted with only the concrete store buffers and scalar
- * values rebound.
+ * memo encoder, lowering and hazard analysis entirely: the epoch's
+ * trace program (rt::TraceProgram: compiled kernels, promoted
+ * privileges, expanded pieces, exchange Copy tasks, dependence edges,
+ * cost-model timings, flattened in submission order) is replayed with
+ * only the concrete store buffers and scalar values rebound.
  *
  * Correctness rests on three checks before a replay commits:
  *  1. the canonical event codes match position by position (this also
@@ -98,6 +98,10 @@ struct TraceProbe
 /** One schedulable unit of a captured epoch. */
 struct TraceUnit
 {
+    /** Its runtime submissions, in order (exchange Copies, then the
+     * compute task): ops [opBegin, opEnd) of the epoch's program. */
+    std::uint32_t opBegin = 0;
+    std::uint32_t opEnd = 0;
     /** Window tasks this unit consumed. */
     int prefixLen = 1;
     /** Index of the event whose processing emitted the unit (== the
@@ -107,14 +111,12 @@ struct TraceUnit
     bool fused = false;
     std::uint32_t temps = 0;
     std::vector<TraceProbe> probes;
-    /** Runtime submissions, in order: exchange Copies, then the
-     * compute task. Store ids inside are epoch slot indices. */
-    std::vector<rt::RecordedSubmission> subs;
 };
 
 /** A fully captured epoch: the replayable planner/runtime output.
  * Immutable once stored (`replays` is the one exception, an atomic
- * gauge) — sessions sharing a cache replay one epoch concurrently. */
+ * gauge) — sessions sharing a cache replay one epoch concurrently, and
+ * a session holds it until its program's last op retires. */
 struct TraceEpoch
 {
     /** Canonical per-event encodings (code 0 embeds the entry window
@@ -124,6 +126,8 @@ struct TraceEpoch
     /** Per-slot runtime state signature at first appearance. */
     std::vector<std::uint64_t> slotSigs;
     std::vector<TraceUnit> units;
+    /** Every unit's submissions, compiled once at capture. */
+    rt::TraceProgram program;
     int windowSizeAfter = 0;
     std::uint32_t growths = 0;
     std::atomic<std::uint64_t> replays{0};

@@ -65,14 +65,7 @@ LowRuntime::LowRuntime(const MachineConfig &machine, ExecutionMode mode,
         pool_ = std::make_shared<kir::WorkerPool>(workers_);
     else
         pool_->reserve(workers_);
-    stream_.setExecuteFn(
-        [this](const LaunchedTask &task) { executeRetired(task); });
-    stream_.setRetireFn(
-        [this](const LaunchedTask &task) { finishRetired(task); });
-    stream_.setFailFn([this](const LaunchedTask &task, const Error &e,
-                             bool cancelled) {
-        onTaskFailed(task, e, cancelled);
-    });
+    stream_.setRunner(this);
     memBudgetBytes_ =
         std::size_t(envInt("DIFFUSE_MEM_BUDGET", 0, 1, 1 << 20)) << 20;
     chunkOverride_ = envInt("DIFFUSE_CHUNK", 0, 0, 1 << 20);
@@ -85,6 +78,7 @@ LowRuntime::createStore(const Point &shape, DType dtype, double init)
     StoreId id = nextStore_++;
     // A recycled record keeps its vectors' capacity: reset every field.
     StoreRec &store = storeNodes_.insert(stores_, id)->second;
+    store.id = id;
     store.shape = Rect::fromShape(shape);
     store.dtype = dtype;
     store.init = init;
@@ -93,7 +87,7 @@ LowRuntime::createStore(const Point &shape, DType dtype, double init)
     store.replicatedValid = true;
     store.pendingUses = 0;
     store.zombie = false;
-    shards_.onStoreCreated(id, store.shape, dtype);
+    store.shard = shards_.onStoreCreated(id, store.shape, dtype);
     return id;
 }
 
@@ -214,6 +208,28 @@ LowRuntime::rec(StoreId id) const
     diffuse_assert(it != stores_.end(), "unknown store %llu",
                    (unsigned long long)id);
     return it->second;
+}
+
+std::span<LowRuntime::StoreRec *const>
+LowRuntime::resolveArgs(const LaunchedTask &task, std::size_t op,
+                        std::vector<StoreRec *> &out)
+{
+    out.clear();
+    for (const LowArg &arg : task.args) {
+        out.push_back(op == TaskStream::kAnalyzed
+                          ? &rec(arg.store)
+                          : slotRecs_[std::size_t(arg.store)]);
+    }
+    return out;
+}
+
+std::span<ShardManager::StoreState *const>
+LowRuntime::shardStates(std::span<StoreRec *const> recs)
+{
+    shardArgs_.clear();
+    for (StoreRec *r : recs)
+        shardArgs_.push_back(r->shard);
+    return shardArgs_;
 }
 
 double *
@@ -344,7 +360,8 @@ LowRuntime::commSecondsFor(const LowArg &arg, const StoreRec &store,
 }
 
 void
-LowRuntime::buildBindings(const LaunchedTask &task, int p,
+LowRuntime::buildBindings(const LaunchedTask &task,
+                          std::span<StoreRec *const> recs, int p,
                           std::vector<kir::BufferBinding> &out,
                           bool with_pointers)
 {
@@ -352,7 +369,7 @@ LowRuntime::buildBindings(const LaunchedTask &task, int p,
     out.reserve(task.args.size());
     for (std::size_t i = 0; i < task.args.size(); i++) {
         const LowArg &arg = task.args[i];
-        StoreRec &store = rec(arg.store);
+        StoreRec &store = *recs[i];
         kir::BufferBinding b;
         b.dtype = store.dtype;
         Rect piece =
@@ -373,8 +390,8 @@ LowRuntime::buildBindings(const LaunchedTask &task, int p,
             i < task.argCanonical.size() && !task.argCanonical[i];
         if (shard_bound) {
             if (!piece.empty()) {
-                ShardView view = shards_.shardView(arg.store, p, piece,
-                                                   with_pointers);
+                ShardView view = shards_.shardView(*store.shard, p,
+                                                   piece, with_pointers);
                 b.stride[0] = view.stride[0];
                 b.stride[1] = view.stride[1];
                 if (with_pointers)
@@ -399,7 +416,8 @@ LowRuntime::buildBindings(const LaunchedTask &task, int p,
 }
 
 bool
-LowRuntime::pointsIndependent(const LaunchedTask &task) const
+LowRuntime::pointsIndependent(const LaunchedTask &task,
+                              std::span<StoreRec *const> recs) const
 {
     if (task.numPoints <= 1)
         return false;
@@ -412,7 +430,7 @@ LowRuntime::pointsIndependent(const LaunchedTask &task) const
             // accumulators (the merge adds whole-store slots, which
             // is wrong for per-piece offsets), and only when the
             // kernel never loads the accumulator.
-            if (!w.replicated || rec(w.store).dtype != DType::F64)
+            if (!w.replicated || recs[wi]->dtype != DType::F64)
                 return false;
             for (const kir::LoopNest &nest : fn.nests) {
                 for (const kir::Instr &ins : nest.body) {
@@ -462,6 +480,13 @@ LowRuntime::submit(LaunchedTask task)
     diffuse_assert(int(task.args.size()) == fn.numArgs,
                    "task %s: %zu args vs kernel %d", task.name.c_str(),
                    task.args.size(), fn.numArgs);
+    // The stream holds analyzed tasks or one program, never both (the
+    // session fences an epoch left in flight before it submits).
+    diffuse_assert(!stream_.programInFlight(),
+                   "task %s submitted with a program in flight",
+                   task.name.c_str());
+    std::span<StoreRec *const> recs =
+        resolveArgs(task, TaskStream::kAnalyzed, submitRecs_);
 
     stats_.indexTasks++;
     stats_.pointTasks += std::uint64_t(task.numPoints);
@@ -472,7 +497,7 @@ LowRuntime::submit(LaunchedTask task)
     // itself, so RAW/WAR edges order data movement against compute.
     if (shards_.active()) {
         std::vector<CopyDesc> copies;
-        shards_.planTask(task, copies);
+        shards_.planTask(task, shardStates(recs), copies);
         for (const CopyDesc &c : copies)
             submitCopy(c);
     }
@@ -490,12 +515,12 @@ LowRuntime::submit(LaunchedTask task)
     std::vector<kir::BufferBinding> &bindings = workerBindings_[0];
     for (int p = 0; p < task.numPoints; p++) {
         double comm = 0.0;
-        for (const LowArg &arg : task.args) {
+        for (std::size_t i = 0; i < task.args.size(); i++) {
+            const LowArg &arg = task.args[i];
             if (privReads(arg.priv) && !shards_.active())
-                comm += commSecondsFor(arg, rec(arg.store), p,
-                                       task.numPoints);
+                comm += commSecondsFor(arg, *recs[i], p, task.numPoints);
         }
-        buildBindings(task, p, bindings, false);
+        buildBindings(task, recs, p, bindings, false);
         // Plan metadata carries the per-nest flop/traffic summaries,
         // so costing a point is extent resolution only (no IR walk).
         kir::TaskCost cost = kir::profileCost(*task.kernel, bindings);
@@ -515,10 +540,10 @@ LowRuntime::submit(LaunchedTask task)
 
     // Reductions: a collective combines partials across points.
     double collective = 0.0;
-    for (const LowArg &arg : task.args) {
-        if (!privReduces(arg.priv))
+    for (std::size_t i = 0; i < task.args.size(); i++) {
+        if (!privReduces(task.args[i].priv))
             continue;
-        StoreRec &store = rec(arg.store);
+        const StoreRec &store = *recs[i];
         double bytes =
             double(store.shape.volume() * dtypeSize(store.dtype));
         int p_total = task.numPoints;
@@ -538,7 +563,7 @@ LowRuntime::submit(LaunchedTask task)
     // submission — submission order is program order, so the coherence
     // walk matches the sequential semantics even though execution is
     // deferred.
-    applyCoherence(task);
+    applyCoherence(task, recs);
 
     stats_.overheadTime += timing.analysisSeconds +
                            machine_.launchOverhead * task.numPoints;
@@ -547,10 +572,10 @@ LowRuntime::submit(LaunchedTask task)
     // Only Real mode shards retired point tasks, so only it pays for
     // the independence analysis.
     task.parallelSafe = mode_ == ExecutionMode::Real &&
-                        workers_ > 1 && pointsIndependent(task);
+                        workers_ > 1 && pointsIndependent(task, recs);
 
-    for (const LowArg &arg : task.args)
-        rec(arg.store).pendingUses++;
+    for (StoreRec *r : recs)
+        r->pendingUses++;
 
     EventId id;
     if (captureLog_) {
@@ -566,10 +591,12 @@ LowRuntime::submit(LaunchedTask task)
 }
 
 void
-LowRuntime::applyCoherence(const LaunchedTask &task)
+LowRuntime::applyCoherence(const LaunchedTask &task,
+                           std::span<StoreRec *const> recs)
 {
-    for (const LowArg &arg : task.args) {
-        StoreRec &store = rec(arg.store);
+    for (std::size_t i = 0; i < task.args.size(); i++) {
+        const LowArg &arg = task.args[i];
+        StoreRec &store = *recs[i];
         if (privWrites(arg.priv)) {
             store.lastWriteLayout = arg.layoutKey;
             store.replicatedValid = false;
@@ -603,7 +630,7 @@ LowRuntime::foldScheduleClocks()
 }
 
 void
-LowRuntime::beginSubmitCapture(std::vector<RecordedSubmission> *log)
+LowRuntime::beginSubmitCapture(std::vector<ProgramOp> *log)
 {
     diffuse_assert(captureLog_ == nullptr, "nested submit capture");
     diffuse_assert(stream_.pending() == 0,
@@ -625,7 +652,7 @@ void
 LowRuntime::recordSubmission(LaunchedTask task, const TaskTiming &timing,
                              const SubmitTrace &trace, EventId id)
 {
-    RecordedSubmission rec;
+    ProgramOp rec;
     rec.task = std::move(task);
     rec.timing = timing;
     rec.rawDeps = trace.rawDeps;
@@ -675,30 +702,9 @@ LowRuntime::recordSubmission(LaunchedTask task, const TaskTiming &timing,
     captureLog_->push_back(std::move(rec));
 }
 
-EventId
-LowRuntime::submitRecorded(const RecordedSubmission &recorded,
-                           const std::vector<StoreId> &slot_stores,
-                           const std::vector<double> *scalars,
-                           const std::vector<EventId> &epoch_events)
+void
+LowRuntime::addStats(const SubmitStatsDelta &d)
 {
-    // Copy-assign into retired storage of the same shape: once the
-    // stream has retired a window's worth of tasks, the copy reuses
-    // every vector and allocates nothing.
-    LaunchedTask task = stream_.recycledTask(recorded.task.args.size());
-    task = recorded.task;
-    for (LowArg &a : task.args) {
-        diffuse_assert(a.store < slot_stores.size(),
-                       "recorded slot %llu out of range",
-                       (unsigned long long)a.store);
-        a.store = slot_stores[std::size_t(a.store)];
-    }
-    if (task.kind == TaskKind::Copy)
-        task.copy.store = slot_stores[std::size_t(task.copy.store)];
-    if (scalars)
-        task.scalars = *scalars;
-
-    // Recorded cost-model and exchange accounting, verbatim.
-    const SubmitStatsDelta &d = recorded.stats;
     stats_.bytesHbm += d.bytesHbm;
     stats_.commTime += d.commTime;
     stats_.computeTime += d.computeTime;
@@ -713,33 +719,60 @@ LowRuntime::submitRecorded(const RecordedSubmission &recorded,
     stats_.pointTasks += d.pointTasks;
     shards_.addReplayedPlans(d.shardCopies, d.shardGathers,
                              d.shardHostPulls);
+}
 
-    if (task.kind == TaskKind::Compute) {
-        // Evolve the placement map and coherence records exactly as
-        // the analyzed submission did — without planning (the epoch's
-        // recorded Copy tasks are resubmitted verbatim).
-        shards_.replayTask(task);
-        applyCoherence(task);
+void
+LowRuntime::beginProgram(std::shared_ptr<const TraceProgram> program,
+                         std::span<const StoreId> slot_stores,
+                         std::span<const double> scalars)
+{
+    diffuse_assert(scalars.size() == program->scalarCount,
+                   "scalar block of %zu for a program of %zu",
+                   scalars.size(), program->scalarCount);
+    // The slot table: one lookup per used slot and replay, instead of
+    // one per argument and op.
+    slotRecs_.assign(slot_stores.size(), nullptr);
+    for (std::uint32_t s : program->slots)
+        slotRecs_[s] = &rec(slot_stores[s]);
+    programScalars_.assign(scalars.begin(), scalars.end());
+    stream_.beginProgram(*program, slot_stores);
+    if (stream_.programInFlight())
+        program_ = std::move(program);
+}
+
+void
+LowRuntime::submitProgramOps(std::size_t first, std::size_t last)
+{
+    diffuse_assert(first == last || (program_ != nullptr &&
+                                     last <= program_->ops.size()),
+                   "program ops [%zu, %zu) out of range", first, last);
+    for (std::size_t k = first; k < last; k++) {
+        const ProgramOp &op = program_->ops[k];
+        // Recorded cost-model and exchange accounting, verbatim.
+        addStats(op.stats);
+        std::span<StoreRec *const> recs =
+            resolveArgs(op.task, k, submitRecs_);
+        if (op.task.kind == TaskKind::Compute) {
+            // Evolve the placement map and coherence records exactly
+            // as the analyzed submission did — without planning (the
+            // program's recorded Copy ops move the data).
+            if (shards_.active())
+                shards_.replayTask(op.task, shardStates(recs));
+            applyCoherence(op.task, recs);
+        }
+        for (StoreRec *r : recs)
+            r->pendingUses++;
+        stream_.submitProgramOp();
+        foldScheduleClocks();
     }
+}
 
-    for (const LowArg &arg : task.args)
-        rec(arg.store).pendingUses++;
-
-    SubmitTrace &trace = replayTrace_;
-    trace.rawDeps = recorded.rawDeps;
-    trace.warDeps = recorded.warDeps;
-    trace.wawDeps = recorded.wawDeps;
-    trace.deps.clear();
-    for (std::uint32_t idx : recorded.deps) {
-        diffuse_assert(idx < epoch_events.size(),
-                       "recorded dependency %u outside replay epoch",
-                       idx);
-        trace.deps.push_back(epoch_events[std::size_t(idx)]);
-    }
-    EventId id = stream_.submitPrelinked(std::move(task),
-                                         recorded.timing, trace);
-    foldScheduleClocks();
-    return id;
+void
+LowRuntime::programRetired()
+{
+    // The epoch may have left the cache meanwhile: this reference was
+    // the last thing keeping its program alive.
+    program_.reset();
 }
 
 std::uint64_t
@@ -815,17 +848,58 @@ LowRuntime::fence()
     stream_.fence();
 }
 
+Error
+LowRuntime::retire(EventId id, const LaunchedTask &task, std::size_t op,
+                   const Error *cancel)
+{
+    std::span<StoreRec *const> recs = resolveArgs(task, op, retireRecs_);
+    Error err;
+    if (cancel != nullptr) {
+        // A dependency failed: the kernel never runs.
+        err = *cancel;
+        onTaskFailed(task, recs, err, /*cancelled=*/true);
+    } else {
+        std::span<const double> scalars = task.scalars;
+        if (op != TaskStream::kAnalyzed) {
+            const ProgramOp &pop = program_->ops[op];
+            scalars = std::span<const double>(programScalars_)
+                          .subspan(pop.scalarBegin, pop.scalarCount);
+        }
+        try {
+            executeRetired(task, recs, scalars);
+        } catch (const DiffuseError &ex) {
+            err = ex.error();
+            if (err.originTask.empty())
+                err.originTask = task.name;
+            if (err.originEvent == 0)
+                err.originEvent = id;
+            onTaskFailed(task, recs, err, /*cancelled=*/false);
+        } catch (const std::exception &ex) {
+            // A kernel threw something unstructured (WorkerPool
+            // rethrows helper-thread exceptions here): classify as a
+            // kernel fault rather than crashing the process.
+            err = makeError(ErrorCode::KernelFault, ex.what(), task.name,
+                            INVALID_STORE, id);
+            onTaskFailed(task, recs, err, /*cancelled=*/false);
+        }
+    }
+    finishRetired(recs);
+    return err;
+}
+
 void
-LowRuntime::executeRetired(const LaunchedTask &task)
+LowRuntime::executeRetired(const LaunchedTask &task,
+                           std::span<StoreRec *const> recs,
+                           std::span<const double> scalars)
 {
     if (mode_ != ExecutionMode::Real)
         return;
     if (task.kind == TaskKind::Copy) {
         // Exchanges move bytes verbatim between shard buffers and/or
-        // the canonical allocation.
+        // the canonical allocation. A Copy's one argument is its store.
+        StoreRec &r = *recs[0];
         std::byte *canonical = nullptr;
         if (task.copy.srcRank < 0 || task.copy.dstRank < 0) {
-            StoreRec &r = rec(task.copy.store);
             ensureAllocated(r);
             canonical = r.data.data();
         }
@@ -835,8 +909,8 @@ LowRuntime::executeRetired(const LaunchedTask &task)
         if (faults_.enabled() && faults_.shouldFault(FaultKind::Exchange))
             throw DiffuseError(makeError(ErrorCode::ExchangeFault,
                                          "injected exchange fault",
-                                         task.name, task.copy.store));
-        shards_.executeCopy(task.copy, canonical);
+                                         task.name, r.id));
+        shards_.executeCopy(*r.shard, task.copy, canonical);
         return;
     }
     const kir::KernelFunction &fn = task.kernel->fn;
@@ -859,7 +933,7 @@ LowRuntime::executeRetired(const LaunchedTask &task)
         const LowArg &arg = task.args[i];
         if (i < task.argCanonical.size() && !task.argCanonical[i])
             continue;
-        StoreRec &r = rec(arg.store);
+        StoreRec &r = *recs[i];
         if (!r.data.empty())
             continue;
         bool skip = privWrites(arg.priv) && !privReads(arg.priv) &&
@@ -893,11 +967,11 @@ LowRuntime::executeRetired(const LaunchedTask &task)
         // the scalar oracle under DIFFUSE_SCALAR_EXEC=1).
         std::vector<kir::BufferBinding> &b = workerBindings_[0];
         for (int p = 0; p < np; p++) {
-            buildBindings(task, p, b, true);
+            buildBindings(task, recs, p, b, true);
             if (scalarOracle_ || task.kernel->plan == nullptr)
-                executors_[0].runScalar(fn, b, task.scalars);
+                executors_[0].runScalar(fn, b, scalars);
             else
-                executors_[0].run(fn, *task.kernel->plan, b, task.scalars);
+                executors_[0].run(fn, *task.kernel->plan, b, scalars);
         }
         return;
     }
@@ -916,7 +990,7 @@ LowRuntime::executeRetired(const LaunchedTask &task)
             redSlots_.emplace_back();
         RedSlot &rs = redSlots_[nreds++];
         rs.arg = i;
-        rs.vol = rec(arg.store).shape.volume();
+        rs.vol = recs[i]->shape.volume();
         rs.partials.assign(std::size_t(rs.vol) * std::size_t(np),
                            reductionIdentity(arg.redop));
     }
@@ -928,18 +1002,17 @@ LowRuntime::executeRetired(const LaunchedTask &task)
         pool_->parallelFor(np, workers_, [&](int worker, coord_t p) {
             std::vector<kir::BufferBinding> &b =
                 workerBindings_[std::size_t(worker)];
-            buildBindings(task, int(p), b, true);
+            buildBindings(task, recs, int(p), b, true);
             for (RedSlot &rs : reds) {
                 b[rs.arg].base = rs.partials.data() +
                                  std::size_t(p) * std::size_t(rs.vol);
             }
-            executors_[std::size_t(worker)].runScalar(fn, b,
-                                                      task.scalars);
+            executors_[std::size_t(worker)].runScalar(fn, b, scalars);
         });
     } else {
-        executeSharded(task, [&](int p,
-                                 std::vector<kir::BufferBinding> &b) {
-            buildBindings(task, p, b, true);
+        executeSharded(task, scalars,
+                       [&](int p, std::vector<kir::BufferBinding> &b) {
+            buildBindings(task, recs, p, b, true);
             for (RedSlot &rs : reds) {
                 b[rs.arg].base = rs.partials.data() +
                                  std::size_t(p) * std::size_t(rs.vol);
@@ -953,7 +1026,7 @@ LowRuntime::executeRetired(const LaunchedTask &task)
     for (const RedSlot &rs : reds) {
         const LowArg &arg = task.args[rs.arg];
         double *dst =
-            reinterpret_cast<double *>(rec(arg.store).data.data());
+            reinterpret_cast<double *>(recs[rs.arg]->data.data());
         for (coord_t p = 0; p < np; p++) {
             const double *src =
                 rs.partials.data() + std::size_t(p) * std::size_t(rs.vol);
@@ -965,7 +1038,9 @@ LowRuntime::executeRetired(const LaunchedTask &task)
 
 template <typename Prepare>
 void
-LowRuntime::executeSharded(const LaunchedTask &task, Prepare &&prepare)
+LowRuntime::executeSharded(const LaunchedTask &task,
+                           std::span<const double> scalars,
+                           Prepare &&prepare)
 {
     const kir::KernelFunction &fn = task.kernel->fn;
     const kir::ExecutablePlan &plan = *task.kernel->plan;
@@ -978,7 +1053,7 @@ LowRuntime::executeSharded(const LaunchedTask &task, Prepare &&prepare)
     std::vector<kir::BufferBinding> &scratch = workerBindings_[0];
     for (int p = 0; p < np; p++) {
         prepare(p, scratch);
-        pointCtxs_[std::size_t(p)].bind(fn, plan, scratch, task.scalars);
+        pointCtxs_[std::size_t(p)].bind(fn, plan, scratch, scalars);
     }
 
     // Items per chunk of a nest with `items` work items and estimated
@@ -1076,23 +1151,17 @@ LowRuntime::executeSharded(const LaunchedTask &task, Prepare &&prepare)
 }
 
 void
-LowRuntime::finishRetired(const LaunchedTask &task)
+LowRuntime::finishRetired(std::span<StoreRec *const> recs)
 {
-    for (const LowArg &arg : task.args) {
-        auto it = stores_.find(arg.store);
-        diffuse_assert(it != stores_.end(),
-                       "retired task %s references dead store %llu",
-                       task.name.c_str(),
-                       (unsigned long long)arg.store);
-        StoreRec &r = it->second;
-        diffuse_assert(r.pendingUses > 0, "pending-use underflow on "
-                       "store %llu", (unsigned long long)arg.store);
-        r.pendingUses--;
-        if (r.zombie && r.pendingUses == 0) {
-            StoreId sid = arg.store;
+    for (StoreRec *r : recs) {
+        diffuse_assert(r->pendingUses > 0, "pending-use underflow on "
+                       "store %llu", (unsigned long long)r->id);
+        r->pendingUses--;
+        if (r->zombie && r->pendingUses == 0) {
+            StoreId sid = r->id;
             zombies_--;
-            recycleAllocation(r);
-            storeNodes_.erase(stores_, it);
+            recycleAllocation(*r);
+            storeNodes_.erase(stores_, stores_.find(sid));
             poisoned_.erase(sid);
             shards_.onStoreDestroyed(sid);
             stream_.forgetStore(sid);
@@ -1133,17 +1202,19 @@ LowRuntime::throwIfPoisoned(StoreId id) const
 }
 
 void
-LowRuntime::onTaskFailed(const LaunchedTask &task, const Error &e,
+LowRuntime::onTaskFailed(const LaunchedTask &task,
+                         std::span<StoreRec *const> recs, const Error &e,
                          bool cancelled)
 {
     // The failed (or cancelled) task's mutable stores hold undefined
     // contents: the kernel may have partially run, or never ran at
     // all. Poison them — host reads surface the root cause instead of
     // garbage. The first poisoning error per store wins (root cause).
-    for (const LowArg &arg : task.args) {
+    for (std::size_t i = 0; i < task.args.size(); i++) {
+        const LowArg &arg = task.args[i];
         if (!privWrites(arg.priv) && !privReduces(arg.priv))
             continue;
-        if (poisoned_.emplace(arg.store, e).second)
+        if (poisoned_.emplace(recs[i]->id, e).second)
             faultStats_.storesPoisoned++;
     }
     if (sessionError_.ok())
@@ -1158,7 +1229,7 @@ void
 LowRuntime::resetAfterError()
 {
     // Drain everything still in flight first: cancellations cascade
-    // through the fail fn (recording, not throwing), extending the
+    // through retire() (recording, not throwing), extending the
     // poisoned set to its final extent.
     stream_.fence();
     stream_.clearFailures();

@@ -38,6 +38,7 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -118,54 +119,6 @@ struct FaultStats
     std::uint64_t budgetEvictions = 0;
 };
 
-/**
- * Submission-side stat increments attributed to one recorded stream
- * submission: everything `LowRuntime::submit`/`submitCopy` adds to
- * RuntimeStats and ShardStats *except* the schedule clocks
- * (simTime/busyTime), which replay recomputes exactly through the
- * stream, and the execution-side counters (storesMaterialized,
- * tasksSharded), which accrue at retirement either way.
- */
-struct SubmitStatsDelta
-{
-    double bytesHbm = 0.0;
-    double commTime = 0.0;
-    double computeTime = 0.0;
-    double overheadTime = 0.0;
-    double collectiveTime = 0.0;
-    double bytesIntraNode = 0.0;
-    double bytesInterNode = 0.0;
-    double exchangeBytes = 0.0;
-    std::uint64_t collectives = 0;
-    std::uint64_t copyTasks = 0;
-    std::uint64_t indexTasks = 0;
-    std::uint64_t pointTasks = 0;
-    std::uint64_t shardCopies = 0;
-    std::uint64_t shardGathers = 0;
-    std::uint64_t shardHostPulls = 0;
-};
-
-/**
- * One stream submission captured for trace replay: the fully lowered
- * task (pieces expanded, shard bindings and parallel-safety decided),
- * its cost model, its hazard edges as indices into the epoch's
- * submission sequence, and its stat increments. Store ids inside
- * `task` (and `task.copy`) are canonicalized to *epoch slot indices*
- * by the capturing layer; `submitRecorded` rebinds them against the
- * replay window's concrete stores.
- */
-struct RecordedSubmission
-{
-    LaunchedTask task;
-    TaskTiming timing;
-    /** Hazard edges: positions in the epoch's submission order. */
-    std::vector<std::uint32_t> deps;
-    std::uint32_t rawDeps = 0;
-    std::uint32_t warDeps = 0;
-    std::uint32_t wawDeps = 0;
-    SubmitStatsDelta stats;
-};
-
 /** Pieces of an image partition, registered by libraries and
  * interned by content in the session context's ImageTable
  * (core/context.h). */
@@ -186,7 +139,7 @@ struct ImageData
  * The low-level runtime: stores, coherence, asynchronous execution,
  * statistics.
  */
-class LowRuntime
+class LowRuntime : private TaskStream::Runner
 {
   public:
     /**
@@ -239,6 +192,10 @@ class LowRuntime
     LowRuntime(const MachineConfig &machine, ExecutionMode mode,
                int workers = 0, int ranks = 0,
                std::shared_ptr<kir::WorkerPool> shared_pool = nullptr);
+
+    /** The stream holds this runtime's address (its runner). */
+    LowRuntime(const LowRuntime &) = delete;
+    LowRuntime &operator=(const LowRuntime &) = delete;
 
     /**
      * Create a store. In Real mode the allocation is host memory
@@ -352,23 +309,31 @@ class LowRuntime
      * stat increments attributed per submission. Must be called when
      * nothing is pending (post-fence); active until endSubmitCapture.
      */
-    void beginSubmitCapture(std::vector<RecordedSubmission> *log);
+    void beginSubmitCapture(std::vector<ProgramOp> *log);
     void endSubmitCapture();
     bool capturing() const { return captureLog_ != nullptr; }
 
     /**
-     * Resubmit a recorded submission: rebind slot-indexed store ids
-     * through `slot_stores` (and `scalars`, when non-null, replaces
-     * the recorded scalar values — they are loop-variant), re-apply
-     * the recorded placement/coherence mutations and stat deltas, and
-     * enqueue through the stream with the recorded hazard edges and
-     * timing. `epoch_events[i]` must hold the EventId returned for the
-     * epoch's i-th replayed submission.
+     * Start replaying a trace program on the drained stream.
+     * `slot_stores[s]` is slot s's store: each slot the program uses
+     * is resolved once, to its record, placement state and history
+     * floors, and every op reads through that table. `scalars` is the
+     * replay's scalar block (TraceProgram::scalarCount values). The
+     * program — and whatever owns it — stays referenced until its last
+     * op retires, which may be after the next flushWindowAsync().
      */
-    EventId submitRecorded(const RecordedSubmission &recorded,
-                           const std::vector<StoreId> &slot_stores,
-                           const std::vector<double> *scalars,
-                           const std::vector<EventId> &epoch_events);
+    void beginProgram(std::shared_ptr<const TraceProgram> program,
+                      std::span<const StoreId> slot_stores,
+                      std::span<const double> scalars);
+
+    /**
+     * Submit program ops [first, last), the next ones in order:
+     * re-apply each op's recorded stat increments, placement and
+     * coherence effects, then hand it to the stream, which places it
+     * on the schedule and retires through the in-flight window exactly
+     * as the analyzed path would have.
+     */
+    void submitProgramOps(std::size_t first, std::size_t last);
 
     /**
      * Digest of everything submission-side planning reads from a
@@ -396,6 +361,9 @@ class LowRuntime
   private:
     struct StoreRec
     {
+        StoreId id = INVALID_STORE;
+        /** Placement state (ranks > 1; null otherwise). */
+        ShardManager::StoreState *shard = nullptr;
         Rect shape;
         DType dtype = DType::F64;
         double init = 0.0;
@@ -414,6 +382,20 @@ class LowRuntime
 
     StoreRec &rec(StoreId id);
     const StoreRec &rec(StoreId id) const;
+
+    /**
+     * The records of `task`'s arguments, in argument order, written
+     * to `out`: looked up by id for an analyzed task (`op` ==
+     * TaskStream::kAnalyzed), read from the slot table for a program
+     * op, whose store ids are slots.
+     */
+    std::span<StoreRec *const> resolveArgs(const LaunchedTask &task,
+                                           std::size_t op,
+                                           std::vector<StoreRec *> &out);
+
+    /** The arguments' placement states (ranks > 1), in shardArgs_. */
+    std::span<ShardManager::StoreState *const>
+    shardStates(std::span<StoreRec *const> recs);
 
     /**
      * Materialize the allocation of a store (Real mode). With
@@ -437,7 +419,11 @@ class LowRuntime
     void submitCopy(const CopyDesc &c);
 
     /** Coherence updates for written/reduced stores (program order). */
-    void applyCoherence(const LaunchedTask &task);
+    void applyCoherence(const LaunchedTask &task,
+                        std::span<StoreRec *const> recs);
+
+    /** Add a recorded submission's stat increments (replay). */
+    void addStats(const SubmitStatsDelta &d);
 
     /** Fold the stream's schedule clocks into simTime/busyTime. */
     void foldScheduleClocks();
@@ -446,8 +432,10 @@ class LowRuntime
     void recordSubmission(LaunchedTask task, const TaskTiming &timing,
                           const SubmitTrace &trace, EventId id);
 
-    /** Build executor bindings for point `p`. */
-    void buildBindings(const LaunchedTask &task, int p,
+    /** Build executor bindings for point `p`; `recs[i]` is argument
+     * i's record. */
+    void buildBindings(const LaunchedTask &task,
+                       std::span<StoreRec *const> recs, int p,
                        std::vector<kir::BufferBinding> &out,
                        bool with_pointers);
 
@@ -456,10 +444,23 @@ class LowRuntime
      * writes overlap another point's accesses (then the sequential
      * point order is semantically relevant and is preserved).
      */
-    bool pointsIndependent(const LaunchedTask &task) const;
+    bool pointsIndependent(const LaunchedTask &task,
+                           std::span<StoreRec *const> recs) const;
 
-    /** Run one retired task against host memory (Real mode). */
-    void executeRetired(const LaunchedTask &task);
+    /** TaskStream::Runner: execute (or cancel) one retired task or
+     * program op, poison what a failure leaves undefined, and release
+     * its per-task state. The one retirement sequence of both paths. */
+    Error retire(EventId id, const LaunchedTask &task, std::size_t op,
+                 const Error *cancel) override;
+
+    /** TaskStream::Runner: drop the finished program's reference. */
+    void programRetired() override;
+
+    /** Run one retired task against host memory (Real mode), with
+     * `scalars` bound in place of the task's own. */
+    void executeRetired(const LaunchedTask &task,
+                        std::span<StoreRec *const> recs,
+                        std::span<const double> scalars);
 
     /**
      * Strip-sharded execution of a parallel-safe retired task on the
@@ -469,7 +470,9 @@ class LowRuntime
      * diversion).
      */
     template <typename Prepare>
-    void executeSharded(const LaunchedTask &task, Prepare &&prepare);
+    void executeSharded(const LaunchedTask &task,
+                        std::span<const double> scalars,
+                        Prepare &&prepare);
 
     /** A reduction argument's per-point partial accumulators on the
      * sharded path (merged in point order after the loop). */
@@ -481,16 +484,17 @@ class LowRuntime
     };
 
     /** Drop per-task runtime state once a task has retired. */
-    void finishRetired(const LaunchedTask &task);
+    void finishRetired(std::span<StoreRec *const> recs);
 
     /** Return a destroyed store's allocation to the recycling pool.
      * Always leaves `store.data` empty and updates the live-byte
      * accounting (buffers the pool declines are freed eagerly). */
     void recycleAllocation(StoreRec &store);
 
-    /** Stream fail fn: poison the failed task's outputs, record the
-     * session's root-cause error. */
-    void onTaskFailed(const LaunchedTask &task, const Error &e,
+    /** Poison the failed task's outputs, record the session's
+     * root-cause error. */
+    void onTaskFailed(const LaunchedTask &task,
+                      std::span<StoreRec *const> recs, const Error &e,
                       bool cancelled);
 
     /** Throw StorePoisoned if `id`'s contents are undefined. */
@@ -555,15 +559,28 @@ class LowRuntime
     double lastCriticalPath_ = 0.0;
     double lastBusyTime_ = 0.0;
 
+    /** Resolved argument records: of the task being submitted, and
+     * of the task retiring (retirement may run inside a submission). */
+    std::vector<StoreRec *> submitRecs_;
+    std::vector<StoreRec *> retireRecs_;
+    /** shardStates' output. */
+    std::vector<ShardManager::StoreState *> shardArgs_;
+
     /** Trace capture state (null when not capturing). */
-    std::vector<RecordedSubmission> *captureLog_ = nullptr;
+    std::vector<ProgramOp> *captureLog_ = nullptr;
     /** EventId -> index in the epoch's submission order. */
     std::unordered_map<EventId, std::uint32_t> captureIndex_;
     /** Stat snapshots for per-submission delta attribution. */
     RuntimeStats captureStatsMark_;
     ShardStats captureShardMark_;
-    /** submitRecorded's rebound hazard edges, reused across calls. */
-    SubmitTrace replayTrace_;
+
+    /** The program in flight (null when none; held until its last op
+     * retires), its slot table (records of the slots it uses, by
+     * slot) and its scalar block. */
+    std::shared_ptr<const TraceProgram> program_;
+    std::vector<StoreRec *> slotRecs_;
+    std::vector<double> programScalars_;
+
     std::function<void(StoreId)> hostWriteObserver_;
 
     /** Failure-domain state. */

@@ -101,14 +101,15 @@ ShardManager::ShardManager(ExecutionMode mode, int ranks,
     diffuse_assert(ranks_ >= 1, "need at least one rank");
 }
 
-void
+ShardManager::StoreState *
 ShardManager::onStoreCreated(StoreId id, const Rect &shape, DType dtype)
 {
     if (!active())
-        return;
+        return nullptr;
     // A recycled state keeps its lists' capacity: reset every field
     // (its shard buffers went back to the pool on destruction).
     StoreState &s = storeNodes_.insert(stores_, id)->second;
+    s.id = id;
     s.shape = shape;
     s.dtype = dtype;
     s.hasOwner = false;
@@ -123,6 +124,7 @@ ShardManager::onStoreCreated(StoreId id, const Rect &shape, DType dtype)
     // A fresh store's init fill is host-side setup: the canonical
     // copy owns everything and is resident on every rank for free.
     s.hostValid.assign(1, shape);
+    return &s;
 }
 
 void
@@ -234,9 +236,10 @@ ShardManager::ensureShardCovers(StoreState &s, int rank, const Rect &rect)
 }
 
 void
-ShardManager::planPull(StoreId id, StoreState &s, int rank,
-                       const Rect &piece, std::vector<CopyDesc> &copies)
+ShardManager::planPull(StoreState &s, int rank, const Rect &piece,
+                       std::vector<CopyDesc> &copies)
 {
+    StoreId id = s.id;
     Shard &dst = s.shards[std::size_t(rank)];
     std::vector<Rect> need = uncovered(dst.valid, piece);
     if (need.empty())
@@ -325,9 +328,9 @@ ShardManager::planPull(StoreId id, StoreState &s, int rank,
 }
 
 void
-ShardManager::planGather(StoreId id, StoreState &s,
-                         std::vector<CopyDesc> &copies)
+ShardManager::planGather(StoreState &s, std::vector<CopyDesc> &copies)
 {
+    StoreId id = s.id;
     std::vector<Rect> need = uncovered(s.hostValid, s.shape);
     if (need.empty())
         return;
@@ -350,7 +353,9 @@ ShardManager::planGather(StoreId id, StoreState &s,
 }
 
 void
-ShardManager::planTask(LaunchedTask &task, std::vector<CopyDesc> &copies)
+ShardManager::planTask(LaunchedTask &task,
+                       std::span<StoreState *const> states,
+                       std::vector<CopyDesc> &copies)
 {
     if (!active() || task.kind == TaskKind::Copy)
         return;
@@ -411,10 +416,10 @@ ShardManager::planTask(LaunchedTask &task, std::vector<CopyDesc> &copies)
     // ---- Read planning ----------------------------------------------
     for (std::size_t i = 0; i < na; i++) {
         const LowArg &a = task.args[i];
-        StoreState &s = state(a.store);
+        StoreState &s = *states[i];
         if (task.argCanonical[i]) {
             if (privReads(a.priv) || privReduces(a.priv))
-                planGather(a.store, s, copies);
+                planGather(s, copies);
             continue;
         }
         for (std::size_t p = 0; p < a.pieces.size(); p++) {
@@ -424,15 +429,16 @@ ShardManager::planTask(LaunchedTask &task, std::vector<CopyDesc> &copies)
             int r = rankOf(int(p));
             ensureShardCovers(s, r, piece);
             if (privReads(a.priv))
-                planPull(a.store, s, r, piece, copies);
+                planPull(s, r, piece, copies);
         }
     }
 
-    applyWriteEffects(task);
+    applyWriteEffects(task, states);
 }
 
 void
-ShardManager::replayTask(const LaunchedTask &task)
+ShardManager::replayTask(const LaunchedTask &task,
+                         std::span<StoreState *const> states)
 {
     if (!active() || task.kind == TaskKind::Copy)
         return;
@@ -444,7 +450,7 @@ ShardManager::replayTask(const LaunchedTask &task)
     // ---- Read effects (what planPull/planGather leave behind) -------
     for (std::size_t i = 0; i < na; i++) {
         const LowArg &a = task.args[i];
-        StoreState &s = state(a.store);
+        StoreState &s = *states[i];
         if (task.argCanonical[i]) {
             // planGather touches hostValid only when something was
             // missing; replicate the condition so the rectangle-list
@@ -470,15 +476,16 @@ ShardManager::replayTask(const LaunchedTask &task)
         }
     }
 
-    applyWriteEffects(task);
+    applyWriteEffects(task, states);
 }
 
 void
-ShardManager::applyWriteEffects(const LaunchedTask &task)
+ShardManager::applyWriteEffects(const LaunchedTask &task,
+                                std::span<StoreState *const> states)
 {
     for (std::size_t i = 0; i < task.args.size(); i++) {
         const LowArg &a = task.args[i];
-        StoreState &s = state(a.store);
+        StoreState &s = *states[i];
         if (privReduces(a.priv)) {
             // Combined and broadcast by the collective: the canonical
             // copy becomes the sole owner, resident everywhere.
@@ -551,11 +558,11 @@ ShardManager::stateSignature(StoreId id) const
 }
 
 void
-ShardManager::executeCopy(const CopyDesc &copy, std::byte *canonical)
+ShardManager::executeCopy(StoreState &s, const CopyDesc &copy,
+                          std::byte *canonical)
 {
     if (mode_ != ExecutionMode::Real)
         return;
-    StoreState &s = state(copy.store);
     std::size_t esize = dtypeSize(s.dtype);
 
     const std::byte *src;
@@ -569,7 +576,7 @@ ShardManager::executeCopy(const CopyDesc &copy, std::byte *canonical)
         Shard &sh = s.shards[std::size_t(copy.srcRank)];
         diffuse_assert(!sh.data.empty(), "copy from unmaterialized "
                        "shard %d of store %llu", copy.srcRank,
-                       (unsigned long long)copy.store);
+                       (unsigned long long)s.id);
         src = sh.data.data();
         src_rect = sh.rect;
     }
@@ -613,15 +620,14 @@ ShardManager::gatherToCanonical(StoreId id, std::byte *canonical)
 }
 
 ShardView
-ShardManager::shardView(StoreId id, int point, const Rect &piece,
+ShardManager::shardView(StoreState &s, int point, const Rect &piece,
                         bool with_pointer)
 {
-    StoreState &s = state(id);
     Shard &sh = s.shards[std::size_t(rankOf(point))];
     diffuse_assert(sh.rect.contains(piece),
                    "piece %s outside shard %s of store %llu",
                    piece.toString().c_str(), sh.rect.toString().c_str(),
-                   (unsigned long long)id);
+                   (unsigned long long)s.id);
     ShardView view;
     rectStrides(sh.rect, view.stride);
     if (with_pointer) {

@@ -43,6 +43,7 @@
 #define DIFFUSE_RUNTIME_SHARD_H
 
 #include <cstddef>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -82,6 +83,33 @@ struct ShardView
 class ShardManager
 {
   public:
+    struct Shard
+    {
+        Rect rect; ///< allocated bounding box (empty: no buffer yet)
+        RawBuffer data;
+        /** Disjoint rectangles currently holding up-to-date data. */
+        std::vector<Rect> valid;
+    };
+
+    /** A store's placement state. Its address is stable from
+     * onStoreCreated to onStoreDestroyed, so callers resolve it once
+     * and hand it back to the per-task calls below. */
+    struct StoreState
+    {
+        StoreId id = INVALID_STORE;
+        Rect shape;
+        DType dtype = DType::F64;
+        /** Structured owner map of the last sharded write (a hint:
+         * validity lists are the ground truth). */
+        bool hasOwner = false;
+        PartitionDesc ownerPart;
+        Rect ownerDomain;
+        std::vector<Rect> ownerPieces;
+        std::vector<Shard> shards; ///< one per rank
+        /** Validity of the canonical (host-replicated) copy. */
+        std::vector<Rect> hostValid;
+    };
+
     /** Shard buffers come from, and return to, `buffers` (the
      * runtime's recycling pool, which must outlive this manager). */
     ShardManager(ExecutionMode mode, int ranks, BufferPool &buffers);
@@ -91,7 +119,9 @@ class ShardManager
     /** Launch-domain point to rank mapping. */
     int rankOf(int point) const { return point % ranks_; }
 
-    void onStoreCreated(StoreId id, const Rect &shape, DType dtype);
+    /** Returns the new store's state (null when inactive). */
+    StoreState *onStoreCreated(StoreId id, const Rect &shape,
+                               DType dtype);
     void onStoreDestroyed(StoreId id);
 
     /**
@@ -108,8 +138,10 @@ class ShardManager
      * (task.argCanonical). Runs at submission so the placement map
      * evolves in program order; the emitted copies must be submitted
      * to the stream *before* the task so hazards order them.
+     * `states[i]` is argument i's store state.
      */
-    void planTask(LaunchedTask &task, std::vector<CopyDesc> &copies);
+    void planTask(LaunchedTask &task, std::span<StoreState *const> states,
+                  std::vector<CopyDesc> &copies);
 
     /**
      * Re-apply the placement-map mutations `planTask` makes for a
@@ -119,9 +151,11 @@ class ShardManager
      * owner scanning, since the recorded Copy tasks are resubmitted
      * verbatim. Only sound when the per-store placement state matches
      * the capture-time state; the trace layer validates that with
-     * `stateSignature` before committing to a replay.
+     * `stateSignature` before committing to a replay. `states[i]` is
+     * argument i's store state (the task's store ids may be slots).
      */
-    void replayTask(const LaunchedTask &task);
+    void replayTask(const LaunchedTask &task,
+                    std::span<StoreState *const> states);
 
     /**
      * Order-sensitive digest of a store's placement state (validity
@@ -132,11 +166,13 @@ class ShardManager
     std::uint64_t stateSignature(StoreId id) const;
 
     /**
-     * Execute one retired Copy task (Real mode): the verbatim memcpy
-     * between shard buffers and/or the canonical allocation
-     * (`canonical` may be null when neither endpoint is rank -1).
+     * Execute one retired Copy task of the store `s` (Real mode): the
+     * verbatim memcpy between shard buffers and/or the canonical
+     * allocation (`canonical` may be null when neither endpoint is
+     * rank -1).
      */
-    void executeCopy(const CopyDesc &copy, std::byte *canonical);
+    void executeCopy(StoreState &s, const CopyDesc &copy,
+                     std::byte *canonical);
 
     /**
      * Pull every rectangle the canonical allocation is missing from
@@ -146,11 +182,11 @@ class ShardManager
     void gatherToCanonical(StoreId id, std::byte *canonical);
 
     /**
-     * Resolve the shard view of `piece` for launch point `point`.
-     * Must only be called for arguments planTask marked non-canonical
-     * (the shard covering the piece exists by then).
+     * Resolve the shard view of `piece` of store `s` for launch point
+     * `point`. Must only be called for arguments planTask marked
+     * non-canonical (the shard covering the piece exists by then).
      */
-    ShardView shardView(StoreId id, int point, const Rect &piece,
+    ShardView shardView(StoreState &s, int point, const Rect &piece,
                         bool with_pointer);
 
     const ShardStats &stats() const { return stats_; }
@@ -167,29 +203,6 @@ class ShardManager
     }
 
   private:
-    struct Shard
-    {
-        Rect rect; ///< allocated bounding box (empty: no buffer yet)
-        RawBuffer data;
-        /** Disjoint rectangles currently holding up-to-date data. */
-        std::vector<Rect> valid;
-    };
-
-    struct StoreState
-    {
-        Rect shape;
-        DType dtype = DType::F64;
-        /** Structured owner map of the last sharded write (a hint:
-         * validity lists are the ground truth). */
-        bool hasOwner = false;
-        PartitionDesc ownerPart;
-        Rect ownerDomain;
-        std::vector<Rect> ownerPieces;
-        std::vector<Shard> shards; ///< one per rank
-        /** Validity of the canonical (host-replicated) copy. */
-        std::vector<Rect> hostValid;
-    };
-
     StoreState &state(StoreId id);
 
     /**
@@ -215,12 +228,11 @@ class ShardManager
     void ensureShardCovers(StoreState &s, int rank, const Rect &rect);
 
     /** Plan pulls making `piece` resident in `rank`'s shard. */
-    void planPull(StoreId id, StoreState &s, int rank, const Rect &piece,
+    void planPull(StoreState &s, int rank, const Rect &piece,
                   std::vector<CopyDesc> &copies);
 
     /** Plan gathers making the canonical copy fully valid. */
-    void planGather(StoreId id, StoreState &s,
-                    std::vector<CopyDesc> &copies);
+    void planGather(StoreState &s, std::vector<CopyDesc> &copies);
 
     /**
      * Apply `task`'s write and reduce effects to the placement map, in
@@ -228,7 +240,8 @@ class ShardManager
      * a replayed task leaves the validity lists exactly as planning
      * did: state signatures hash them in order.
      */
-    void applyWriteEffects(const LaunchedTask &task);
+    void applyWriteEffects(const LaunchedTask &task,
+                           std::span<StoreState *const> states);
 
     ExecutionMode mode_;
     int ranks_;

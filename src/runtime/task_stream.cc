@@ -49,8 +49,8 @@ TaskStream::compactHistory(StoreHistory &h)
         }
         recs.resize(out);
     };
-    prune(h.writes, h.writeFinishFloor);
-    prune(h.reads, h.readFinishFloor);
+    prune(h.writes, h.floors.write);
+    prune(h.reads, h.floors.read);
 }
 
 TaskStream::StoreHistory &
@@ -62,8 +62,7 @@ TaskStream::historyFor(StoreId id)
     StoreHistory &h = historyNodes_.insert(history_, id)->second;
     h.writes.clear();
     h.reads.clear();
-    h.writeFinishFloor = 0.0;
-    h.readFinishFloor = 0.0;
+    h.floors = Floors();
     return h;
 }
 
@@ -73,38 +72,6 @@ TaskStream::forgetStore(StoreId id)
     auto it = history_.find(id);
     if (it != history_.end())
         historyNodes_.erase(history_, it);
-}
-
-LaunchedTask
-TaskStream::recycledTask(std::size_t num_args)
-{
-    if (num_args >= spareTasks_.size() || spareTasks_[num_args].empty())
-        return LaunchedTask();
-    LaunchedTask task = std::move(spareTasks_[num_args].back());
-    spareTasks_[num_args].pop_back();
-    spareTaskCount_--;
-    return task;
-}
-
-void
-TaskStream::recycle(PendingMap::node_type node)
-{
-    // Spare task storage is bounded by one in-flight window in all:
-    // the most a replay can take before the next retirement returns
-    // some. Tasks with many arguments are rare and not kept.
-    constexpr std::size_t kMaxRecycledArgs = 16;
-    LaunchedTask &task = node.mapped().task;
-    std::size_t nargs = task.args.size();
-    if (nargs < kMaxRecycledArgs && spareTaskCount_ < maxPending_) {
-        if (spareTasks_.size() <= nargs)
-            spareTasks_.resize(nargs + 1);
-        task.kernel.reset();
-        spareTasks_[nargs].push_back(std::move(task));
-        spareTaskCount_++;
-    }
-    // The spare node keeps no task storage beyond that bound.
-    task = LaunchedTask();
-    pendingNodes_.keep(std::move(node));
 }
 
 EventId
@@ -118,6 +85,8 @@ TaskStream::submit(LaunchedTask task, const TaskTiming &timing,
     // read since it (WAR). Reductions mutate their accumulator and are
     // ordered like writes, which also keeps their merge order — and
     // hence floating-point results — deterministic.
+    diffuse_assert(program_ == nullptr,
+                   "analyzed submission with a program in flight");
     std::vector<EventId> &deps = deps_;
     deps.clear();
     std::uint32_t raw = 0, war = 0, waw = 0;
@@ -143,14 +112,14 @@ TaskStream::submit(LaunchedTask task, const TaskTiming &timing,
         bool mutates = privWrites(arg.priv) || privReduces(arg.priv);
         if (privReads(arg.priv) || privReduces(arg.priv)) {
             scan(h.writes, arg, raw);
-            dep_finish = std::max(dep_finish, h.writeFinishFloor);
+            dep_finish = std::max(dep_finish, h.floors.write);
         }
         if (mutates) {
             if (!privReads(arg.priv))
                 scan(h.writes, arg, waw);
             scan(h.reads, arg, war);
-            dep_finish = std::max(dep_finish, h.writeFinishFloor);
-            dep_finish = std::max(dep_finish, h.readFinishFloor);
+            dep_finish = std::max(dep_finish, h.floors.write);
+            dep_finish = std::max(dep_finish, h.floors.read);
         }
     }
     stats_.rawDeps += raw;
@@ -165,55 +134,13 @@ TaskStream::submit(LaunchedTask task, const TaskTiming &timing,
     return finishSubmit(std::move(task), timing, dep_finish);
 }
 
-EventId
-TaskStream::submitPrelinked(LaunchedTask task, const TaskTiming &timing,
-                            const SubmitTrace &trace)
+double
+TaskStream::place(const TaskTiming &timing, int num_points, int proc_hint,
+                  double dep_finish)
 {
-    // The recorded edges replace the history scan: the replayed epoch
-    // started on a drained stream, so every pending task it can
-    // conflict with was submitted within it and is covered by them.
-    // Floors still apply: retired work (including the recorded
-    // dependencies that already retired through the in-flight bound)
-    // folded its finish times there, exactly as the analyzed path
-    // would have observed after compaction.
-    double dep_finish = 0.0;
-    for (const LowArg &arg : task.args) {
-        auto it = history_.find(arg.store);
-        if (it == history_.end())
-            continue;
-        StoreHistory &h = it->second;
-        compactHistory(h);
-        if (privReads(arg.priv) || privReduces(arg.priv))
-            dep_finish = std::max(dep_finish, h.writeFinishFloor);
-        if (privWrites(arg.priv) || privReduces(arg.priv)) {
-            dep_finish = std::max(dep_finish, h.writeFinishFloor);
-            dep_finish = std::max(dep_finish, h.readFinishFloor);
-        }
-    }
-    std::vector<EventId> &deps = deps_;
-    deps.clear();
-    deps.reserve(trace.deps.size());
-    for (EventId d : trace.deps) {
-        auto it = pending_.find(d);
-        if (it == pending_.end())
-            continue; // already retired: its finish is in the floors
-        dep_finish = std::max(dep_finish, it->second.finish);
-        deps.push_back(d);
-    }
-    stats_.rawDeps += trace.rawDeps;
-    stats_.warDeps += trace.warDeps;
-    stats_.wawDeps += trace.wawDeps;
-    return finishSubmit(std::move(task), timing, dep_finish);
-}
-
-EventId
-TaskStream::finishSubmit(LaunchedTask task, const TaskTiming &timing,
-                         double dep_finish)
-{
-    diffuse_assert(int(timing.pointSeconds.size()) == task.numPoints,
+    diffuse_assert(int(timing.pointSeconds.size()) == num_points,
                    "timing for %zu of %d points",
-                   timing.pointSeconds.size(), task.numPoints);
-    EventId id = next_++;
+                   timing.pointSeconds.size(), num_points);
     stats_.submitted++;
 
     // ---- Overlap-aware simulated schedule ----------------------------
@@ -225,10 +152,9 @@ TaskStream::finishSubmit(LaunchedTask task, const TaskTiming &timing,
     double earliest = std::max(analysisClock_, dep_finish);
     double max_point_finish = earliest;
     int nprocs = machine_.totalGpus();
-    for (int p = 0; p < task.numPoints; p++) {
+    for (int p = 0; p < num_points; p++) {
         double dur = timing.pointSeconds[std::size_t(p)];
-        int proc = task.procHint >= 0 ? task.procHint % nprocs
-                                      : p % nprocs;
+        int proc = proc_hint >= 0 ? proc_hint % nprocs : p % nprocs;
         double &free_at = procFree_[std::size_t(proc)];
         double start = std::max(earliest, free_at);
         double fin = start + dur;
@@ -240,6 +166,16 @@ TaskStream::finishSubmit(LaunchedTask task, const TaskTiming &timing,
     stats_.busyTime += timing.collectiveSeconds;
     stats_.collectiveTime += timing.collectiveSeconds;
     stats_.criticalPathTime = std::max(stats_.criticalPathTime, finish);
+    return finish;
+}
+
+EventId
+TaskStream::finishSubmit(LaunchedTask task, const TaskTiming &timing,
+                         double dep_finish)
+{
+    EventId id = next_++;
+    double finish =
+        place(timing, task.numPoints, task.procHint, dep_finish);
 
     // ---- Enqueue ------------------------------------------------------
     PendingTask &pt = pendingNodes_.insert(pending_, id)->second;
@@ -262,9 +198,8 @@ TaskStream::finishSubmit(LaunchedTask task, const TaskTiming &timing,
             if (arg.replicated) {
                 h.writes.clear();
                 h.reads.clear();
-                h.writeFinishFloor =
-                    std::max(h.writeFinishFloor, finish);
-                h.readFinishFloor = 0.0;
+                h.floors.write = std::max(h.floors.write, finish);
+                h.floors.read = 0.0;
             }
             h.writes.push_back(std::move(rec));
         } else {
@@ -307,80 +242,207 @@ TaskStream::retireOne(EventId id)
     }
     if (!pending_.empty() && pending_.begin()->first < id)
         stats_.retiredOutOfOrder++;
-    // Take the node out so callbacks may submit follow-on work; it is
+    // Take the node out so the runner may submit follow-on work; it is
     // recycled once the task has retired.
     PendingMap::node_type node = pending_.extract(it);
-    const LaunchedTask &task = node.mapped().task;
-    const std::vector<EventId> &task_deps = node.mapped().deps;
-    stats_.retired++;
-
     // Failure propagates along the hazard edges: if any dependency
-    // failed, this task is cancelled — its kernel never runs, and the
-    // runtime poisons its outputs through the fail fn. The retire fn
-    // still runs either way (reference release must not leak).
+    // failed, this task is cancelled.
     const Error *dep_err = nullptr;
-    for (EventId d : task_deps) {
+    for (EventId d : node.mapped().deps) {
         auto f = failed_.find(d);
         if (f != failed_.end()) {
             dep_err = &f->second;
             break;
         }
     }
+    retireTask(id, node.mapped().task, kAnalyzed, dep_err);
+    // The spare node keeps no task storage.
+    node.mapped().task = LaunchedTask();
+    pendingNodes_.keep(std::move(node));
+}
+
+void
+TaskStream::retireTask(EventId id, const LaunchedTask &task,
+                       std::size_t op, const Error *dep_err)
+{
+    stats_.retired++;
+    if (runner_ == nullptr)
+        return;
+    // A cancelled task's kernel never runs, and the runtime poisons
+    // its outputs; its per-task state is released either way
+    // (reference release must not leak).
+    Error cancel;
     if (dep_err) {
-        Error e;
-        e.code = ErrorCode::DependencyFailed;
+        cancel.code = ErrorCode::DependencyFailed;
         // Cancellations deeper in the graph keep pointing at the root
         // cause, not at intermediate cancelled tasks.
-        e.message = dep_err->code == ErrorCode::DependencyFailed
-                        ? dep_err->message
-                        : "cancelled by upstream failure: " +
-                              dep_err->describe();
-        e.originTask = dep_err->originTask;
-        e.originStore = dep_err->originStore;
-        e.originEvent = dep_err->originEvent;
-        if (failFn_)
-            failFn_(task, e, /*cancelled=*/true);
-        failed_.emplace(id, std::move(e));
-        stats_.tasksCancelled++;
-        if (retireFn_)
-            retireFn_(task);
-        recycle(std::move(node));
-        return;
+        cancel.message = dep_err->code == ErrorCode::DependencyFailed
+                             ? dep_err->message
+                             : "cancelled by upstream failure: " +
+                                   dep_err->describe();
+        cancel.originTask = dep_err->originTask;
+        cancel.originStore = dep_err->originStore;
+        cancel.originEvent = dep_err->originEvent;
     }
+    Error e = runner_->retire(id, task, op, dep_err ? &cancel : nullptr);
+    if (e.ok())
+        return;
+    failed_.emplace(id, std::move(e));
+    if (dep_err)
+        stats_.tasksCancelled++;
+    else
+        stats_.tasksFailed++;
+}
 
-    if (executeFn_) {
-        try {
-            executeFn_(task);
-        } catch (const DiffuseError &ex) {
-            Error e = ex.error();
-            if (e.originTask.empty())
-                e.originTask = task.name;
-            if (e.originEvent == 0)
-                e.originEvent = id;
-            if (failFn_)
-                failFn_(task, e, /*cancelled=*/false);
-            failed_.emplace(id, std::move(e));
-            stats_.tasksFailed++;
-        } catch (const std::exception &ex) {
-            // A kernel threw something unstructured (WorkerPool
-            // rethrows helper-thread exceptions here): classify as a
-            // kernel fault rather than crashing the process.
-            Error e = makeError(ErrorCode::KernelFault, ex.what(),
-                                task.name, INVALID_STORE, id);
-            if (failFn_)
-                failFn_(task, e, /*cancelled=*/false);
-            failed_.emplace(id, std::move(e));
-            stats_.tasksFailed++;
+void
+TaskStream::beginProgram(const TraceProgram &program,
+                         std::span<const StoreId> slot_stores)
+{
+    // The recorded edges are epoch-local: nothing older may pend.
+    diffuse_assert(pending() == 0 && program_ == nullptr,
+                   "a program must begin on a drained stream");
+    std::size_t n = program.ops.size();
+    programBase_ = next_;
+    next_ += n;
+    programSubmitted_ = 0;
+    programRetired_ = 0;
+    programHead_ = 0;
+    if (n == 0)
+        return;
+    program_ = &program;
+    opFinish_.assign(n, 0.0);
+    opRetiredAt_.assign(n, kOpPending);
+    // Every record in a history retired with the drained stream: fold
+    // them all now, as the first access of each store would.
+    slotStores_.assign(slot_stores.begin(), slot_stores.end());
+    slotFloors_.assign(slot_stores.size(), nullptr);
+    for (std::uint32_t s : program.slots) {
+        diffuse_assert(s < slot_stores.size(),
+                       "program slot %u of %zu", s, slot_stores.size());
+        StoreHistory &h = historyFor(slot_stores[s]);
+        compactHistory(h);
+        slotFloors_[s] = &h.floors;
+    }
+}
+
+void
+TaskStream::submitProgramOp()
+{
+    diffuse_assert(program_ != nullptr &&
+                       programSubmitted_ < program_->ops.size(),
+                   "no program op left to submit");
+    std::size_t k = programSubmitted_;
+    const ProgramOp &op = program_->ops[k];
+    // The recorded edges stand in for the history scan. Retired work —
+    // recorded dependencies that retired through the window included —
+    // left its finish time in the floors; pending dependencies count
+    // directly.
+    double dep_finish = 0.0;
+    for (const LowArg &arg : op.task.args) {
+        const Floors &f = *slotFloors_[arg.store];
+        if (privReads(arg.priv) || privReduces(arg.priv))
+            dep_finish = std::max(dep_finish, f.write);
+        if (privWrites(arg.priv) || privReduces(arg.priv)) {
+            dep_finish = std::max(dep_finish, f.write);
+            dep_finish = std::max(dep_finish, f.read);
         }
     }
-    if (retireFn_)
-        retireFn_(task);
-    recycle(std::move(node));
+    for (std::uint32_t d : op.deps) {
+        if (!opRetired(d))
+            dep_finish = std::max(dep_finish, opFinish_[d]);
+    }
+    stats_.rawDeps += op.rawDeps;
+    stats_.warDeps += op.warDeps;
+    stats_.wawDeps += op.wawDeps;
+    double finish = place(op.timing, op.task.numPoints, op.task.procHint,
+                          dep_finish);
+    opFinish_[k] = finish;
+    // A replicated write supersedes every earlier access (finishSubmit).
+    for (const LowArg &arg : op.task.args) {
+        if (arg.replicated &&
+            (privWrites(arg.priv) || privReduces(arg.priv))) {
+            Floors &f = *slotFloors_[arg.store];
+            f.write = std::max(f.write, finish);
+            f.read = 0.0;
+        }
+    }
+    programSubmitted_++;
+    stats_.maxPendingSeen = std::max(stats_.maxPendingSeen, pending());
+    // Bound the in-flight window: retire the oldest op when full (its
+    // dependencies are older still, so already retired).
+    while (pending() > maxPending_)
+        retireOp(programHead_);
+}
+
+void
+TaskStream::retireOpWithDeps(std::size_t k)
+{
+    // As retireOne: the smallest pending dependency first.
+    const std::vector<std::uint32_t> &deps = program_->ops[k].deps;
+    for (;;) {
+        std::size_t next = k; // dependencies precede the op
+        for (std::uint32_t d : deps) {
+            if (!opRetired(d) && d < next)
+                next = d;
+        }
+        if (next == k)
+            break;
+        retireOpWithDeps(next);
+    }
+    retireOp(k);
+}
+
+void
+TaskStream::retireOp(std::size_t k)
+{
+    const ProgramOp &op = program_->ops[k];
+    if (programHead_ < k)
+        stats_.retiredOutOfOrder++;
+    // Fold the op's finish into its slots' floors now: the analyzed
+    // path keeps a record that the next access compacts into them, and
+    // nothing reads a store's floors before that access.
+    for (const LowArg &arg : op.task.args) {
+        Floors &f = *slotFloors_[arg.store];
+        double &floor = privWrites(arg.priv) || privReduces(arg.priv)
+                            ? f.write
+                            : f.read;
+        floor = std::max(floor, opFinish_[k]);
+    }
+    opRetiredAt_[k] = std::uint32_t(programSubmitted_);
+    programRetired_++;
+    while (programHead_ < programSubmitted_ && opRetired(programHead_))
+        programHead_++;
+
+    const Error *dep_err = nullptr;
+    if (!failed_.empty()) {
+        for (std::uint32_t d : op.deps) {
+            if (opRetiredAt_[d] <= k)
+                continue; // retired before this op was submitted
+            auto f = failed_.find(programBase_ + d);
+            if (f != failed_.end()) {
+                dep_err = &f->second;
+                break;
+            }
+        }
+    }
+    retireTask(programBase_ + k, op.task, k, dep_err);
+
+    if (programRetired_ == program_->ops.size()) {
+        program_ = nullptr;
+        if (runner_)
+            runner_->programRetired();
+    }
 }
 
 void
 TaskStream::wait(EventId id)
 {
+    if (program_ != nullptr && id >= programBase_ &&
+        id < programBase_ + programSubmitted_) {
+        if (!opRetired(std::size_t(id - programBase_)))
+            retireOpWithDeps(std::size_t(id - programBase_));
+        return;
+    }
     if (id == NO_EVENT || !pending_.count(id))
         return;
     retireOne(id);
@@ -390,16 +452,29 @@ void
 TaskStream::waitStore(StoreId id)
 {
     // Collect first: retiring may cascade into dependency retirement.
-    std::vector<EventId> users;
-    for (const auto &[ev, pt] : pending_) {
-        for (const LowArg &arg : pt.task.args) {
-            if (arg.store == id) {
-                users.push_back(ev);
-                break;
+    users_.clear();
+    if (program_ != nullptr) {
+        for (std::size_t k = programHead_; k < programSubmitted_; k++) {
+            if (opRetired(k))
+                continue;
+            for (const LowArg &arg : program_->ops[k].task.args) {
+                if (slotStores_[arg.store] == id) {
+                    users_.push_back(programBase_ + k);
+                    break;
+                }
+            }
+        }
+    } else {
+        for (const auto &[ev, pt] : pending_) {
+            for (const LowArg &arg : pt.task.args) {
+                if (arg.store == id) {
+                    users_.push_back(ev);
+                    break;
+                }
             }
         }
     }
-    for (EventId ev : users)
+    for (EventId ev : users_)
         wait(ev);
 }
 
@@ -407,9 +482,11 @@ void
 TaskStream::fence()
 {
     // Counts synchronized work: a fence with nothing pending is none.
-    if (pending_.empty())
+    if (pending() == 0)
         return;
     stats_.fences++;
+    while (program_ != nullptr && programHead_ < programSubmitted_)
+        retireOp(programHead_);
     while (!pending_.empty())
         retireOne(pending_.begin()->first);
 }
@@ -417,6 +494,9 @@ TaskStream::fence()
 bool
 TaskStream::complete(EventId id) const
 {
+    if (program_ != nullptr && id >= programBase_ &&
+        id < programBase_ + programSubmitted_)
+        return opRetired(std::size_t(id - programBase_));
     // Never-issued ids (including NO_EVENT) are trivially complete.
     return pending_.count(id) == 0;
 }

@@ -15,15 +15,20 @@
  * dependencies' finish times and the (serialized) dependence-analysis
  * clock, so simulated time is the critical path through the task graph
  * rather than the sum of every task's latency.
+ *
+ * A trace program (a captured epoch compiled for replay, see
+ * TraceProgram) retires through the same in-flight window: its ops
+ * trust their recorded hazard edges, so the stream keeps no per-task
+ * map for them — an op's retirement is known by its index.
  */
 
 #ifndef DIFFUSE_RUNTIME_TASK_STREAM_H
 #define DIFFUSE_RUNTIME_TASK_STREAM_H
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -150,8 +155,8 @@ struct TaskTiming
 
 /**
  * The result of one hazard analysis, exported so trace capture can
- * record it and trace replay can feed it back verbatim
- * (`submitPrelinked`), skipping the history scan entirely.
+ * record it and a trace program can replay it (ProgramOp) without the
+ * history scan.
  */
 struct SubmitTrace
 {
@@ -191,39 +196,121 @@ struct StreamStats
 };
 
 /**
+ * Submission-side stat increments attributed to one recorded stream
+ * submission: everything `LowRuntime::submit`/`submitCopy` adds to
+ * RuntimeStats and ShardStats *except* the schedule clocks
+ * (simTime/busyTime), which replay recomputes exactly through the
+ * stream, and the execution-side counters (storesMaterialized,
+ * tasksSharded), which accrue at retirement either way.
+ */
+struct SubmitStatsDelta
+{
+    double bytesHbm = 0.0;
+    double commTime = 0.0;
+    double computeTime = 0.0;
+    double overheadTime = 0.0;
+    double collectiveTime = 0.0;
+    double bytesIntraNode = 0.0;
+    double bytesInterNode = 0.0;
+    double exchangeBytes = 0.0;
+    std::uint64_t collectives = 0;
+    std::uint64_t copyTasks = 0;
+    std::uint64_t indexTasks = 0;
+    std::uint64_t pointTasks = 0;
+    std::uint64_t shardCopies = 0;
+    std::uint64_t shardGathers = 0;
+    std::uint64_t shardHostPulls = 0;
+};
+
+/**
+ * One op of a trace program: a stream submission captured on the
+ * analyzed path — the fully lowered task (pieces expanded, shard
+ * bindings and parallel-safety decided), its cost model, its hazard
+ * edges as indices into the program's op order, and its stat
+ * increments. Store ids inside `task` (and `task.copy`) are epoch slot
+ * indices; its scalars are rebound at replay.
+ */
+struct ProgramOp
+{
+    LaunchedTask task;
+    TaskTiming timing;
+    /** Hazard edges: positions in the program's op order. */
+    std::vector<std::uint32_t> deps;
+    std::uint32_t rawDeps = 0;
+    std::uint32_t warDeps = 0;
+    std::uint32_t wawDeps = 0;
+    SubmitStatsDelta stats;
+    /** A compute op's scalars: [scalarBegin, scalarBegin + scalarCount)
+     * of the replay's scalar block, which holds every submitted task's
+     * scalars in submission order (its unit's tasks, in task order). */
+    std::uint32_t scalarBegin = 0;
+    std::uint32_t scalarCount = 0;
+};
+
+/**
+ * A captured epoch compiled for replay: its submissions, flattened in
+ * submission order. Built once when the epoch is captured and
+ * immutable once published, so every session replaying the epoch
+ * reads the same object (LowRuntime::beginProgram).
+ */
+struct TraceProgram
+{
+    std::vector<ProgramOp> ops;
+    /** The slots some op's arguments reference, ascending (the rest
+     * are eliminated temporaries and stores only retained or
+     * released): the only ones a replay resolves. */
+    std::vector<std::uint32_t> slots;
+    /** Length of the replay's scalar block. */
+    std::size_t scalarCount = 0;
+};
+
+/**
  * Dependency-tracked stream of launched tasks.
  *
- * Ownership of real execution stays with the runtime: the stream calls
- * `executeFn` exactly once per task, in an order that respects every
- * recorded hazard, when the task retires.
+ * Ownership of real execution stays with the runtime: the stream hands
+ * each task to its Runner exactly once, in an order that respects
+ * every recorded hazard, when the task retires.
  */
 class TaskStream
 {
   public:
-    using ExecuteFn = std::function<void(const LaunchedTask &)>;
-    /** Failure notification: the task whose event failed, its error,
-     * and whether it was cancelled (upstream failure) rather than the
-     * root cause. The runtime poisons the task's outputs here. */
-    using FailFn = std::function<void(const LaunchedTask &, const Error &,
-                                      bool cancelled)>;
+    /** Program op index of an analyzed task (Runner::retire). */
+    static constexpr std::size_t kAnalyzed = ~std::size_t(0);
+
+    /** The runtime's side of retirement. */
+    class Runner
+    {
+      public:
+        /**
+         * Retire `task`, whose event is `id` and whose program op
+         * index is `op` (kAnalyzed for an analyzed task): run it — or,
+         * when `cancel` is set because a dependency failed, skip it
+         * and poison its outputs with that error — then release its
+         * per-task state either way. Returns the error the task ended
+         * with (a cancelled task's is `*cancel`; None on success).
+         */
+        virtual Error retire(EventId id, const LaunchedTask &task,
+                             std::size_t op, const Error *cancel) = 0;
+
+        /** The program in flight retired its last op. */
+        virtual void programRetired() {}
+
+      protected:
+        /** The stream never owns its runner. */
+        ~Runner() = default;
+    };
 
     TaskStream(const MachineConfig &machine,
                std::size_t max_pending = 256);
 
-    /** Called when a task retires; runs the task in Real mode. */
-    void setExecuteFn(ExecuteFn fn) { executeFn_ = std::move(fn); }
-
-    /** Called after execution to release per-task runtime state. */
-    void setRetireFn(ExecuteFn fn) { retireFn_ = std::move(fn); }
-
-    /** Called when a task fails or is cancelled (before its retire
-     * fn, which still runs — resource release must not leak). */
-    void setFailFn(FailFn fn) { failFn_ = std::move(fn); }
+    /** Who retires tasks; none retires nothing but the bookkeeping. */
+    void setRunner(Runner *runner) { runner_ = runner; }
 
     /**
      * Submit a task: record hazards against in-flight tasks, extend
      * the simulated schedule, and queue the task for deferred
-     * execution. Returns the task's completion event.
+     * execution. Returns the task's completion event. No program may
+     * be in flight.
      *
      * @param trace_out When non-null, receives the derived dependence
      *        edges so a trace can replay them without re-analysis.
@@ -231,27 +318,34 @@ class TaskStream
     EventId submit(LaunchedTask task, const TaskTiming &timing,
                    SubmitTrace *trace_out = nullptr);
 
-    /**
-     * Submit a task whose hazard edges were recorded by a previous,
-     * structurally identical submission (trace replay): the history
-     * scan is skipped and `trace.deps` (of which only still-pending
-     * events count) order the task instead. The recorded edges are
-     * epoch-local, so the replayed epoch must have started on a
-     * drained stream. The schedule placement, history update and
-     * retirement behaviour are identical to `submit`, so simulated
-     * time matches the analyzed path exactly.
-     */
-    EventId submitPrelinked(LaunchedTask task, const TaskTiming &timing,
-                            const SubmitTrace &trace);
+    // ---- Trace programs ----------------------------------------------
+    //
+    // A program replays on a drained stream: its recorded edges are
+    // epoch-local. Op k's event is the program's base + k, so events
+    // (and error origins) are those of the analyzed path. Its ops are
+    // submitted in order and retire through the same window as
+    // analyzed tasks — at overflow, fence(), wait() and waitStore() —
+    // so which ops have retired at each submission, and hence the
+    // history floors and the simulated schedule, match the analyzed
+    // path exactly.
 
     /**
-     * Storage of a retired task with `num_args` arguments, for the
-     * caller to copy-assign a new task into: its vectors and strings
-     * keep their capacity, so a replayed submission copies its
-     * recorded task without allocating. Contents are unspecified; an
-     * empty task when none is spare.
+     * Start `program` (which must outlive its last op's retirement)
+     * on the drained stream; `slot_stores[s]` is slot s's store. Each
+     * slot the program uses is resolved to its history floors once.
      */
-    LaunchedTask recycledTask(std::size_t num_args);
+    void beginProgram(const TraceProgram &program,
+                      std::span<const StoreId> slot_stores);
+
+    /**
+     * Submit the program's next op: count its recorded hazards and
+     * place it no earlier than its slots' floors and its recorded
+     * dependencies still pending, then retire overflow.
+     */
+    void submitProgramOp();
+
+    /** A program is in flight: begun, and not every op retired. */
+    bool programInFlight() const { return program_ != nullptr; }
 
     /** Retire `id` and (transitively) everything it depends on. */
     void wait(EventId id);
@@ -268,8 +362,11 @@ class TaskStream
     /** Forget recorded failures (session resetAfterError()). */
     void clearFailures() { failed_.clear(); }
 
-    /** Number of submitted-but-unretired tasks. */
-    std::size_t pending() const { return pending_.size(); }
+    /** Number of submitted-but-unretired tasks (or program ops). */
+    std::size_t pending() const
+    {
+        return pending_.size() + (programSubmitted_ - programRetired_);
+    }
 
     /** Drop dependence history of a destroyed store. */
     void forgetStore(StoreId id);
@@ -277,6 +374,14 @@ class TaskStream
     const StreamStats &stats() const { return stats_; }
 
   private:
+    /** Finish times of retired accesses to one store: later
+     * conflicting accesses are placed after them. */
+    struct Floors
+    {
+        double write = 0.0;
+        double read = 0.0;
+    };
+
     /**
      * One access to a store, remembered for hazard detection. `pieces`
      * points into the argument of the pending task that made the
@@ -304,12 +409,20 @@ class TaskStream
     {
         std::vector<AccessRec> writes;
         std::vector<AccessRec> reads;
-        double writeFinishFloor = 0.0;
-        double readFinishFloor = 0.0;
+        Floors floors;
     };
 
     /** Drop retired records, folding them into the floors. */
     void compactHistory(StoreHistory &h);
+
+    /**
+     * Place a task on the simulated schedule no earlier than
+     * `dep_finish` and the serialized analysis clock: the arithmetic
+     * both analyzed tasks and program ops go through. Returns its
+     * finish time.
+     */
+    double place(const TaskTiming &timing, int num_points, int proc_hint,
+                 double dep_finish);
 
     struct PendingTask
     {
@@ -324,9 +437,6 @@ class TaskStream
     /** The history of `id`, created (from a spare node) on first use. */
     StoreHistory &historyFor(StoreId id);
 
-    /** Keep a retired task's map node and storage for reuse. */
-    void recycle(PendingMap::node_type node);
-
     /** Any-pair piece overlap between two accesses of one store. */
     static bool overlaps(bool a_replicated,
                          const std::vector<Rect> &a_pieces,
@@ -334,6 +444,26 @@ class TaskStream
 
     /** Execute and retire exactly one pending task. */
     void retireOne(EventId id);
+
+    /**
+     * The retirement both paths share: count it, cancel the task if
+     * `dep_err` names a failed dependency (else run it), and record
+     * how it ended.
+     */
+    void retireTask(EventId id, const LaunchedTask &task, std::size_t op,
+                    const Error *dep_err);
+
+    /** Has program op `k` retired? */
+    bool opRetired(std::size_t k) const
+    {
+        return opRetiredAt_[k] != kOpPending;
+    }
+
+    /** Retire program op `k` and, first, its pending dependencies. */
+    void retireOpWithDeps(std::size_t k);
+
+    /** Retire program op `k`, whose dependencies have retired. */
+    void retireOp(std::size_t k);
 
     /**
      * The shared submission tail: place the task on the simulated
@@ -346,28 +476,48 @@ class TaskStream
 
     MachineConfig machine_;
     std::size_t maxPending_;
-    ExecuteFn executeFn_;
-    ExecuteFn retireFn_;
-    FailFn failFn_;
+    Runner *runner_ = nullptr;
 
     /** Ordered by EventId == submission order (a topological order). */
     PendingMap pending_;
     HistoryMap history_;
     /**
-     * Recycled allocations, so a steady stream of submissions (trace
-     * replay above all) reaches the allocator rarely: map nodes of
-     * retired tasks and destroyed stores' histories, and retired task
-     * storage bucketed by argument count (a copy-assignment into a task
-     * of the same shape reuses every vector).
+     * Recycled map nodes of retired tasks and destroyed stores'
+     * histories, so a steady stream of submissions reaches the
+     * allocator rarely.
      */
     static constexpr std::size_t kMaxSpare = 1024;
     NodeRecycler<PendingMap> pendingNodes_{kMaxSpare};
     NodeRecycler<HistoryMap> historyNodes_{kMaxSpare};
-    std::vector<std::vector<LaunchedTask>> spareTasks_;
-    std::size_t spareTaskCount_ = 0;
-    /** Dependencies of the submission in progress (submit and
-     * submitPrelinked gather, finishSubmit consumes). */
+    /** Dependencies of the submission in progress (submit gathers,
+     * finishSubmit consumes). */
     std::vector<EventId> deps_;
+    /** waitStore's collected users, reused across calls. */
+    std::vector<EventId> users_;
+
+    /**
+     * The program in flight (null when none) and its suffix. Program
+     * ops append no access records: nothing scans for hazards while a
+     * program is in flight, so an op only leaves its finish time, which
+     * folds into its slots' floors when it retires — the value the
+     * analyzed path's lazy compaction reads at the next access.
+     */
+    const TraceProgram *program_ = nullptr;
+    EventId programBase_ = NO_EVENT;
+    std::size_t programSubmitted_ = 0;
+    std::size_t programRetired_ = 0;
+    /** Oldest op not yet retired. */
+    std::size_t programHead_ = 0;
+    /** Slot table: each used slot's store and history floors. */
+    std::vector<StoreId> slotStores_;
+    std::vector<Floors *> slotFloors_;
+    /** Per op: its finish time, and how many ops had been submitted
+     * when it retired (kOpPending until then). A failed dependency
+     * cancels an op only if it was still pending at the op's
+     * submission, as on the analyzed path. */
+    static constexpr std::uint32_t kOpPending = ~std::uint32_t(0);
+    std::vector<double> opFinish_;
+    std::vector<std::uint32_t> opRetiredAt_;
     /** Events that retired unsuccessfully, with their errors. Bounded
      * by clearFailures(): a failed session drains, surfaces the error
      * and resets — failures never accumulate across healthy epochs. */

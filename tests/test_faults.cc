@@ -38,6 +38,8 @@
 #include "core/memo.h"
 #include "cunumeric/ndarray.h"
 #include "runtime/fault.h"
+#include "solvers/solvers.h"
+#include "sparse/csr.h"
 
 namespace diffuse {
 namespace {
@@ -319,6 +321,175 @@ TEST(Faults, PersistentExchangeFaultSurfacesAndRecovers)
     EXPECT_TRUE(rt.failed());
     rt.resetAfterError();
     EXPECT_EQ(runBody(rt), expect);
+}
+
+// ---------------------------------------------------------------------
+// A fault inside a replayed epoch
+// ---------------------------------------------------------------------
+
+/** A CG session at ranks 4: one solve is one epoch, replayed from the
+ * third solve on. */
+struct CgSession
+{
+    explicit CgSession(int trace)
+        : rt(machine(), realOpts(1, /*ranks=*/4, trace)), np(rt), sp(np),
+          sol(np, sp), a(sp.poisson2d(32, 32)),
+          b(np.random(32 * 32, 0xFA, -1.0, 1.0))
+    {}
+
+    NDArray solve() { return sol.cg(a, b, 5); }
+
+    DiffuseRuntime rt;
+    Context np;
+    sp::SparseContext sp;
+    solvers::SolverContext sol;
+    sp::CsrMatrix a;
+    NDArray b;
+};
+
+/** The exchange opportunity halfway through the fourth solve. */
+std::uint64_t
+fourthSolveExchangeSkip()
+{
+    CgSession s(1);
+    std::uint64_t copies[5] = {0, 0, 0, 0, 0};
+    for (int i = 1; i <= 4; i++) {
+        s.solve();
+        s.rt.flushWindow();
+        copies[i] = s.rt.runtimeStats().copyTasks;
+    }
+    EXPECT_EQ(copies[4] - copies[3], copies[3] - copies[2]);
+    return copies[3] + (copies[4] - copies[3]) / 2;
+}
+
+/** Everything a fault leaves behind that the trace layer must not
+ * change. */
+struct FaultOutcome
+{
+    Error error;
+    std::uint64_t tasksFailed = 0;
+    std::uint64_t tasksCancelled = 0;
+    std::vector<StoreId> poisoned;
+    bool fourthSolvePoisoned = false;
+    std::uint64_t replaysDuringFailure = 0;
+    std::vector<std::vector<std::uint64_t>> rerun;
+
+    bool
+    operator==(const FaultOutcome &o) const
+    {
+        return error.code == o.error.code &&
+               error.originTask == o.error.originTask &&
+               error.originEvent == o.error.originEvent &&
+               error.originStore == o.error.originStore &&
+               tasksFailed == o.tasksFailed &&
+               tasksCancelled == o.tasksCancelled &&
+               poisoned == o.poisoned &&
+               fourthSolvePoisoned == o.fourthSolvePoisoned &&
+               rerun == o.rerun;
+    }
+};
+
+FaultOutcome
+exchangeFaultInFourthSolve(int trace, std::uint64_t skip)
+{
+    CgSession s(trace);
+    FaultOutcome out;
+    s.rt.low().faults().armOneShot(rt::FaultKind::Exchange, skip);
+    std::vector<NDArray> xs;
+    for (int i = 0; i < 4 && out.error.ok(); i++) {
+        std::uint64_t replays = s.rt.fusionStats().traceEpochsReplayed;
+        xs.push_back(s.solve());
+        try {
+            s.rt.flushWindow();
+        } catch (const DiffuseError &e) {
+            out.error = e.error();
+            out.replaysDuringFailure =
+                s.rt.fusionStats().traceEpochsReplayed - replays;
+            EXPECT_EQ(i, 3) << "trace " << trace;
+        }
+    }
+    out.tasksFailed = s.rt.low().streamStats().tasksFailed;
+    out.tasksCancelled = s.rt.low().streamStats().tasksCancelled;
+    // Every store the session still holds, by id (ids are assigned in
+    // creation order, so both sides name the same stores).
+    StoreId top = s.rt.createStore(Point(1));
+    for (StoreId id = 1; id < top; id++) {
+        if (s.rt.low().storePoisoned(id))
+            out.poisoned.push_back(id);
+    }
+    s.rt.releaseApp(top);
+    out.fourthSolvePoisoned = s.rt.low().storePoisoned(xs.back().store());
+
+    s.rt.resetAfterError();
+    for (int i = 0; i < 4; i++) {
+        NDArray x = s.solve();
+        out.rerun.push_back(bits(s.np.toHost(x)));
+    }
+    return out;
+}
+
+TEST(Faults, ExchangeFaultInReplayedEpochMatchesTheAnalyzedPath)
+{
+    // The shot fires in the fourth solve, a replayed epoch: the error,
+    // its origin, the failed and cancelled counts and the poisoned
+    // stores must be exactly those of the analyzed path, and recovery
+    // must rerun bitwise.
+    std::uint64_t skip = fourthSolveExchangeSkip();
+    FaultOutcome off = exchangeFaultInFourthSolve(0, skip);
+    FaultOutcome on = exchangeFaultInFourthSolve(1, skip);
+    EXPECT_EQ(off.error.code, ErrorCode::ExchangeFault);
+    EXPECT_NE(off.error.originEvent, 0u);
+    EXPECT_NE(off.error.originStore, INVALID_STORE);
+    EXPECT_EQ(off.tasksFailed, 1u);
+    EXPECT_GT(off.tasksCancelled, 0u);
+    EXPECT_TRUE(off.fourthSolvePoisoned);
+    EXPECT_EQ(on.replaysDuringFailure, 1u);
+    EXPECT_TRUE(on == off)
+        << "trace 0: " << off.error.describe() << ", failed "
+        << off.tasksFailed << ", cancelled " << off.tasksCancelled
+        << ", poisoned " << off.poisoned.size() << "\ntrace 1: "
+        << on.error.describe() << ", failed " << on.tasksFailed
+        << ", cancelled " << on.tasksCancelled << ", poisoned "
+        << on.poisoned.size();
+
+    // The clean rerun after resetAfterError() is a never-faulted run.
+    CgSession clean(1);
+    std::vector<std::vector<std::uint64_t>> expect;
+    for (int i = 0; i < 4; i++)
+        expect.push_back(bits(clean.np.toHost(clean.solve())));
+    EXPECT_EQ(on.rerun, expect);
+}
+
+TEST(Faults, ExchangeFaultInAsyncReplayedEpochPoisonsItsOutputs)
+{
+    // flushWindowAsync() leaves the replayed epoch in flight; the
+    // fault fires when a low-level read of the solution retires the
+    // tasks it depends on, and the read names the poison.
+    std::uint64_t skip = fourthSolveExchangeSkip();
+    for (int trace : {0, 1}) {
+        CgSession s(trace);
+        s.rt.low().faults().armOneShot(rt::FaultKind::Exchange, skip);
+        for (int i = 0; i < 3; i++) {
+            s.solve();
+            s.rt.flushWindow();
+        }
+        NDArray x = s.solve();
+        s.rt.flushWindowAsync();
+        EXPECT_GT(s.rt.low().streamPending(), 0u) << "trace " << trace;
+        bool threw = false;
+        try {
+            (void)s.rt.low().dataF64(x.store());
+        } catch (const DiffuseError &e) {
+            threw = true;
+            EXPECT_EQ(e.code(), ErrorCode::StorePoisoned)
+                << "trace " << trace;
+        }
+        EXPECT_TRUE(threw) << "trace " << trace;
+        EXPECT_TRUE(s.rt.failed()) << "trace " << trace;
+        EXPECT_EQ(s.rt.error().code, ErrorCode::ExchangeFault)
+            << "trace " << trace;
+        s.rt.resetAfterError();
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -24,7 +24,7 @@ namespace diffuse {
 namespace {
 
 // ---------------------------------------------------------------------
-// TaskStream unit tests (no kernels: a recording execute callback)
+// TaskStream unit tests (no kernels: a runner that records names)
 // ---------------------------------------------------------------------
 
 struct ArgSpec
@@ -62,7 +62,7 @@ timing()
     return t;
 }
 
-struct StreamFixture
+struct StreamFixture : rt::TaskStream::Runner
 {
     rt::TaskStream stream;
     std::vector<std::string> order;
@@ -70,9 +70,15 @@ struct StreamFixture
     explicit StreamFixture(std::size_t max_pending = 256)
         : stream(rt::MachineConfig::withGpus(4), max_pending)
     {
-        stream.setExecuteFn([this](const rt::LaunchedTask &t) {
-            order.push_back(t.name);
-        });
+        stream.setRunner(this);
+    }
+
+    Error
+    retire(rt::EventId, const rt::LaunchedTask &t, std::size_t,
+           const Error *) override
+    {
+        order.push_back(t.name);
+        return Error();
     }
 
     rt::EventId

@@ -649,6 +649,84 @@ TEST(TraceReplay, ShardedSolverReplayKeepsPlacementState)
     }
 }
 
+TEST(TraceReplay, LongShardedEpochsKeepStreamAndScheduleParity)
+{
+    // perfbench's solvers_small step at ranks 4 x workers 2: each
+    // solve's epoch submits more tasks and exchange copies than the
+    // stream's 256-task in-flight window holds, so replay retires
+    // through the window exactly as the analyzed path does. Which
+    // tasks have retired at each submission feeds the history floors
+    // and so the simulated schedule: every stream counter and clock
+    // must match the analyzed path, bit for bit.
+    struct Run
+    {
+        rt::StreamStats stream;
+        rt::RuntimeStats runtime;
+        std::vector<std::uint64_t> residuals;
+        std::uint64_t replays = 0;
+    };
+    auto run = [](int trace) {
+        DiffuseOptions o = realOpts(trace, /*ranks=*/4);
+        o.workers = 2;
+        DiffuseRuntime rt(rt::MachineConfig::withGpus(4), o);
+        Context ctx(rt);
+        sp::SparseContext sctx(ctx);
+        solvers::SolverContext sol(ctx, sctx);
+        sp::CsrMatrix a = sctx.poisson2d(64, 64);
+        solvers::GmgHierarchy h = sol.buildHierarchy1d(4096, 4);
+        NDArray b2 = ctx.random(64 * 64, 0x2d, -1.0, 1.0);
+        NDArray b1 = ctx.random(4096, 0x1d, -1.0, 1.0);
+        Run r;
+        for (int step = 0; step < 6; step++) {
+            for (int which = 0; which < 3; which++) {
+                const sp::CsrMatrix &op = which == 2 ? h.levels[0].a : a;
+                const NDArray &b = which == 2 ? b1 : b2;
+                NDArray x = which == 0   ? sol.cg(op, b, 10)
+                            : which == 1 ? sol.bicgstab(op, b, 10)
+                                         : sol.gmgPcg(h, b, 10);
+                NDArray res = ctx.norm2Sq(ctx.sub(b, sctx.spmv(op, x)));
+                rt.flushWindow();
+                double v = rt.low().readScalarValue(res.store());
+                std::uint64_t u;
+                std::memcpy(&u, &v, sizeof(u));
+                r.residuals.push_back(u);
+            }
+        }
+        r.stream = rt.low().streamStats();
+        r.runtime = rt.runtimeStats();
+        r.replays = rt.fusionStats().traceEpochsReplayed;
+        return r;
+    };
+    Run off = run(0);
+    Run on = run(1);
+
+    EXPECT_EQ(on.residuals, off.residuals);
+    EXPECT_GT(on.replays, 0u);
+    EXPECT_GT(off.stream.maxPendingSeen, 256u); // epochs exceed the window
+
+    const rt::StreamStats &s0 = off.stream, &s1 = on.stream;
+    EXPECT_EQ(s1.submitted, s0.submitted);
+    EXPECT_EQ(s1.retired, s0.retired);
+    EXPECT_EQ(s1.fences, s0.fences);
+    EXPECT_EQ(s1.maxPendingSeen, s0.maxPendingSeen);
+    EXPECT_EQ(s1.retiredOutOfOrder, s0.retiredOutOfOrder);
+    EXPECT_EQ(s1.rawDeps, s0.rawDeps);
+    EXPECT_EQ(s1.warDeps, s0.warDeps);
+    EXPECT_EQ(s1.wawDeps, s0.wawDeps);
+    EXPECT_EQ(s1.tasksFailed, s0.tasksFailed);
+    EXPECT_EQ(s1.tasksCancelled, s0.tasksCancelled);
+    // EXPECT_EQ on doubles: bitwise, not to rounding.
+    EXPECT_EQ(s1.criticalPathTime, s0.criticalPathTime);
+    EXPECT_EQ(s1.busyTime, s0.busyTime);
+    EXPECT_EQ(s1.collectiveTime, s0.collectiveTime);
+
+    const rt::RuntimeStats &r0 = off.runtime, &r1 = on.runtime;
+    EXPECT_EQ(r1.simTime, r0.simTime);
+    EXPECT_EQ(r1.busyTime, r0.busyTime);
+    EXPECT_EQ(r1.copyTasks, r0.copyTasks);
+    EXPECT_EQ(r1.exchangeBytes, r0.exchangeBytes);
+}
+
 TEST(TraceReplay, SimulatedModeTimingParity)
 {
     // The whole point of recording TaskTiming + hazard edges: the
