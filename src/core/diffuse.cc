@@ -522,8 +522,6 @@ DiffuseRuntime::traceBeginEpoch()
     tracePending_.clear();
     traceCands_.clear();
     traceRec_.reset();
-    traceLog_.clear();
-    traceLogMark_ = 0;
     traceProbes_.clear();
     traceEvent_ = 0;
     traceCurEvent_ = 0;
@@ -673,11 +671,8 @@ DiffuseRuntime::traceBeginCapture()
     // epoch flushWindowAsync() left in flight before the next one
     // buffers anything; beginSubmitCapture asserts it).
     traceRec_ = std::make_unique<TraceEpoch>();
-    traceLog_.clear();
-    traceLogMark_ = 0;
-    traceScalarMark_ = 0;
     traceProbes_.clear();
-    low_.beginSubmitCapture(&traceLog_);
+    low_.beginSubmitCapture();
     traceCaptureUnits_ = true;
 }
 
@@ -727,70 +722,41 @@ DiffuseRuntime::traceRecordUnit(int prefix_len, FusionBlock block,
     u.temps = std::uint32_t(group.temps.size());
     u.probes = std::move(traceProbes_);
     traceProbes_.clear();
-    u.opBegin = std::uint32_t(traceLogMark_);
-    u.opEnd = std::uint32_t(traceLog_.size());
-    // A fused group's scalar block is the prefix's scalars in task
-    // order (memo.h instantiates the same way); the replay's scalar
-    // block holds every task's, so the unit's is the next run of it.
-    std::uint32_t nscalars = 0;
-    for (int t = 0; t < prefix_len; t++)
-        nscalars += std::uint32_t(window_[std::size_t(t)].scalars.size());
-    for (std::size_t i = traceLogMark_; i < traceLog_.size(); i++) {
-        rt::ProgramOp &op = traceLog_[i];
-        // Canonicalize store ids to epoch slots (every store of a
-        // scheduled group appeared in this epoch's event stream).
-        for (rt::LowArg &a : op.task.args) {
-            int slot = traceEnc_.slotOf(a.store);
-            diffuse_assert(slot >= 0, "captured store %llu has no slot",
-                           (unsigned long long)a.store);
-            a.store = StoreId(slot);
-        }
-        if (op.task.kind == rt::TaskKind::Copy) {
-            int slot = traceEnc_.slotOf(op.task.copy.store);
-            diffuse_assert(slot >= 0, "captured copy has no slot");
-            op.task.copy.store = StoreId(slot);
-        } else {
-            op.scalarBegin = traceScalarMark_;
-            op.scalarCount = nscalars;
-        }
-    }
-    traceScalarMark_ += nscalars;
-    traceLogMark_ = traceLog_.size();
+    // The unit's submissions: the program's ops since the last unit.
+    u.opBegin =
+        traceRec_->units.empty() ? 0 : traceRec_->units.back().opEnd;
+    u.opEnd = std::uint32_t(low_.programOps());
     traceRec_->units.push_back(std::move(u));
 }
 
 void
 DiffuseRuntime::traceFinalizeCapture()
 {
-    if (low_.capturing())
-        low_.endSubmitCapture();
     traceCaptureUnits_ = false;
     if (traceRec_ == nullptr)
         return;
-    bool storable = traceEvent_ > 0 &&
-                    traceEvent_ <= kTraceMaxEvents &&
-                    traceLogMark_ == traceLog_.size();
-    if (storable) {
+    if (traceEvent_ > 0 && traceEvent_ <= kTraceMaxEvents) {
         traceRec_->codes.assign(epochCodes_.begin(),
                                 epochCodes_.begin() + traceEvent_);
         traceRec_->slotSigs = traceSigs_;
-        // Compile the program once, before publication: the units'
-        // submissions move (not copy) into one flat op array.
-        rt::TraceProgram &prog = traceRec_->program;
-        std::vector<std::uint8_t> used(traceEnc_.slots().size(), 0);
-        prog.ops.reserve(traceLog_.size());
-        for (rt::ProgramOp &op : traceLog_) {
-            for (const rt::LowArg &a : op.task.args)
-                used[std::size_t(a.store)] = 1;
-            prog.ops.push_back(std::move(op));
+        // Publish the program that ran, with the encoder slot of each
+        // of its slots (every store it touched appeared in this
+        // epoch's event stream).
+        std::span<const StoreId> stores = low_.programSlotStores();
+        std::shared_ptr<rt::TraceProgram> prog = low_.takeProgram();
+        std::size_t covered = traceRec_->units.empty()
+                                  ? 0
+                                  : traceRec_->units.back().opEnd;
+        diffuse_assert(covered == prog->ops.size(),
+                       "captured units cover %zu of %zu ops", covered,
+                       prog->ops.size());
+        for (StoreId id : stores) {
+            int slot = traceEnc_.slotOf(id);
+            diffuse_assert(slot >= 0, "captured store %llu has no slot",
+                           (unsigned long long)id);
+            prog->slots.push_back(std::uint32_t(slot));
         }
-        traceLog_.clear();
-        traceLogMark_ = 0;
-        for (std::size_t s = 0; s < used.size(); s++) {
-            if (used[s])
-                prog.slots.push_back(std::uint32_t(s));
-        }
-        prog.scalarCount = traceScalarMark_;
+        traceRec_->program = std::move(prog);
         traceRec_->windowSizeAfter = windowSize_;
         // Counted per-epoch, not by FusionStats delta: the app may
         // reset the stats mid-epoch (benches do, after warmup).
@@ -798,6 +764,8 @@ DiffuseRuntime::traceFinalizeCapture()
         if (ctx_->traceCache().store(std::move(traceRec_)))
             fusionStats_.traceEpochsCaptured++;
         fusionStats_.traceEntries = ctx_->traceCache().entries();
+    } else if (low_.capturing()) {
+        low_.endSubmitCapture();
     }
     traceRec_.reset();
 }
@@ -879,11 +847,7 @@ DiffuseRuntime::traceReplay(const std::shared_ptr<TraceEpoch> &epoch)
                                  ev.task.scalars.begin(),
                                  ev.task.scalars.end());
     }
-    // The program shares the epoch's ownership: it outlives a cache
-    // replacement while its ops are in flight.
-    low_.beginProgram(
-        std::shared_ptr<const rt::TraceProgram>(epoch, &epoch->program),
-        traceEnc_.slots(), traceScalars_);
+    low_.beginProgram(epoch->program, traceEnc_.slots(), traceScalars_);
     traceQueue_.clear();
     traceQueueHead_ = 0;
     std::size_t ui = 0;

@@ -337,7 +337,7 @@ class DiffuseRuntime
      * the one drain all abort/poison paths share). */
     void traceDrainPending();
 
-    /** Enter capture: start the runtime submission log. */
+    /** Enter capture: the runtime keeps the epoch's program. */
     void traceBeginCapture();
 
     /** Stop recording this epoch (kept processing normally). */
@@ -423,13 +423,6 @@ class DiffuseRuntime
     std::vector<std::shared_ptr<TraceEpoch>> traceCands_;
     /** Epoch under capture. */
     std::unique_ptr<TraceEpoch> traceRec_;
-    /** Runtime submission log (LowRuntime capture target): the
-     * program under capture, its first traceLogMark_ ops assigned to
-     * units. */
-    std::vector<rt::ProgramOp> traceLog_;
-    std::size_t traceLogMark_ = 0;
-    /** Scalars of the tasks the captured units consumed so far. */
-    std::uint32_t traceScalarMark_ = 0;
     /** Probes collected by the wrapped liveness callback. */
     std::vector<TraceProbe> traceProbes_;
     /** Events received this epoch (live prefix of epochCodes_). */

@@ -115,8 +115,7 @@ struct TraceUnit
 
 /** A fully captured epoch: the replayable planner/runtime output.
  * Immutable once stored (`replays` is the one exception, an atomic
- * gauge) — sessions sharing a cache replay one epoch concurrently, and
- * a session holds it until its program's last op retires. */
+ * gauge) — sessions sharing a cache replay one epoch concurrently. */
 struct TraceEpoch
 {
     /** Canonical per-event encodings (code 0 embeds the entry window
@@ -126,8 +125,11 @@ struct TraceEpoch
     /** Per-slot runtime state signature at first appearance. */
     std::vector<std::uint64_t> slotSigs;
     std::vector<TraceUnit> units;
-    /** Every unit's submissions, compiled once at capture. */
-    rt::TraceProgram program;
+    /** Every unit's submissions: the program the capture ran,
+     * published as it ran. A session holds it until its next program
+     * begins, so it outlives a cache replacement while its ops are in
+     * flight. */
+    std::shared_ptr<const rt::TraceProgram> program;
     int windowSizeAfter = 0;
     std::uint32_t growths = 0;
     std::atomic<std::uint64_t> replays{0};

@@ -1,8 +1,6 @@
 #include "compiler.h"
 
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 
 namespace diffuse {
 namespace kir {
@@ -37,20 +35,6 @@ JitCompiler::finish(KernelFunction fn, double wall_start)
         stats_.modeledSeconds += out->cost.modeledSeconds;
         stats_.loopsFused += out->pipeline.loopsFused;
         stats_.localsEliminated += out->pipeline.localsEliminated;
-    }
-    const char *dbg = std::getenv("DIFFUSE_DEBUG_COMPILE");
-    if (dbg != nullptr) {
-        std::size_t tape = 0;
-        for (const NestPlan &np : out->plan->nests)
-            tape += np.dense.tape.size();
-        std::fprintf(stderr,
-                     "[compile] %s: %zu instrs -> %zu tape ops, %zu "
-                     "nests, %d live locals, %d slots\n",
-                     out->fn.name.c_str(), out->fn.instructionCount(),
-                     tape, out->fn.nests.size(),
-                     out->fn.liveLocalCount(), out->plan->maxRegCount);
-        if (dbg[0] == '2')
-            std::fprintf(stderr, "%s", out->fn.dump().c_str());
     }
     return out;
 }

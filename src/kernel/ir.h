@@ -53,8 +53,6 @@ enum class Op : std::uint8_t {
  */
 double opFlopWeight(Op op);
 
-const char *opName(Op op);
-
 /** A three-address instruction. Registers are 32-bit indices. */
 struct Instr
 {
@@ -168,9 +166,6 @@ struct KernelFunction
         }
         return n;
     }
-
-    /** Render a readable listing, for tests and debugging. */
-    std::string dump() const;
 };
 
 /**

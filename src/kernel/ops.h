@@ -4,7 +4,7 @@
  *
  * Each row names an op, the operand shape it reads and one expression
  * for its result. Everything else about the op is generated from the
- * row: the kir::Op and kir::VecOp enumerators, mirrorOp, opName and
+ * row: the kir::Op and kir::VecOp enumerators, mirrorOp and
  * opFlopWeight and the tape VM's strip loop (execStrip in exec.cc,
  * which expands the expression as code). The scalar interpreter
  * (Executor::runDense) is kept apart on purpose: it is the

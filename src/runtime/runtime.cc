@@ -87,6 +87,7 @@ LowRuntime::createStore(const Point &shape, DType dtype, double init)
     store.replicatedValid = true;
     store.pendingUses = 0;
     store.zombie = false;
+    store.slotProgram = 0;
     store.shard = shards_.onStoreCreated(id, store.shape, dtype);
     return id;
 }
@@ -211,16 +212,66 @@ LowRuntime::rec(StoreId id) const
 }
 
 std::span<LowRuntime::StoreRec *const>
-LowRuntime::resolveArgs(const LaunchedTask &task, std::size_t op,
+LowRuntime::resolveArgs(const LaunchedTask &task,
                         std::vector<StoreRec *> &out)
 {
     out.clear();
-    for (const LowArg &arg : task.args) {
-        out.push_back(op == TaskStream::kAnalyzed
-                          ? &rec(arg.store)
-                          : slotRecs_[std::size_t(arg.store)]);
-    }
+    for (const LowArg &arg : task.args)
+        out.push_back(slotRecs_[std::size_t(arg.store)]);
     return out;
+}
+
+void
+LowRuntime::beginOpenProgram()
+{
+    diffuse_assert(stream_.pending() == 0,
+                   "an epoch's program begins on a drained stream");
+    if (open_ == nullptr)
+        open_ = std::make_shared<TraceProgram>();
+    else
+        open_->ops.clear(); // discard the uncaptured predecessor
+    program_ = open_;
+    openNumber_++;
+    slotRecs_.clear();
+    programScalars_.clear();
+    stream_.beginProgram(*open_);
+}
+
+std::uint32_t
+LowRuntime::slotOf(StoreRec &r)
+{
+    if (r.slotProgram != openNumber_) {
+        r.slotProgram = openNumber_;
+        r.slot = std::uint32_t(slotRecs_.size());
+        slotRecs_.push_back(&r);
+        stream_.addSlot(r.id);
+    }
+    return r.slot;
+}
+
+void
+LowRuntime::appendOp(LaunchedTask task, TaskTiming timing)
+{
+    ProgramOp &op = open_->ops.emplace_back();
+    // A program op's scalars live in the run's scalar block.
+    op.scalarBegin = std::uint32_t(programScalars_.size());
+    op.scalarCount = std::uint32_t(task.scalars.size());
+    programScalars_.insert(programScalars_.end(), task.scalars.begin(),
+                           task.scalars.end());
+    task.scalars.clear();
+    op.task = std::move(task);
+    op.timing = std::move(timing);
+    stream_.submitAnalyzed(op);
+    if (capturing_)
+        attributeStats(op.stats);
+}
+
+void
+LowRuntime::releaseOp(ProgramOp &op)
+{
+    op.task = LaunchedTask();
+    op.timing = TaskTiming();
+    op.deps = std::vector<std::uint32_t>();
 }
 
 std::span<ShardManager::StoreState *const>
@@ -471,7 +522,7 @@ LowRuntime::pointsIndependent(const LaunchedTask &task,
     return true;
 }
 
-EventId
+void
 LowRuntime::submit(LaunchedTask task)
 {
     diffuse_assert(task.kernel != nullptr, "task %s has no kernel",
@@ -480,13 +531,20 @@ LowRuntime::submit(LaunchedTask task)
     diffuse_assert(int(task.args.size()) == fn.numArgs,
                    "task %s: %zu args vs kernel %d", task.name.c_str(),
                    task.args.size(), fn.numArgs);
-    // The stream holds analyzed tasks or one program, never both (the
+    // An epoch's program begins on the drained stream: at the first
+    // submission after a drain, unless a capture keeps it open (the
     // session fences an epoch left in flight before it submits).
-    diffuse_assert(!stream_.programInFlight(),
-                   "task %s submitted with a program in flight",
-                   task.name.c_str());
-    std::span<StoreRec *const> recs =
-        resolveArgs(task, TaskStream::kAnalyzed, submitRecs_);
+    if (open_ == nullptr || program_ != open_ ||
+        (!capturing_ && stream_.pending() == 0))
+        beginOpenProgram();
+    // From here on the task names its stores by slot.
+    submitRecs_.clear();
+    for (LowArg &arg : task.args) {
+        StoreRec &r = rec(arg.store);
+        arg.store = slotOf(r);
+        submitRecs_.push_back(&r);
+    }
+    std::span<StoreRec *const> recs = submitRecs_;
 
     stats_.indexTasks++;
     stats_.pointTasks += std::uint64_t(task.numPoints);
@@ -577,17 +635,8 @@ LowRuntime::submit(LaunchedTask task)
     for (StoreRec *r : recs)
         r->pendingUses++;
 
-    EventId id;
-    if (captureLog_) {
-        LaunchedTask task_copy = task;
-        SubmitTrace trace;
-        id = stream_.submit(std::move(task), timing, &trace);
-        recordSubmission(std::move(task_copy), timing, trace, id);
-    } else {
-        id = stream_.submit(std::move(task), timing);
-    }
+    appendOp(std::move(task), std::move(timing));
     foldScheduleClocks();
-    return id;
 }
 
 void
@@ -630,13 +679,11 @@ LowRuntime::foldScheduleClocks()
 }
 
 void
-LowRuntime::beginSubmitCapture(std::vector<ProgramOp> *log)
+LowRuntime::beginSubmitCapture()
 {
-    diffuse_assert(captureLog_ == nullptr, "nested submit capture");
-    diffuse_assert(stream_.pending() == 0,
-                   "submit capture must start post-fence");
-    captureLog_ = log;
-    captureIndex_.clear();
+    diffuse_assert(!capturing_, "nested submit capture");
+    beginOpenProgram();
+    capturing_ = true;
     captureStatsMark_ = stats_;
     captureShardMark_ = shards_.stats();
 }
@@ -644,35 +691,33 @@ LowRuntime::beginSubmitCapture(std::vector<ProgramOp> *log)
 void
 LowRuntime::endSubmitCapture()
 {
-    captureLog_ = nullptr;
-    captureIndex_.clear();
+    diffuse_assert(capturing_ && program_ == open_,
+                   "no capture to drop");
+    capturing_ = false;
+    // Released at retirement from now on; what retired already goes
+    // now.
+    for (std::size_t k = 0; k < open_->ops.size(); k++) {
+        if (stream_.opRetired(k))
+            releaseOp(open_->ops[k]);
+    }
+}
+
+std::shared_ptr<TraceProgram>
+LowRuntime::takeProgram()
+{
+    diffuse_assert(capturing_ && program_ == open_,
+                   "no capture to take");
+    capturing_ = false;
+    open_->scalarCount = programScalars_.size();
+    return std::move(open_);
 }
 
 void
-LowRuntime::recordSubmission(LaunchedTask task, const TaskTiming &timing,
-                             const SubmitTrace &trace, EventId id)
+LowRuntime::attributeStats(SubmitStatsDelta &d)
 {
-    ProgramOp rec;
-    rec.task = std::move(task);
-    rec.timing = timing;
-    rec.rawDeps = trace.rawDeps;
-    rec.warDeps = trace.warDeps;
-    rec.wawDeps = trace.wawDeps;
-    rec.deps.reserve(trace.deps.size());
-    for (EventId d : trace.deps) {
-        auto it = captureIndex_.find(d);
-        // Epochs begin post-fence, so every pending dependency was
-        // itself submitted (and recorded) within this epoch.
-        diffuse_assert(it != captureIndex_.end(),
-                       "dependency %llu outside the captured epoch",
-                       (unsigned long long)d);
-        rec.deps.push_back(it->second);
-    }
-
     // Everything submission-side accounting added since the previous
-    // recorded submission belongs to this one (planned exchanges of a
-    // compute task attach to its first Copy; the aggregate is exact).
-    SubmitStatsDelta &d = rec.stats;
+    // op belongs to this one (planned exchanges of a compute task
+    // attach to its first Copy; the aggregate is exact).
     d.bytesHbm = stats_.bytesHbm - captureStatsMark_.bytesHbm;
     d.commTime = stats_.commTime - captureStatsMark_.commTime;
     d.computeTime = stats_.computeTime - captureStatsMark_.computeTime;
@@ -697,9 +742,6 @@ LowRuntime::recordSubmission(LaunchedTask task, const TaskTiming &timing,
     d.shardHostPulls = ss.hostPulls - captureShardMark_.hostPulls;
     captureStatsMark_ = stats_;
     captureShardMark_ = ss;
-
-    captureIndex_.emplace(id, std::uint32_t(captureLog_->size()));
-    captureLog_->push_back(std::move(rec));
 }
 
 void
@@ -723,21 +765,26 @@ LowRuntime::addStats(const SubmitStatsDelta &d)
 
 void
 LowRuntime::beginProgram(std::shared_ptr<const TraceProgram> program,
-                         std::span<const StoreId> slot_stores,
+                         std::span<const StoreId> encoder_slots,
                          std::span<const double> scalars)
 {
+    diffuse_assert(!capturing_, "replay during a capture");
     diffuse_assert(scalars.size() == program->scalarCount,
                    "scalar block of %zu for a program of %zu",
                    scalars.size(), program->scalarCount);
-    // The slot table: one lookup per used slot and replay, instead of
-    // one per argument and op.
-    slotRecs_.assign(slot_stores.size(), nullptr);
-    for (std::uint32_t s : program->slots)
-        slotRecs_[s] = &rec(slot_stores[s]);
+    program_ = std::move(program);
+    stream_.beginProgram(*program_);
+    // The slot table: one lookup per slot and replay, instead of one
+    // per argument and op.
+    slotRecs_.clear();
+    for (std::uint32_t e : program_->slots) {
+        diffuse_assert(e < encoder_slots.size(), "program slot %u of %zu",
+                       e, encoder_slots.size());
+        StoreRec &r = rec(encoder_slots[e]);
+        slotRecs_.push_back(&r);
+        stream_.addSlot(r.id);
+    }
     programScalars_.assign(scalars.begin(), scalars.end());
-    stream_.beginProgram(*program, slot_stores);
-    if (stream_.programInFlight())
-        program_ = std::move(program);
 }
 
 void
@@ -751,7 +798,7 @@ LowRuntime::submitProgramOps(std::size_t first, std::size_t last)
         // Recorded cost-model and exchange accounting, verbatim.
         addStats(op.stats);
         std::span<StoreRec *const> recs =
-            resolveArgs(op.task, k, submitRecs_);
+            resolveArgs(op.task, submitRecs_);
         if (op.task.kind == TaskKind::Compute) {
             // Evolve the placement map and coherence records exactly
             // as the analyzed submission did — without planning (the
@@ -762,17 +809,9 @@ LowRuntime::submitProgramOps(std::size_t first, std::size_t last)
         }
         for (StoreRec *r : recs)
             r->pendingUses++;
-        stream_.submitProgramOp();
+        stream_.submitReplayed();
         foldScheduleClocks();
     }
-}
-
-void
-LowRuntime::programRetired()
-{
-    // The epoch may have left the cache meanwhile: this reference was
-    // the last thing keeping its program alive.
-    program_.reset();
 }
 
 std::uint64_t
@@ -793,9 +832,11 @@ LowRuntime::storeStateSignature(StoreId id) const
 void
 LowRuntime::submitCopy(const CopyDesc &c)
 {
+    StoreRec &r = rec(c.store);
     LaunchedTask t;
     t.kind = TaskKind::Copy;
     t.copy = c;
+    t.copy.store = slotOf(r);
     t.numPoints = 1;
     t.name = "exchange";
     // The moved rectangle enters the hazard machinery as a ReadWrite
@@ -803,7 +844,7 @@ LowRuntime::submitCopy(const CopyDesc &c)
     // consumer's read orders after the copy, and a later writer WARs
     // against it — exactly the compute-task rules.
     LowArg a;
-    a.store = c.store;
+    a.store = t.copy.store;
     a.priv = Privilege::ReadWrite;
     a.pieces = {c.rect};
     t.args.push_back(std::move(a));
@@ -831,15 +872,8 @@ LowRuntime::submitCopy(const CopyDesc &c)
     }
     timing.pointSeconds = {seconds};
     stats_.copyTasks++;
-    rec(c.store).pendingUses++;
-    if (captureLog_) {
-        LaunchedTask task_copy = t;
-        SubmitTrace trace;
-        EventId id = stream_.submit(std::move(t), timing, &trace);
-        recordSubmission(std::move(task_copy), timing, trace, id);
-    } else {
-        stream_.submit(std::move(t), timing);
-    }
+    r.pendingUses++;
+    appendOp(std::move(t), std::move(timing));
 }
 
 void
@@ -849,22 +883,20 @@ LowRuntime::fence()
 }
 
 Error
-LowRuntime::retire(EventId id, const LaunchedTask &task, std::size_t op,
-                   const Error *cancel)
+LowRuntime::retire(EventId id, std::size_t op, const Error *cancel)
 {
-    std::span<StoreRec *const> recs = resolveArgs(task, op, retireRecs_);
+    const ProgramOp &pop = program_->ops[op];
+    const LaunchedTask &task = pop.task;
+    std::span<StoreRec *const> recs = resolveArgs(task, retireRecs_);
     Error err;
     if (cancel != nullptr) {
         // A dependency failed: the kernel never runs.
         err = *cancel;
         onTaskFailed(task, recs, err, /*cancelled=*/true);
     } else {
-        std::span<const double> scalars = task.scalars;
-        if (op != TaskStream::kAnalyzed) {
-            const ProgramOp &pop = program_->ops[op];
-            scalars = std::span<const double>(programScalars_)
-                          .subspan(pop.scalarBegin, pop.scalarCount);
-        }
+        std::span<const double> scalars =
+            std::span<const double>(programScalars_)
+                .subspan(pop.scalarBegin, pop.scalarCount);
         try {
             executeRetired(task, recs, scalars);
         } catch (const DiffuseError &ex) {
@@ -884,6 +916,10 @@ LowRuntime::retire(EventId id, const LaunchedTask &task, std::size_t op,
         }
     }
     finishRetired(recs);
+    // An epoch nobody captures is discarded at its end; meanwhile its
+    // retired ops keep no task storage.
+    if (!capturing_ && program_ == open_)
+        releaseOp(open_->ops[op]);
     return err;
 }
 

@@ -10,9 +10,9 @@
  * partitions" the paper describes — and coherence/communication are
  * computed by intersecting those pieces.
  *
- * Execution is asynchronous: submit() enqueues a task into a
- * dependency-tracked TaskStream (RAW/WAR/WAW hazards derived from
- * privileges and piece intersections) and returns an EventId
+ * Execution is asynchronous: submit() appends a task to the open
+ * epoch's program in a dependency-tracked TaskStream (RAW/WAR/WAW
+ * hazards derived from privileges and piece intersections) and returns
  * immediately. Tasks retire out of submission order when dependencies
  * allow; fence() forces retirement, and host-side accessors
  * (readScalarValue, dataF64/I32/I64) fence the affected store
@@ -228,11 +228,13 @@ class LowRuntime : private TaskStream::Runner
 
     /**
      * Submit one (possibly fused) index task to the asynchronous
-     * stream. Dependence analysis, the cost model and coherence
-     * updates run immediately; real execution is deferred until a
-     * fence or a host-side accessor retires the task.
+     * stream, as the next op of the open epoch's program (begun on the
+     * drained stream by the first submission after a drain, unless a
+     * capture keeps the program open). Dependence analysis, the cost
+     * model and coherence updates run immediately; real execution is
+     * deferred until a fence or a host-side accessor retires the task.
      */
-    EventId submit(LaunchedTask task);
+    void submit(LaunchedTask task);
 
     /** Retire every in-flight task. Never throws — failures are
      * recorded (check failed()/error()); safe from destructors. */
@@ -304,26 +306,46 @@ class LowRuntime : private TaskStream::Runner
     // ---- Trace capture & replay (see core/trace.h) -------------------
 
     /**
-     * Start recording every stream submission (compute and Copy) into
-     * `log`, with hazard edges rewritten as epoch-local indices and
-     * stat increments attributed per submission. Must be called when
-     * nothing is pending (post-fence); active until endSubmitCapture.
+     * Begin a program for publication on the drained stream: every
+     * submission (compute and Copy) until takeProgram() is one of its
+     * ops, kept whole, with its stat increments attributed to it. A
+     * drain in between does not end it.
      */
-    void beginSubmitCapture(std::vector<ProgramOp> *log);
+    void beginSubmitCapture();
+
+    /** Drop the capture: the program runs on as an uncaptured one. */
     void endSubmitCapture();
-    bool capturing() const { return captureLog_ != nullptr; }
+
+    bool capturing() const { return capturing_; }
 
     /**
-     * Start replaying a trace program on the drained stream.
-     * `slot_stores[s]` is slot s's store: each slot the program uses
-     * is resolved once, to its record, placement state and history
-     * floors, and every op reads through that table. `scalars` is the
-     * replay's scalar block (TraceProgram::scalarCount values). The
-     * program — and whatever owns it — stays referenced until its last
-     * op retires, which may be after the next flushWindowAsync().
+     * End the capture and hand over its program for publication;
+     * slot s of its ops names store programSlotStores()[s]. The stream
+     * may still retire its ops (after flushWindowAsync()), reading it
+     * and writing nothing to it.
+     */
+    std::shared_ptr<TraceProgram> takeProgram();
+
+    /** Ops of the program in flight (a capture's unit boundaries). */
+    std::size_t programOps() const { return program_->ops.size(); }
+
+    /** Store of each slot of the program in flight. */
+    std::span<const StoreId> programSlotStores() const
+    {
+        return stream_.slotStores();
+    }
+
+    /**
+     * Start replaying a published program on the drained stream. Its
+     * slot s is the store of encoder slot `program->slots[s]`, i.e.
+     * `encoder_slots[program->slots[s]]`: each slot is resolved once,
+     * to its record, placement state and history, and every op reads
+     * through that table. `scalars` is the replay's scalar block
+     * (TraceProgram::scalarCount values). The program stays referenced
+     * until the next one begins.
      */
     void beginProgram(std::shared_ptr<const TraceProgram> program,
-                      std::span<const StoreId> slot_stores,
+                      std::span<const StoreId> encoder_slots,
                       std::span<const double> scalars);
 
     /**
@@ -364,6 +386,10 @@ class LowRuntime : private TaskStream::Runner
         StoreId id = INVALID_STORE;
         /** Placement state (ranks > 1; null otherwise). */
         ShardManager::StoreState *shard = nullptr;
+        /** Slot in the open epoch's program, valid while slotProgram
+         * is that program's number. */
+        std::uint32_t slot = 0;
+        std::uint64_t slotProgram = 0;
         Rect shape;
         DType dtype = DType::F64;
         double init = 0.0;
@@ -383,15 +409,29 @@ class LowRuntime : private TaskStream::Runner
     StoreRec &rec(StoreId id);
     const StoreRec &rec(StoreId id) const;
 
-    /**
-     * The records of `task`'s arguments, in argument order, written
-     * to `out`: looked up by id for an analyzed task (`op` ==
-     * TaskStream::kAnalyzed), read from the slot table for a program
-     * op, whose store ids are slots.
-     */
+    /** The records of a program op's arguments, in argument order,
+     * read from the slot table into `out`. */
     std::span<StoreRec *const> resolveArgs(const LaunchedTask &task,
-                                           std::size_t op,
                                            std::vector<StoreRec *> &out);
+
+    /**
+     * Begin the open epoch's program on the drained stream, reusing
+     * the storage of an uncaptured predecessor.
+     */
+    void beginOpenProgram();
+
+    /** `r`'s slot in the open program, bound on its first touch. */
+    std::uint32_t slotOf(StoreRec &r);
+
+    /**
+     * Append `task` (store ids already slots) to the open program and
+     * submit it: the stream finds its hazard edges and runs it through
+     * the window. A capture attributes its stat increments to it.
+     */
+    void appendOp(LaunchedTask task, TaskTiming timing);
+
+    /** Release a retired op's task storage (an uncaptured program). */
+    static void releaseOp(ProgramOp &op);
 
     /** The arguments' placement states (ranks > 1), in shardArgs_. */
     std::span<ShardManager::StoreState *const>
@@ -415,7 +455,7 @@ class LowRuntime : private TaskStream::Runner
     double commSecondsFor(const LowArg &arg, const StoreRec &store,
                           int p, int num_points);
 
-    /** Submit one planned exchange as a Copy task (hazard-tracked). */
+    /** Submit one planned exchange as a Copy op (hazard-tracked). */
     void submitCopy(const CopyDesc &c);
 
     /** Coherence updates for written/reduced stores (program order). */
@@ -428,9 +468,9 @@ class LowRuntime : private TaskStream::Runner
     /** Fold the stream's schedule clocks into simTime/busyTime. */
     void foldScheduleClocks();
 
-    /** Capture hook: record one stream submission (post-analysis). */
-    void recordSubmission(LaunchedTask task, const TaskTiming &timing,
-                          const SubmitTrace &trace, EventId id);
+    /** Capture: attribute the stat increments since the previous op
+     * to `d`. */
+    void attributeStats(SubmitStatsDelta &d);
 
     /** Build executor bindings for point `p`; `recs[i]` is argument
      * i's record. */
@@ -447,14 +487,11 @@ class LowRuntime : private TaskStream::Runner
     bool pointsIndependent(const LaunchedTask &task,
                            std::span<StoreRec *const> recs) const;
 
-    /** TaskStream::Runner: execute (or cancel) one retired task or
-     * program op, poison what a failure leaves undefined, and release
-     * its per-task state. The one retirement sequence of both paths. */
-    Error retire(EventId id, const LaunchedTask &task, std::size_t op,
+    /** TaskStream::Runner: execute (or cancel) one retired op,
+     * poison what a failure leaves undefined, and release its per-task
+     * state. */
+    Error retire(EventId id, std::size_t op,
                  const Error *cancel) override;
-
-    /** TaskStream::Runner: drop the finished program's reference. */
-    void programRetired() override;
 
     /** Run one retired task against host memory (Real mode), with
      * `scalars` bound in place of the task's own. */
@@ -566,20 +603,22 @@ class LowRuntime : private TaskStream::Runner
     /** shardStates' output. */
     std::vector<ShardManager::StoreState *> shardArgs_;
 
-    /** Trace capture state (null when not capturing). */
-    std::vector<ProgramOp> *captureLog_ = nullptr;
-    /** EventId -> index in the epoch's submission order. */
-    std::unordered_map<EventId, std::uint32_t> captureIndex_;
-    /** Stat snapshots for per-submission delta attribution. */
-    RuntimeStats captureStatsMark_;
-    ShardStats captureShardMark_;
-
-    /** The program in flight (null when none; held until its last op
-     * retires), its slot table (records of the slots it uses, by
-     * slot) and its scalar block. */
+    /** The program the stream runs (the open one, or a replayed one;
+     * held until the next begins), its slot table (each slot's record)
+     * and its scalar block. */
     std::shared_ptr<const TraceProgram> program_;
     std::vector<StoreRec *> slotRecs_;
     std::vector<double> programScalars_;
+    /** The open epoch's program, which analyzed submissions append to
+     * (null once a capture took it), and its number (StoreRec::slot). */
+    std::shared_ptr<TraceProgram> open_;
+    std::uint64_t openNumber_ = 0;
+    /** A capture keeps the open program; else it is discarded at its
+     * end, its retired ops released on the way. */
+    bool capturing_ = false;
+    /** Stat snapshots for per-submission delta attribution. */
+    RuntimeStats captureStatsMark_;
+    ShardStats captureShardMark_;
 
     std::function<void(StoreId)> hostWriteObserver_;
 

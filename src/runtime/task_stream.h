@@ -16,10 +16,11 @@
  * clock, so simulated time is the critical path through the task graph
  * rather than the sum of every task's latency.
  *
- * A trace program (a captured epoch compiled for replay, see
- * TraceProgram) retires through the same in-flight window: its ops
- * trust their recorded hazard edges, so the stream keeps no per-task
- * map for them — an op's retirement is known by its index.
+ * Every submission is an op of an epoch's program (TraceProgram): an
+ * analyzed epoch's ops are appended as the epoch is planned and their
+ * hazard edges found by the history scan, a replayed epoch's ops carry
+ * the edges recorded when it was captured. Both retire through one
+ * in-flight window, and an op's retirement is known by its index.
  */
 
 #ifndef DIFFUSE_RUNTIME_TASK_STREAM_H
@@ -30,6 +31,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -153,21 +155,6 @@ struct TaskTiming
     double analysisSeconds = 0.0;
 };
 
-/**
- * The result of one hazard analysis, exported so trace capture can
- * record it and a trace program can replay it (ProgramOp) without the
- * history scan.
- */
-struct SubmitTrace
-{
-    /** Pending tasks the submission depends on (deduplicated). */
-    std::vector<EventId> deps;
-    /** Dependence-edge counts by hazard kind (stats parity). */
-    std::uint32_t rawDeps = 0;
-    std::uint32_t warDeps = 0;
-    std::uint32_t wawDeps = 0;
-};
-
 /** Counters and clocks maintained by the stream. */
 struct StreamStats
 {
@@ -196,9 +183,9 @@ struct StreamStats
 };
 
 /**
- * Submission-side stat increments attributed to one recorded stream
- * submission: everything `LowRuntime::submit`/`submitCopy` adds to
- * RuntimeStats and ShardStats *except* the schedule clocks
+ * Submission-side stat increments attributed to one submission while
+ * its epoch is captured: everything `LowRuntime::submit`/`submitCopy`
+ * adds to RuntimeStats and ShardStats *except* the schedule clocks
  * (simTime/busyTime), which replay recomputes exactly through the
  * stream, and the execution-side counters (storesMaterialized,
  * tasksSharded), which accrue at retirement either way.
@@ -223,12 +210,12 @@ struct SubmitStatsDelta
 };
 
 /**
- * One op of a trace program: a stream submission captured on the
- * analyzed path — the fully lowered task (pieces expanded, shard
- * bindings and parallel-safety decided), its cost model, its hazard
- * edges as indices into the program's op order, and its stat
- * increments. Store ids inside `task` (and `task.copy`) are epoch slot
- * indices; its scalars are rebound at replay.
+ * One op of an epoch's program: a stream submission — the fully
+ * lowered task (pieces expanded, shard bindings and parallel-safety
+ * decided), its cost model, its hazard edges as indices into the
+ * program's op order, and its stat increments. Store ids inside `task`
+ * (and `task.copy`) are the program's slots; its scalars are a range
+ * of the run's scalar block.
  */
 struct ProgramOp
 {
@@ -241,26 +228,32 @@ struct ProgramOp
     std::uint32_t wawDeps = 0;
     SubmitStatsDelta stats;
     /** A compute op's scalars: [scalarBegin, scalarBegin + scalarCount)
-     * of the replay's scalar block, which holds every submitted task's
-     * scalars in submission order (its unit's tasks, in task order). */
+     * of the run's scalar block, which holds every compute op's scalars
+     * in submission order — for a replay, its window tasks' scalars in
+     * task order. */
     std::uint32_t scalarBegin = 0;
     std::uint32_t scalarCount = 0;
 };
 
+// Growing a program moves its ops; access records point into their
+// arguments, which a move (unlike a copy) leaves in place.
+static_assert(std::is_nothrow_move_constructible_v<ProgramOp>);
+
 /**
- * A captured epoch compiled for replay: its submissions, flattened in
- * submission order. Built once when the epoch is captured and
- * immutable once published, so every session replaying the epoch
- * reads the same object (LowRuntime::beginProgram).
+ * An epoch's submissions in submission order: appended op by op while
+ * an analyzed epoch is planned, or replayed from the trace cache.
+ * Capture publishes the program that ran; a published program is never
+ * written again, so every session replaying it — and the capturing
+ * session, still retiring it — reads the same object.
  */
 struct TraceProgram
 {
     std::vector<ProgramOp> ops;
-    /** The slots some op's arguments reference, ascending (the rest
-     * are eliminated temporaries and stores only retained or
-     * released): the only ones a replay resolves. */
+    /** Slot s of the ops is encoder slot `slots[s]` of the epoch's
+     * event stream (set at publication): a replay binds its slots
+     * through it. */
     std::vector<std::uint32_t> slots;
-    /** Length of the replay's scalar block. */
+    /** Length of the scalar block. */
     std::size_t scalarCount = 0;
 };
 
@@ -268,32 +261,26 @@ struct TraceProgram
  * Dependency-tracked stream of launched tasks.
  *
  * Ownership of real execution stays with the runtime: the stream hands
- * each task to its Runner exactly once, in an order that respects
- * every recorded hazard, when the task retires.
+ * each op to its Runner exactly once, in an order that respects every
+ * hazard edge, when the op retires.
  */
 class TaskStream
 {
   public:
-    /** Program op index of an analyzed task (Runner::retire). */
-    static constexpr std::size_t kAnalyzed = ~std::size_t(0);
-
     /** The runtime's side of retirement. */
     class Runner
     {
       public:
         /**
-         * Retire `task`, whose event is `id` and whose program op
-         * index is `op` (kAnalyzed for an analyzed task): run it — or,
-         * when `cancel` is set because a dependency failed, skip it
-         * and poison its outputs with that error — then release its
-         * per-task state either way. Returns the error the task ended
-         * with (a cancelled task's is `*cancel`; None on success).
+         * Retire op `op` of the program in flight, whose event is `id`:
+         * run it — or, when `cancel` is set because a dependency
+         * failed, skip it and poison its outputs with that error — then
+         * release its per-task state either way. Returns the error the
+         * op ended with (a cancelled op's is `*cancel`; None on
+         * success).
          */
-        virtual Error retire(EventId id, const LaunchedTask &task,
-                             std::size_t op, const Error *cancel) = 0;
-
-        /** The program in flight retired its last op. */
-        virtual void programRetired() {}
+        virtual Error retire(EventId id, std::size_t op,
+                             const Error *cancel) = 0;
 
       protected:
         /** The stream never owns its runner. */
@@ -303,70 +290,63 @@ class TaskStream
     TaskStream(const MachineConfig &machine,
                std::size_t max_pending = 256);
 
-    /** Who retires tasks; none retires nothing but the bookkeeping. */
+    /** Who retires ops; none retires nothing but the bookkeeping. */
     void setRunner(Runner *runner) { runner_ = runner; }
 
-    /**
-     * Submit a task: record hazards against in-flight tasks, extend
-     * the simulated schedule, and queue the task for deferred
-     * execution. Returns the task's completion event. No program may
-     * be in flight.
-     *
-     * @param trace_out When non-null, receives the derived dependence
-     *        edges so a trace can replay them without re-analysis.
-     */
-    EventId submit(LaunchedTask task, const TaskTiming &timing,
-                   SubmitTrace *trace_out = nullptr);
-
-    // ---- Trace programs ----------------------------------------------
+    // ---- Programs ----------------------------------------------------
     //
-    // A program replays on a drained stream: its recorded edges are
-    // epoch-local. Op k's event is the program's base + k, so events
-    // (and error origins) are those of the analyzed path. Its ops are
-    // submitted in order and retire through the same window as
-    // analyzed tasks — at overflow, fence(), wait() and waitStore() —
-    // so which ops have retired at each submission, and hence the
-    // history floors and the simulated schedule, match the analyzed
-    // path exactly.
+    // A program begins on a drained stream, so its hazard edges are
+    // epoch-local. Op k's event is the program's base + k: events (and
+    // error origins) are numbered in submission order across programs.
+    // Ops are submitted in order and retire through one window — at
+    // overflow, fence() and waitStore() — so which ops have retired at
+    // each submission, and hence the history floors and the simulated
+    // schedule, do not depend on how an op's edges were found.
 
     /**
-     * Start `program` (which must outlive its last op's retirement)
-     * on the drained stream; `slot_stores[s]` is slot s's store. Each
-     * slot the program uses is resolved to its history floors once.
+     * Begin `program` on the drained stream. It must outlive its ops'
+     * retirement; the stream reads it until the next beginProgram.
      */
-    void beginProgram(const TraceProgram &program,
-                      std::span<const StoreId> slot_stores);
+    void beginProgram(const TraceProgram &program);
+
+    /** Bind the program's next slot to store `id`. */
+    void addSlot(StoreId id);
 
     /**
-     * Submit the program's next op: count its recorded hazards and
-     * place it no earlier than its slots' floors and its recorded
-     * dependencies still pending, then retire overflow.
+     * Submit `op`, the program's next op, just appended: find its
+     * hazard edges by scanning the access history and record them in
+     * `op`, submit it, and remember its accesses for later scans.
      */
-    void submitProgramOp();
+    void submitAnalyzed(ProgramOp &op);
 
-    /** A program is in flight: begun, and not every op retired. */
-    bool programInFlight() const { return program_ != nullptr; }
+    /**
+     * Submit the program's next op by its recorded hazard edges (a
+     * replay). It leaves no access records: nothing scans while a
+     * replay is in flight.
+     */
+    void submitReplayed();
 
-    /** Retire `id` and (transitively) everything it depends on. */
-    void wait(EventId id);
-
-    /** Retire every pending task touching store `id`. */
+    /** Retire every pending op touching store `id`, each after its
+     * pending dependencies. */
     void waitStore(StoreId id);
 
-    /** Retire all pending tasks, in submission order. */
+    /** Retire all pending ops, in submission order. */
     void fence();
-
-    /** True when `id` has retired (or was never issued). */
-    bool complete(EventId id) const;
 
     /** Forget recorded failures (session resetAfterError()). */
     void clearFailures() { failed_.clear(); }
 
-    /** Number of submitted-but-unretired tasks (or program ops). */
-    std::size_t pending() const
+    /** Number of submitted-but-unretired ops. */
+    std::size_t pending() const { return submitted_ - retired_; }
+
+    /** Has op `k` of the program in flight retired? */
+    bool opRetired(std::size_t k) const
     {
-        return pending_.size() + (programSubmitted_ - programRetired_);
+        return opRetiredAt_[k] != kOpPending;
     }
+
+    /** Store of each slot of the program in flight. */
+    std::span<const StoreId> slotStores() const { return slotStores_; }
 
     /** Drop dependence history of a destroyed store. */
     void forgetStore(StoreId id);
@@ -384,15 +364,14 @@ class TaskStream
 
     /**
      * One access to a store, remembered for hazard detection. `pieces`
-     * points into the argument of the pending task that made the
-     * access: a record is only read while that task is pending (every
-     * scan compacts retired records out first), and a pending task's
-     * arguments neither move nor change.
+     * points into the argument of the op that made the access: a
+     * record is only read while that op is pending (every scan compacts
+     * retired records out first), and a pending op's arguments neither
+     * move nor change.
      */
     struct AccessRec
     {
         EventId id = NO_EVENT;
-        double finish = 0.0;
         bool replicated = false;
         const std::vector<Rect> *pieces = nullptr;
     };
@@ -400,10 +379,10 @@ class TaskStream
     /**
      * Remembered accesses to one store. Writes are kept as a list —
      * a partial write supersedes only what it overlaps, so earlier
-     * writes of other regions stay visible to hazard detection.
-     * Retired records are pruned (they can never be dependencies);
-     * their finish times fold into per-store floors so the simulated
-     * schedule still orders later conflicting accesses after them.
+     * writes of other regions stay visible to hazard detection. An op
+     * folds its finish time into its stores' floors when it retires,
+     * so the simulated schedule orders later conflicting accesses after
+     * it; its records are then dead weight, pruned at the next scan.
      */
     struct StoreHistory
     {
@@ -412,26 +391,24 @@ class TaskStream
         Floors floors;
     };
 
-    /** Drop retired records, folding them into the floors. */
+    /** Has the op that made a record retired? A record of an earlier
+     * program has: its event is below the base. */
+    bool retired(EventId id) const
+    {
+        return id < base_ || opRetired(std::size_t(id - base_));
+    }
+
+    /** Drop retired records. */
     void compactHistory(StoreHistory &h);
 
     /**
-     * Place a task on the simulated schedule no earlier than
-     * `dep_finish` and the serialized analysis clock: the arithmetic
-     * both analyzed tasks and program ops go through. Returns its
+     * Place an op on the simulated schedule no earlier than
+     * `dep_finish` and the serialized analysis clock. Returns its
      * finish time.
      */
     double place(const TaskTiming &timing, int num_points, int proc_hint,
                  double dep_finish);
 
-    struct PendingTask
-    {
-        LaunchedTask task;
-        /** Unretired tasks this task must run after. */
-        std::vector<EventId> deps;
-        double finish = 0.0;
-    };
-    using PendingMap = std::map<EventId, PendingTask>;
     using HistoryMap = std::unordered_map<StoreId, StoreHistory>;
 
     /** The history of `id`, created (from a spare node) on first use. */
@@ -442,79 +419,51 @@ class TaskStream
                          const std::vector<Rect> &a_pieces,
                          const AccessRec &b);
 
-    /** Execute and retire exactly one pending task. */
-    void retireOne(EventId id);
-
     /**
-     * The retirement both paths share: count it, cancel the task if
-     * `dep_err` names a failed dependency (else run it), and record
-     * how it ended.
+     * The one submission tail: place the next op no earlier than its
+     * slots' floors and its pending dependencies, apply the
+     * replicated-write floor rule, append its access records when
+     * `record`, and retire overflow.
      */
-    void retireTask(EventId id, const LaunchedTask &task, std::size_t op,
-                    const Error *dep_err);
+    void submitOp(bool record);
 
-    /** Has program op `k` retired? */
-    bool opRetired(std::size_t k) const
-    {
-        return opRetiredAt_[k] != kOpPending;
-    }
-
-    /** Retire program op `k` and, first, its pending dependencies. */
+    /** Retire op `k` and, first, its pending dependencies. */
     void retireOpWithDeps(std::size_t k);
 
-    /** Retire program op `k`, whose dependencies have retired. */
-    void retireOp(std::size_t k);
-
     /**
-     * The shared submission tail: place the task on the simulated
-     * schedule (no earlier than `dep_finish`), enqueue it pending with
-     * the dependencies gathered in `deps_`, append its accesses to the
-     * history, and retire overflow.
+     * Retire op `k`, whose dependencies have retired: fold its finish
+     * into its slots' floors, cancel it if a dependency that was
+     * pending at its submission failed (else run it), and record how
+     * it ended.
      */
-    EventId finishSubmit(LaunchedTask task, const TaskTiming &timing,
-                         double dep_finish);
+    void retireOp(std::size_t k);
 
     MachineConfig machine_;
     std::size_t maxPending_;
     Runner *runner_ = nullptr;
 
-    /** Ordered by EventId == submission order (a topological order). */
-    PendingMap pending_;
     HistoryMap history_;
-    /**
-     * Recycled map nodes of retired tasks and destroyed stores'
-     * histories, so a steady stream of submissions reaches the
-     * allocator rarely.
-     */
+    /** Recycled nodes of destroyed stores' histories, so a steady
+     * stream of short-lived stores reaches the allocator rarely. */
     static constexpr std::size_t kMaxSpare = 1024;
-    NodeRecycler<PendingMap> pendingNodes_{kMaxSpare};
     NodeRecycler<HistoryMap> historyNodes_{kMaxSpare};
-    /** Dependencies of the submission in progress (submit gathers,
-     * finishSubmit consumes). */
-    std::vector<EventId> deps_;
     /** waitStore's collected users, reused across calls. */
-    std::vector<EventId> users_;
+    std::vector<std::size_t> users_;
 
-    /**
-     * The program in flight (null when none) and its suffix. Program
-     * ops append no access records: nothing scans for hazards while a
-     * program is in flight, so an op only leaves its finish time, which
-     * folds into its slots' floors when it retires — the value the
-     * analyzed path's lazy compaction reads at the next access.
-     */
+    /** The program in flight and its progress: op k's event is base_ +
+     * k; `head_` is its oldest op not yet retired. */
     const TraceProgram *program_ = nullptr;
-    EventId programBase_ = NO_EVENT;
-    std::size_t programSubmitted_ = 0;
-    std::size_t programRetired_ = 0;
-    /** Oldest op not yet retired. */
-    std::size_t programHead_ = 0;
-    /** Slot table: each used slot's store and history floors. */
+    EventId base_ = 1;
+    std::size_t submitted_ = 0;
+    std::size_t retired_ = 0;
+    std::size_t head_ = 0;
+    /** Slot table: each slot's store and history. */
     std::vector<StoreId> slotStores_;
-    std::vector<Floors *> slotFloors_;
-    /** Per op: its finish time, and how many ops had been submitted
-     * when it retired (kOpPending until then). A failed dependency
-     * cancels an op only if it was still pending at the op's
-     * submission, as on the analyzed path. */
+    std::vector<StoreHistory *> slotHistory_;
+    /** Per submitted op: its finish time, and how many ops had been
+     * submitted when it retired (kOpPending until then). A failed
+     * dependency cancels an op only if it was still pending at the
+     * op's submission. */
     static constexpr std::uint32_t kOpPending = ~std::uint32_t(0);
     std::vector<double> opFinish_;
     std::vector<std::uint32_t> opRetiredAt_;
@@ -522,7 +471,6 @@ class TaskStream
      * by clearFailures(): a failed session drains, surfaces the error
      * and resets — failures never accumulate across healthy epochs. */
     std::map<EventId, Error> failed_;
-    EventId next_ = 1;
 
     /** Simulated schedule state. */
     std::vector<double> procFree_;

@@ -10,6 +10,8 @@
  *  - fusion/runtime statistics stay per-session while the
  *    cache-population counters are process-wide, also while several
  *    sessions replay the same epochs concurrently;
+ *  - a session replays a program while the session that captured it
+ *    still retires it;
  *  - `sharedCache = 0` (the DIFFUSE_SHARED_CACHE opt-out) hands out
  *    fully isolated sessions;
  *  - tearing a session down mid-flight leaves the shared caches
@@ -277,6 +279,82 @@ TEST(Sessions, ConcurrentReplayKeepsPerSessionStatsEqualToIsolated)
         EXPECT_GT(session.fusionStats().traceEpochsReplayed, 0u)
             << "session " << i;
     }
+}
+
+TEST(Sessions, ConcurrentReplayWhileTheCapturingSessionRetires)
+{
+    // Session A captures an epoch longer than the stream's 256-op
+    // in-flight window and leaves it in flight (flushWindowAsync()):
+    // the program it published is the one its stream still retires.
+    // Session B replays that program on another thread while A fences
+    // it. Both only read the program, so both results equal an
+    // isolated run.
+    //
+    // gtest assertions are not thread-safe: threads only compute; all
+    // comparisons happen on main after join.
+    const int kOps = 400;
+    const coord_t kPoints = 1 << 14;
+    DiffuseOptions o = realOpts(2);
+    o.fusionEnabled = false; // one stream op per task
+    struct Request
+    {
+        NDArray x, y;
+    };
+    auto inputs = [&](Context &c) {
+        return Request{c.random(kPoints, 0x5eed, -1.0, 1.0),
+                       c.random(kPoints, 0xbeef, -1.0, 1.0)};
+    };
+    // One epoch of kOps elementwise tasks, nothing read back.
+    auto chain = [&](Context &c, Request &r) {
+        for (int i = 0; i < kOps; i++) {
+            if (i % 2 == 0)
+                r.x = c.add(r.x, r.y);
+            else
+                r.y = c.mulScalar(0.5, r.x);
+        }
+    };
+
+    std::vector<std::uint64_t> expect;
+    {
+        DiffuseRuntime iso(machine(), o);
+        Context c(iso);
+        Request r = inputs(c);
+        chain(c, r);
+        expect = bits(c.toHost(r.x));
+    }
+
+    auto ctx = SharedContext::create(machine());
+    auto a = ctx->createSession(o);
+    auto b = ctx->createSession(o);
+    Context ca(*a);
+    Request ra = inputs(ca);
+    chain(ca, ra);
+    a->flushWindowAsync();
+    EXPECT_EQ(a->fusionStats().traceEpochsCaptured, 1u);
+    EXPECT_GT(a->low().streamStats().retired, 0u); // overflowed
+    EXPECT_GT(a->low().streamPending(), 0u);       // still in flight
+
+    std::vector<std::uint64_t> got_a, got_b;
+    std::barrier sync(2);
+    std::thread fence_a([&] {
+        sync.arrive_and_wait();
+        got_a = bits(ca.toHost(ra.x));
+    });
+    std::thread replay_b([&] {
+        Context cb(*b);
+        Request rb = inputs(cb);
+        chain(cb, rb); // speculates against A's epoch
+        sync.arrive_and_wait();
+        b->flushWindow(); // replays A's program
+        got_b = bits(cb.toHost(rb.x));
+    });
+    fence_a.join();
+    replay_b.join();
+
+    EXPECT_EQ(got_a, expect);
+    EXPECT_EQ(got_b, expect);
+    EXPECT_GE(b->fusionStats().traceEpochsReplayed, 1u);
+    EXPECT_EQ(b->fusionStats().traceEpochsCaptured, 0u);
 }
 
 TEST(Sessions, SharedCacheOptOutIsolatesBitForBit)

@@ -2,9 +2,10 @@
  * @file
  * Asynchronous pipeline tests: RAW/WAR/WAW hazard ordering in the
  * TaskStream, out-of-order retirement of independent tasks, fence and
- * implicit host-access fence semantics, WorkerPool sharding, overlap-
- * aware simulated time, and bit-identical numerics for any worker
- * count (CG residual histories with 1 vs. 8 workers).
+ * implicit host-access fence semantics, stream schedules computed by
+ * hand, WorkerPool sharding, overlap-aware simulated time, and
+ * bit-identical numerics for any worker count (CG residual histories
+ * with 1 vs. 8 workers).
  */
 
 #include <gtest/gtest.h>
@@ -62,41 +63,64 @@ timing()
     return t;
 }
 
+/** Stores the fixture's programs can name (slot s names store s). */
+constexpr StoreId kStores = 16;
+/** A store no other task touches: waiting on it retires its one user
+ * after that user's dependencies, and nothing else. */
+constexpr StoreId kMarker = kStores - 1;
+
 struct StreamFixture : rt::TaskStream::Runner
 {
     rt::TaskStream stream;
+    rt::TraceProgram program;
     std::vector<std::string> order;
 
     explicit StreamFixture(std::size_t max_pending = 256)
         : stream(rt::MachineConfig::withGpus(4), max_pending)
     {
         stream.setRunner(this);
+        beginEpoch();
+    }
+
+    /** Begin the next epoch's program on the drained stream. */
+    void
+    beginEpoch()
+    {
+        program.ops.clear();
+        stream.beginProgram(program);
+        for (StoreId s = 0; s < kStores; s++)
+            stream.addSlot(s);
     }
 
     Error
-    retire(rt::EventId, const rt::LaunchedTask &t, std::size_t,
-           const Error *) override
+    retire(rt::EventId, std::size_t op, const Error *) override
     {
-        order.push_back(t.name);
+        order.push_back(program.ops[op].task.name);
         return Error();
     }
 
-    rt::EventId
-    submit(const std::string &name, std::vector<ArgSpec> args)
+    /** Submit a 1 ms, 1-point task (on processor `proc`, if set). */
+    void
+    submit(const std::string &name, std::vector<ArgSpec> args,
+           int proc = -1)
     {
-        return stream.submit(streamTask(name, std::move(args)),
-                             timing());
+        rt::ProgramOp &op = program.ops.emplace_back();
+        op.task = streamTask(name, std::move(args));
+        op.task.procHint = proc;
+        op.timing = timing();
+        stream.submitAnalyzed(op);
     }
 };
 
 TEST(TaskStream, RawHazardOrdersReadAfterWrite)
 {
     StreamFixture f;
-    rt::EventId a = f.submit("A", {{1, Privilege::Write, 0, 100}});
-    rt::EventId b = f.submit("B", {{1, Privilege::Read, 0, 100}});
-    f.stream.wait(b);
+    f.submit("A", {{1, Privilege::Write, 0, 100}});
+    f.submit("B", {{1, Privilege::Read, 0, 100},
+                   {kMarker, Privilege::Write, 0, 1}});
+    f.stream.waitStore(kMarker);
     EXPECT_EQ(f.order, (std::vector<std::string>{"A", "B"}));
-    EXPECT_TRUE(f.stream.complete(a));
+    EXPECT_EQ(f.stream.pending(), 0u); // A retired first
     EXPECT_EQ(f.stream.stats().rawDeps, 1u);
 }
 
@@ -104,8 +128,9 @@ TEST(TaskStream, WarHazardOrdersWriteAfterRead)
 {
     StreamFixture f;
     f.submit("A", {{1, Privilege::Read, 0, 100}});
-    rt::EventId b = f.submit("B", {{1, Privilege::Write, 0, 100}});
-    f.stream.wait(b);
+    f.submit("B", {{1, Privilege::Write, 0, 100},
+                   {kMarker, Privilege::Write, 0, 1}});
+    f.stream.waitStore(kMarker);
     EXPECT_EQ(f.order, (std::vector<std::string>{"A", "B"}));
     EXPECT_EQ(f.stream.stats().warDeps, 1u);
 }
@@ -114,8 +139,9 @@ TEST(TaskStream, WawHazardOrdersWrites)
 {
     StreamFixture f;
     f.submit("A", {{1, Privilege::Write, 0, 100}});
-    rt::EventId b = f.submit("B", {{1, Privilege::Write, 0, 100}});
-    f.stream.wait(b);
+    f.submit("B", {{1, Privilege::Write, 0, 100},
+                   {kMarker, Privilege::Write, 0, 1}});
+    f.stream.waitStore(kMarker);
     EXPECT_EQ(f.order, (std::vector<std::string>{"A", "B"}));
     EXPECT_EQ(f.stream.stats().wawDeps, 1u);
 }
@@ -123,12 +149,11 @@ TEST(TaskStream, WawHazardOrdersWrites)
 TEST(TaskStream, IndependentTasksRetireOutOfOrder)
 {
     StreamFixture f;
-    rt::EventId a = f.submit("A", {{1, Privilege::Write, 0, 100}});
-    rt::EventId b = f.submit("B", {{2, Privilege::Write, 0, 100}});
-    f.stream.wait(b);
+    f.submit("A", {{1, Privilege::Write, 0, 100}});
+    f.submit("B", {{2, Privilege::Write, 0, 100}});
+    f.stream.waitStore(2);
     EXPECT_EQ(f.order, (std::vector<std::string>{"B"}));
-    EXPECT_TRUE(f.stream.complete(b));
-    EXPECT_FALSE(f.stream.complete(a));
+    EXPECT_EQ(f.stream.pending(), 1u); // B retired, A still pending
     EXPECT_EQ(f.stream.stats().retiredOutOfOrder, 1u);
     f.stream.fence();
     EXPECT_EQ(f.order, (std::vector<std::string>{"B", "A"}));
@@ -139,8 +164,9 @@ TEST(TaskStream, DisjointPiecesDoNotConflict)
 {
     StreamFixture f;
     f.submit("A", {{1, Privilege::Write, 0, 50}});
-    rt::EventId b = f.submit("B", {{1, Privilege::Write, 50, 100}});
-    f.stream.wait(b);
+    f.submit("B", {{1, Privilege::Write, 50, 100},
+                   {kMarker, Privilege::Write, 0, 1}});
+    f.stream.waitStore(kMarker);
     // Disjoint halves of the same store: no WAW hazard, B retires
     // alone.
     EXPECT_EQ(f.order, (std::vector<std::string>{"B"}));
@@ -152,9 +178,9 @@ TEST(TaskStream, ReplicatedAccessConflictsWithAnyPiece)
 {
     StreamFixture f;
     f.submit("A", {{1, Privilege::Write, 0, 50}});
-    rt::EventId b =
-        f.submit("B", {{1, Privilege::Read, 0, 0, /*replicated=*/true}});
-    f.stream.wait(b);
+    f.submit("B", {{1, Privilege::Read, 0, 0, /*replicated=*/true},
+                   {kMarker, Privilege::Write, 0, 1}});
+    f.stream.waitStore(kMarker);
     EXPECT_EQ(f.order, (std::vector<std::string>{"A", "B"}));
 }
 
@@ -163,8 +189,9 @@ TEST(TaskStream, PartialWriteKeepsEarlierRecordsAlive)
     StreamFixture f;
     f.submit("R1", {{1, Privilege::Read, 0, 50}});
     f.submit("W2", {{1, Privilege::Write, 50, 100}});
-    rt::EventId w3 = f.submit("W3", {{1, Privilege::Write, 0, 50}});
-    f.stream.wait(w3);
+    f.submit("W3", {{1, Privilege::Write, 0, 50},
+                    {kMarker, Privilege::Write, 0, 1}});
+    f.stream.waitStore(kMarker);
     // W3 must order after the pending read of [0,50) even though the
     // disjoint write W2 came between them.
     EXPECT_EQ(f.order, (std::vector<std::string>{"R1", "W3"}));
@@ -177,8 +204,9 @@ TEST(TaskStream, ReadDependsOnAllOverlappingWriters)
     StreamFixture f;
     f.submit("W1", {{1, Privilege::Write, 0, 50}});
     f.submit("W2", {{1, Privilege::Write, 50, 100}});
-    rt::EventId r = f.submit("R", {{1, Privilege::Read, 0, 100}});
-    f.stream.wait(r);
+    f.submit("R", {{1, Privilege::Read, 0, 100},
+                   {kMarker, Privilege::Write, 0, 1}});
+    f.stream.waitStore(kMarker);
     EXPECT_EQ(f.order, (std::vector<std::string>{"W1", "W2", "R"}));
     EXPECT_EQ(f.stream.stats().rawDeps, 2u);
 }
@@ -189,10 +217,10 @@ TEST(TaskStream, TransitiveDependenciesRetireInOrder)
     f.submit("A", {{1, Privilege::Write, 0, 100}});
     f.submit("B", {{1, Privilege::Read, 0, 100},
                    {2, Privilege::Write, 0, 100}});
-    rt::EventId c = f.submit("C", {{2, Privilege::Read, 0, 100},
-                                   {3, Privilege::Write, 0, 100}});
+    f.submit("C", {{2, Privilege::Read, 0, 100},
+                   {3, Privilege::Write, 0, 100}});
     f.submit("D", {{4, Privilege::Write, 0, 100}});
-    f.stream.wait(c);
+    f.stream.waitStore(3); // C's own store
     EXPECT_EQ(f.order, (std::vector<std::string>{"A", "B", "C"}));
     f.stream.fence();
     EXPECT_EQ(f.order.back(), "D");
@@ -230,6 +258,91 @@ TEST(TaskStream, BoundedPendingWindowRetiresOldest)
     EXPECT_LE(f.stream.pending(), 4u);
     EXPECT_EQ(f.order.front(), "T0");
     EXPECT_GE(f.stream.stats().retired, 6u);
+}
+
+// ---------------------------------------------------------------------
+// Schedules computed by hand: every task is one 1 ms point with no
+// analysis time, on the 4-processor timeline its procHint names.
+// ---------------------------------------------------------------------
+
+constexpr double kMs = 1e-3;
+
+TEST(StreamSchedule, FencedWriteDelaysNextEpochReadThroughTheFloor)
+{
+    StreamFixture f;
+    // W: proc 0, [0, 1] ms. The fence retires it, leaving its finish
+    // in store 1's write floor.
+    f.submit("W", {{1, Privilege::Write, 0, 100}}, 0);
+    f.stream.fence();
+    f.beginEpoch();
+    // R: proc 1 is free at 0, but the write floor holds it to
+    // [1, 2] ms. W retired, so R records no edge.
+    f.submit("R", {{1, Privilege::Read, 0, 100}}, 1);
+    f.stream.fence();
+    const rt::StreamStats &s = f.stream.stats();
+    EXPECT_DOUBLE_EQ(s.criticalPathTime, 2 * kMs);
+    EXPECT_DOUBLE_EQ(s.busyTime, 2 * kMs); // two 1 ms points
+    EXPECT_EQ(s.rawDeps, 0u);
+    EXPECT_EQ(s.warDeps, 0u);
+    EXPECT_EQ(s.wawDeps, 0u);
+    EXPECT_EQ(s.maxPendingSeen, 1u);
+    EXPECT_EQ(s.retiredOutOfOrder, 0u);
+    EXPECT_EQ(s.fences, 2u);
+}
+
+TEST(StreamSchedule, ReplicatedWriteResetsTheReadFloor)
+{
+    StreamFixture f;
+    // R0: proc 0, [0, 1] ms.
+    f.submit("R0", {{1, Privilege::Read, 0, 100}}, 0);
+    // W replicated: WAR on R0, proc 1, [1, 2] ms. It supersedes every
+    // earlier access of store 1: R0's record goes, the write floor
+    // becomes 2 ms and the read floor restarts from 0.
+    f.submit("W", {{1, Privilege::Write, 0, 0, /*replicated=*/true}}, 1);
+    // R1: RAW on W, proc 2, [2, 3] ms.
+    f.submit("R1", {{1, Privilege::Read, 0, 100}}, 2);
+    // W2: WAW on W and WAR on R1 only (not on R0), proc 3, [3, 4] ms.
+    f.submit("W2", {{1, Privilege::Write, 0, 100}}, 3);
+    f.stream.fence();
+    EXPECT_EQ(f.order,
+              (std::vector<std::string>{"R0", "W", "R1", "W2"}));
+    const rt::StreamStats &s = f.stream.stats();
+    EXPECT_EQ(s.rawDeps, 1u);
+    EXPECT_EQ(s.warDeps, 2u); // W on R0, W2 on R1
+    EXPECT_EQ(s.wawDeps, 1u);
+    EXPECT_DOUBLE_EQ(s.criticalPathTime, 4 * kMs);
+    EXPECT_DOUBLE_EQ(s.busyTime, 4 * kMs);
+    EXPECT_EQ(s.maxPendingSeen, 4u);
+    EXPECT_EQ(s.retiredOutOfOrder, 0u);
+}
+
+TEST(StreamSchedule, WindowOverflowRetiresOldestAndItsFloorsBound)
+{
+    StreamFixture f(/*max_pending=*/2);
+    // T0..T3 write stores 1..4 back to back on proc 0: [k, k + 1] ms.
+    // Each submission beyond two pending retires the oldest: T2's
+    // retires T0, T3's retires T1.
+    for (int k = 0; k < 4; k++)
+        f.submit("T" + std::to_string(k),
+                 {{StoreId(k + 1), Privilege::Write, 0, 100}}, 0);
+    EXPECT_EQ(f.order, (std::vector<std::string>{"T0", "T1"}));
+    // R reads store 1 on proc 1: T0 retired, so no edge, but its
+    // floor holds R to [1, 2] ms. R's submission retires T2.
+    f.submit("R", {{1, Privilege::Read, 0, 100}}, 1);
+    // W writes store 2 on proc 2: T1's floor holds it to [2, 3] ms.
+    // W's submission retires T3.
+    f.submit("W", {{2, Privilege::Write, 0, 100}}, 2);
+    EXPECT_EQ(f.order,
+              (std::vector<std::string>{"T0", "T1", "T2", "T3"}));
+    f.stream.fence();
+    EXPECT_EQ(f.order.back(), "W");
+    const rt::StreamStats &s = f.stream.stats();
+    EXPECT_DOUBLE_EQ(s.criticalPathTime, 4 * kMs); // T3 ends last
+    EXPECT_DOUBLE_EQ(s.busyTime, 6 * kMs);
+    EXPECT_EQ(s.rawDeps + s.warDeps + s.wawDeps, 0u);
+    EXPECT_EQ(s.maxPendingSeen, 3u); // counted before overflow retires
+    EXPECT_EQ(s.retiredOutOfOrder, 0u);
+    EXPECT_EQ(s.retired, 6u);
 }
 
 // ---------------------------------------------------------------------

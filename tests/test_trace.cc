@@ -727,6 +727,80 @@ TEST(TraceReplay, LongShardedEpochsKeepStreamAndScheduleParity)
     EXPECT_EQ(r1.exchangeBytes, r0.exchangeBytes);
 }
 
+TEST(TraceReplay, BypassedLongEpochKeepsStreamAndScheduleParity)
+{
+    // An epoch of more than kTraceMaxEvents events stops capturing
+    // partway (a bypassed epoch) and is never stored, yet it runs
+    // exactly as with tracing off: the same results, stream counters
+    // and schedule clocks. Short epochs after it still capture and
+    // replay.
+    struct Run
+    {
+        std::vector<std::uint64_t> x;
+        rt::StreamStats stream;
+        double simTime = 0.0;
+        double busyTime = 0.0;
+        std::uint64_t capturedByLongEpoch = 0;
+        std::uint64_t replayedByLongEpoch = 0;
+        std::uint64_t captured = 0;
+        std::uint64_t replayed = 0;
+    };
+    auto run = [](int trace) {
+        DiffuseRuntime rt(rt::MachineConfig::withGpus(4), realOpts(trace));
+        Context ctx(rt);
+        NDArray x = ctx.random(256, 0xb1, -1.0, 1.0);
+        NDArray y = ctx.random(256, 0xb2, -1.0, 1.0);
+        // One epoch: kTraceMaxEvents + 2 submissions (plus the
+        // releases of the arrays they replace), nothing read back.
+        for (int i = 0; i < kTraceMaxEvents / 2 + 1; i++) {
+            x = ctx.add(x, y);
+            x = ctx.mulScalar(0.5, x);
+        }
+        rt.flushWindow();
+        Run r;
+        r.capturedByLongEpoch = rt.fusionStats().traceEpochsCaptured;
+        r.replayedByLongEpoch = rt.fusionStats().traceEpochsReplayed;
+        for (int e = 0; e < 4; e++) {
+            x = ctx.add(x, y);
+            x = ctx.mulScalar(0.5, x);
+            rt.flushWindow();
+        }
+        r.x = bits(ctx.toHost(x));
+        r.stream = rt.low().streamStats();
+        r.simTime = rt.runtimeStats().simTime;
+        r.busyTime = rt.runtimeStats().busyTime;
+        r.captured = rt.fusionStats().traceEpochsCaptured;
+        r.replayed = rt.fusionStats().traceEpochsReplayed;
+        return r;
+    };
+    Run off = run(0);
+    Run on = run(1);
+
+    EXPECT_EQ(on.capturedByLongEpoch, 0u);
+    EXPECT_EQ(on.replayedByLongEpoch, 0u);
+    EXPECT_GT(on.captured, 0u);
+    EXPECT_GT(on.replayed, 0u);
+    EXPECT_EQ(on.x, off.x);
+
+    const rt::StreamStats &s0 = off.stream, &s1 = on.stream;
+    EXPECT_EQ(s1.submitted, s0.submitted);
+    EXPECT_EQ(s1.retired, s0.retired);
+    EXPECT_EQ(s1.fences, s0.fences);
+    EXPECT_EQ(s1.maxPendingSeen, s0.maxPendingSeen);
+    EXPECT_EQ(s1.retiredOutOfOrder, s0.retiredOutOfOrder);
+    EXPECT_EQ(s1.rawDeps, s0.rawDeps);
+    EXPECT_EQ(s1.warDeps, s0.warDeps);
+    EXPECT_EQ(s1.wawDeps, s0.wawDeps);
+    EXPECT_EQ(s1.tasksFailed, s0.tasksFailed);
+    EXPECT_EQ(s1.tasksCancelled, s0.tasksCancelled);
+    // EXPECT_EQ on doubles: bitwise, not to rounding.
+    EXPECT_EQ(s1.criticalPathTime, s0.criticalPathTime);
+    EXPECT_EQ(s1.busyTime, s0.busyTime);
+    EXPECT_EQ(s1.collectiveTime, s0.collectiveTime);
+    EXPECT_EQ(on.simTime, off.simTime);
+    EXPECT_EQ(on.busyTime, off.busyTime);
+}
+
 TEST(TraceReplay, SimulatedModeTimingParity)
 {
     // The whole point of recording TaskTiming + hazard edges: the
