@@ -20,10 +20,9 @@ main()
     std::printf("# Ablation — memoization of fusion analysis, code "
                 "generation, plan lowering and whole-window traces "
                 "(8 GPUs, 20 CG iterations)\n");
-    std::printf("%-5s %-6s %9s %9s %9s %9s %8s %8s %13s %13s\n",
-                "memo", "trace", "hits", "misses", "kernels",
-                "plans", "tr-hit", "tr-miss", "submit(us/w)",
-                "replay(us/w)");
+    std::printf("%-5s %-6s %9s %9s %9s %8s %8s %13s %13s\n",
+                "memo", "trace", "hits", "misses", "plans", "tr-hit",
+                "tr-miss", "submit(us/w)", "replay(us/w)");
     bool traced_hit = false;
     for (bool memo : {true, false}) {
         for (int trace : {1, 0}) {
@@ -54,12 +53,11 @@ main()
             traced_hit =
                 traced_hit || fs.traceEpochsReplayed > 0;
             std::printf(
-                "%-5s %-6s %9llu %9llu %9d %9d %8llu %8llu %13.1f "
+                "%-5s %-6s %9llu %9llu %9d %8llu %8llu %13.1f "
                 "%13.1f\n",
                 memo ? "on" : "off", trace ? "on" : "off",
                 (unsigned long long)rt.memoStats().hits,
                 (unsigned long long)rt.memoStats().misses,
-                rt.compilerStats().kernelsCompiled,
                 rt.compilerStats().plansLowered,
                 (unsigned long long)fs.traceEpochsReplayed,
                 // Aborted windows recapture, so captured counts every

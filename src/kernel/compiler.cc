@@ -29,7 +29,6 @@ JitCompiler::finish(KernelFunction fn, double wall_start)
 
     {
         std::lock_guard<std::mutex> lock(statsMutex_);
-        stats_.kernelsCompiled++;
         stats_.plansLowered++;
         stats_.measuredSeconds += out->cost.measuredSeconds;
         stats_.modeledSeconds += out->cost.modeledSeconds;

@@ -41,9 +41,8 @@ struct CompiledKernel
 /** Aggregate compilation statistics for a whole run. */
 struct CompilerStats
 {
-    int kernelsCompiled = 0;
-    /** Executable plans lowered (== kernels compiled; memo hits skip
-     * both). */
+    /** Kernels compiled, each with its executable plan (memo hits
+     * skip both). */
     int plansLowered = 0;
     double measuredSeconds = 0.0;
     double modeledSeconds = 0.0;

@@ -39,7 +39,7 @@ void
 BufferPool::evictAll()
 {
     for (const auto &[bytes, bufs] : free_)
-        faults_.budgetEvictions += bufs.size();
+        stats_.budgetEvictions += bufs.size();
     free_.clear();
     pooledBytes_ = 0;
 }

@@ -33,7 +33,6 @@ namespace diffuse {
 namespace rt {
 
 struct RuntimeStats;
-struct FaultStats;
 
 /** Frees a RawBuffer with the deallocator that matches its alloc(). */
 struct RawBufferFree
@@ -106,9 +105,9 @@ struct RawBuffer
 /**
  * Size-keyed pool of recycled RawBuffers. Single-threaded: a runtime
  * allocates and releases buffers only on its submitting/retiring
- * thread, never from pool workers. Hits and misses count into
- * RuntimeStats::bufferPoolHits/Misses, evictions into
- * FaultStats::budgetEvictions.
+ * thread, never from pool workers. Hits, misses and evictions count
+ * into RuntimeStats::bufferPoolHits, bufferPoolMisses and
+ * budgetEvictions.
  */
 class BufferPool
 {
@@ -116,9 +115,7 @@ class BufferPool
     /** Bytes the pool may hold; beyond that, returned buffers free. */
     static constexpr std::size_t kMaxPooledBytes = 256u << 20;
 
-    BufferPool(RuntimeStats &stats, FaultStats &faults)
-        : stats_(stats), faults_(faults)
-    {}
+    explicit BufferPool(RuntimeStats &stats) : stats_(stats) {}
 
     /** Would take(bytes) be served from the pool? */
     bool
@@ -146,7 +143,6 @@ class BufferPool
 
   private:
     RuntimeStats &stats_;
-    FaultStats &faults_;
     std::unordered_map<std::size_t, std::vector<RawBuffer>> free_;
     std::size_t pooledBytes_ = 0;
 };

@@ -24,6 +24,15 @@ storeStrides(const Rect &shape, coord_t strides[2])
                       shape.dim());
 }
 
+/** Does a charged Copy task (srcRank >= 0) cross nodes? It runs on
+ * its destination's processor, its procHint. */
+bool
+crossesNodes(const MachineConfig &m, const LaunchedTask &t)
+{
+    return m.nodeOf(t.copy.srcRank % m.totalGpus()) !=
+           m.nodeOf(t.procHint);
+}
+
 /** Do the pieces of two accesses overlap across distinct points? */
 bool
 crossPointOverlap(const std::vector<Rect> &a, const std::vector<Rect> &b)
@@ -55,7 +64,7 @@ LowRuntime::LowRuntime(const MachineConfig &machine, ExecutionMode mode,
       pool_(std::move(shared_pool)),
       executors_(std::size_t(workers_)),
       workerBindings_(std::size_t(workers_)),
-      buffers_(stats_, faultStats_),
+      buffers_(stats_),
       shards_(mode,
               ranks > 0 ? ranks : envInt("DIFFUSE_RANKS", 1, 1, 4096),
               buffers_),
@@ -88,7 +97,8 @@ LowRuntime::createStore(const Point &shape, DType dtype, double init)
     store.pendingUses = 0;
     store.zombie = false;
     store.slotProgram = 0;
-    store.shard = shards_.onStoreCreated(id, store.shape, dtype);
+    shards_.reset(store.shard, id, store.shape, dtype);
+    store.history.reset();
     return id;
 }
 
@@ -186,11 +196,17 @@ LowRuntime::destroyStore(StoreId id)
         }
         return;
     }
-    recycleAllocation(it->second);
+    destroyRecord(it);
+}
+
+void
+LowRuntime::destroyRecord(StoreMap::iterator it)
+{
+    StoreRec &r = it->second;
+    recycleAllocation(r);
+    shards_.release(r.shard);
+    poisoned_.erase(r.id);
     storeNodes_.erase(stores_, it);
-    poisoned_.erase(id);
-    shards_.onStoreDestroyed(id);
-    stream_.forgetStore(id);
 }
 
 LowRuntime::StoreRec &
@@ -244,7 +260,7 @@ LowRuntime::slotOf(StoreRec &r)
         r.slotProgram = openNumber_;
         r.slot = std::uint32_t(slotRecs_.size());
         slotRecs_.push_back(&r);
-        stream_.addSlot(r.id);
+        stream_.addSlot(r.id, r.history);
     }
     return r.slot;
 }
@@ -261,9 +277,45 @@ LowRuntime::appendOp(LaunchedTask task, TaskTiming timing)
     task.scalars.clear();
     op.task = std::move(task);
     op.timing = std::move(timing);
+    count(op);
     stream_.submitAnalyzed(op);
-    if (capturing_)
-        attributeStats(op.stats);
+}
+
+void
+LowRuntime::count(const ProgramOp &op)
+{
+    const LaunchedTask &t = op.task;
+    const TaskTiming &tm = op.timing;
+    if (t.kind == TaskKind::Copy) {
+        // Its CopyDesc decides which kind of exchange it is.
+        const CopyDesc &c = t.copy;
+        stats_.copyTasks++;
+        if (c.srcRank < 0) {
+            stats_.hostPulls++; // free: resident everywhere
+            return;
+        }
+        (c.dstRank < 0 ? stats_.gathers : stats_.rankCopies)++;
+        (crossesNodes(machine_, t) ? stats_.bytesInterNode
+                                   : stats_.bytesIntraNode) += c.bytes;
+        stats_.exchangeBytes += c.bytes;
+        stats_.commTime += tm.pointSeconds[0];
+        return;
+    }
+    stats_.indexTasks++;
+    stats_.pointTasks += std::uint64_t(t.numPoints);
+    stats_.bytesHbm += tm.hbmBytes;
+    stats_.bytesIntraNode += tm.intraNodeBytes;
+    stats_.bytesInterNode += tm.interNodeBytes;
+    stats_.commTime += tm.commSeconds;
+    stats_.computeTime += tm.computeSeconds;
+    // A reduction over several points combines in a collective.
+    for (const LowArg &arg : t.args) {
+        if (t.numPoints > 1 && privReduces(arg.priv))
+            stats_.collectives++;
+    }
+    stats_.overheadTime +=
+        tm.analysisSeconds + machine_.launchOverhead * t.numPoints;
+    stats_.collectiveTime += tm.collectiveSeconds;
 }
 
 void
@@ -279,7 +331,7 @@ LowRuntime::shardStates(std::span<StoreRec *const> recs)
 {
     shardArgs_.clear();
     for (StoreRec *r : recs)
-        shardArgs_.push_back(r->shard);
+        shardArgs_.push_back(&r->shard);
     return shardArgs_;
 }
 
@@ -306,8 +358,8 @@ LowRuntime::dataF64(StoreId id)
     // Host readback/write-through: pull every shard-resident
     // rectangle into the canonical allocation, then treat the mutable
     // pointer as a host write (the canonical copy becomes the owner).
-    shards_.gatherToCanonical(id, r.data.data());
-    shards_.onHostWrite(id);
+    shards_.gatherToCanonical(r.shard, r.data.data());
+    shards_.onHostWrite(r.shard);
     return reinterpret_cast<double *>(r.data.data());
 }
 
@@ -325,8 +377,8 @@ LowRuntime::dataI32(StoreId id)
             strprintf("store %llu is not i32", (unsigned long long)id),
             std::string(), id));
     ensureAllocated(r);
-    shards_.gatherToCanonical(id, r.data.data());
-    shards_.onHostWrite(id);
+    shards_.gatherToCanonical(r.shard, r.data.data());
+    shards_.onHostWrite(r.shard);
     return reinterpret_cast<std::int32_t *>(r.data.data());
 }
 
@@ -344,8 +396,8 @@ LowRuntime::dataI64(StoreId id)
             strprintf("store %llu is not i64", (unsigned long long)id),
             std::string(), id));
     ensureAllocated(r);
-    shards_.gatherToCanonical(id, r.data.data());
-    shards_.onHostWrite(id);
+    shards_.gatherToCanonical(r.shard, r.data.data());
+    shards_.onHostWrite(r.shard);
     return reinterpret_cast<std::int64_t *>(r.data.data());
 }
 
@@ -362,12 +414,12 @@ LowRuntime::markInitialized(StoreId id)
     r.replicatedValid = true;
     r.lastWriteLayout = 0;
     r.lastWritePieces.clear();
-    shards_.onHostWrite(id);
+    shards_.onHostWrite(r.shard);
 }
 
 double
 LowRuntime::commSecondsFor(const LowArg &arg, const StoreRec &store,
-                           int p, int num_points)
+                           int p, int num_points, TaskTiming &timing)
 {
     if (store.replicatedValid || store.lastWriteLayout == 0)
         return 0.0; // valid everywhere (initial or post-collective)
@@ -402,8 +454,8 @@ LowRuntime::commSecondsFor(const LowArg &arg, const StoreRec &store,
             inter_srcs++;
         }
     }
-    stats_.bytesIntraNode += intra_bytes;
-    stats_.bytesInterNode += inter_bytes;
+    timing.intraNodeBytes += intra_bytes;
+    timing.interNodeBytes += inter_bytes;
     return intra_srcs * machine_.nvlinkLatency +
            intra_bytes / machine_.nvlinkBandwidth +
            inter_srcs * machine_.ibLatency +
@@ -441,7 +493,7 @@ LowRuntime::buildBindings(const LaunchedTask &task,
             i < task.argCanonical.size() && !task.argCanonical[i];
         if (shard_bound) {
             if (!piece.empty()) {
-                ShardView view = shards_.shardView(*store.shard, p,
+                ShardView view = shards_.shardView(store.shard, p,
                                                    piece, with_pointers);
                 b.stride[0] = view.stride[0];
                 b.stride[1] = view.stride[1];
@@ -546,9 +598,6 @@ LowRuntime::submit(LaunchedTask task)
     }
     std::span<StoreRec *const> recs = submitRecs_;
 
-    stats_.indexTasks++;
-    stats_.pointTasks += std::uint64_t(task.numPoints);
-
     // Sharded execution: decide per-argument bindings, evolve the
     // placement map in program order, and submit the exchanges this
     // task needs as hazard-tracked Copy tasks *before* the task
@@ -567,34 +616,34 @@ LowRuntime::submit(LaunchedTask task)
     // Per-point cost: incoming communication, launch, compute. The
     // index task completes when its slowest point task does. With
     // sharding active, communication is carried by the measured Copy
-    // tasks instead of the analytic per-point model.
+    // tasks instead of the analytic per-point model. Byte counts are
+    // whole numbers far below 2^53, so summing them per task first
+    // leaves the counters' totals unchanged.
     double max_point_seconds = 0.0;
-    double comm_at_max = 0.0, compute_at_max = 0.0;
     std::vector<kir::BufferBinding> &bindings = workerBindings_[0];
     for (int p = 0; p < task.numPoints; p++) {
         double comm = 0.0;
         for (std::size_t i = 0; i < task.args.size(); i++) {
             const LowArg &arg = task.args[i];
             if (privReads(arg.priv) && !shards_.active())
-                comm += commSecondsFor(arg, *recs[i], p, task.numPoints);
+                comm += commSecondsFor(arg, *recs[i], p, task.numPoints,
+                                       timing);
         }
         buildBindings(task, recs, p, bindings, false);
         // Plan metadata carries the per-nest flop/traffic summaries,
         // so costing a point is extent resolution only (no IR walk).
         kir::TaskCost cost = kir::profileCost(*task.kernel, bindings);
-        stats_.bytesHbm += cost.bytes;
+        timing.hbmBytes += cost.bytes;
         double compute = std::max(cost.bytes / machine_.hbmBandwidth,
                                   cost.wflops / machine_.flopRate);
         double t = comm + machine_.launchOverhead + compute;
         timing.pointSeconds[std::size_t(p)] = t;
         if (t > max_point_seconds) {
             max_point_seconds = t;
-            comm_at_max = comm;
-            compute_at_max = compute;
+            timing.commSeconds = comm;
+            timing.computeSeconds = compute;
         }
     }
-    stats_.commTime += comm_at_max;
-    stats_.computeTime += compute_at_max;
 
     // Reductions: a collective combines partials across points.
     double collective = 0.0;
@@ -612,7 +661,6 @@ LowRuntime::submit(LaunchedTask task)
             double bw = machine_.nodes > 1 ? machine_.ibBandwidth
                                            : machine_.nvlinkBandwidth;
             collective += hops * (lat + bytes / bw);
-            stats_.collectives++;
         }
     }
     timing.collectiveSeconds = collective;
@@ -622,10 +670,6 @@ LowRuntime::submit(LaunchedTask task)
     // walk matches the sequential semantics even though execution is
     // deferred.
     applyCoherence(task, recs);
-
-    stats_.overheadTime += timing.analysisSeconds +
-                           machine_.launchOverhead * task.numPoints;
-    stats_.collectiveTime += collective;
 
     // Only Real mode shards retired point tasks, so only it pays for
     // the independence analysis.
@@ -684,8 +728,6 @@ LowRuntime::beginSubmitCapture()
     diffuse_assert(!capturing_, "nested submit capture");
     beginOpenProgram();
     capturing_ = true;
-    captureStatsMark_ = stats_;
-    captureShardMark_ = shards_.stats();
 }
 
 void
@@ -713,57 +755,6 @@ LowRuntime::takeProgram()
 }
 
 void
-LowRuntime::attributeStats(SubmitStatsDelta &d)
-{
-    // Everything submission-side accounting added since the previous
-    // op belongs to this one (planned exchanges of a compute task
-    // attach to its first Copy; the aggregate is exact).
-    d.bytesHbm = stats_.bytesHbm - captureStatsMark_.bytesHbm;
-    d.commTime = stats_.commTime - captureStatsMark_.commTime;
-    d.computeTime = stats_.computeTime - captureStatsMark_.computeTime;
-    d.overheadTime =
-        stats_.overheadTime - captureStatsMark_.overheadTime;
-    d.collectiveTime =
-        stats_.collectiveTime - captureStatsMark_.collectiveTime;
-    d.bytesIntraNode =
-        stats_.bytesIntraNode - captureStatsMark_.bytesIntraNode;
-    d.bytesInterNode =
-        stats_.bytesInterNode - captureStatsMark_.bytesInterNode;
-    d.exchangeBytes =
-        stats_.exchangeBytes - captureStatsMark_.exchangeBytes;
-    d.collectives = stats_.collectives - captureStatsMark_.collectives;
-    d.copyTasks = stats_.copyTasks - captureStatsMark_.copyTasks;
-    d.indexTasks = stats_.indexTasks - captureStatsMark_.indexTasks;
-    d.pointTasks = stats_.pointTasks - captureStatsMark_.pointTasks;
-    const ShardStats &ss = shards_.stats();
-    d.shardCopies = ss.copiesPlanned - captureShardMark_.copiesPlanned;
-    d.shardGathers =
-        ss.gathersPlanned - captureShardMark_.gathersPlanned;
-    d.shardHostPulls = ss.hostPulls - captureShardMark_.hostPulls;
-    captureStatsMark_ = stats_;
-    captureShardMark_ = ss;
-}
-
-void
-LowRuntime::addStats(const SubmitStatsDelta &d)
-{
-    stats_.bytesHbm += d.bytesHbm;
-    stats_.commTime += d.commTime;
-    stats_.computeTime += d.computeTime;
-    stats_.overheadTime += d.overheadTime;
-    stats_.collectiveTime += d.collectiveTime;
-    stats_.bytesIntraNode += d.bytesIntraNode;
-    stats_.bytesInterNode += d.bytesInterNode;
-    stats_.exchangeBytes += d.exchangeBytes;
-    stats_.collectives += d.collectives;
-    stats_.copyTasks += d.copyTasks;
-    stats_.indexTasks += d.indexTasks;
-    stats_.pointTasks += d.pointTasks;
-    shards_.addReplayedPlans(d.shardCopies, d.shardGathers,
-                             d.shardHostPulls);
-}
-
-void
 LowRuntime::beginProgram(std::shared_ptr<const TraceProgram> program,
                          std::span<const StoreId> encoder_slots,
                          std::span<const double> scalars)
@@ -782,7 +773,7 @@ LowRuntime::beginProgram(std::shared_ptr<const TraceProgram> program,
                        e, encoder_slots.size());
         StoreRec &r = rec(encoder_slots[e]);
         slotRecs_.push_back(&r);
-        stream_.addSlot(r.id);
+        stream_.addSlot(r.id, r.history);
     }
     programScalars_.assign(scalars.begin(), scalars.end());
 }
@@ -795,8 +786,7 @@ LowRuntime::submitProgramOps(std::size_t first, std::size_t last)
                    "program ops [%zu, %zu) out of range", first, last);
     for (std::size_t k = first; k < last; k++) {
         const ProgramOp &op = program_->ops[k];
-        // Recorded cost-model and exchange accounting, verbatim.
-        addStats(op.stats);
+        count(op);
         std::span<StoreRec *const> recs =
             resolveArgs(op.task, submitRecs_);
         if (op.task.kind == TaskKind::Compute) {
@@ -825,7 +815,7 @@ LowRuntime::storeStateSignature(StoreId id) const
     hashCombine64(h, r.lastWriteLayout);
     hashCombine64(h, r.replicatedValid ? 1 : 0);
     hashCombineRects(h, r.lastWritePieces);
-    hashCombine64(h, shards_.stateSignature(id));
+    hashCombine64(h, shards_.stateSignature(r.shard));
     return h;
 }
 
@@ -849,29 +839,17 @@ LowRuntime::submitCopy(const CopyDesc &c)
     a.pieces = {c.rect};
     t.args.push_back(std::move(a));
 
-    int nprocs = machine_.totalGpus();
     // Gathers (dstRank < 0) land on the canonical copy's root.
-    int dst_proc = (c.dstRank >= 0 ? c.dstRank : 0) % nprocs;
-    t.procHint = dst_proc;
+    t.procHint = (c.dstRank >= 0 ? c.dstRank : 0) % machine_.totalGpus();
 
     TaskTiming timing;
+    // Charged: the data crosses a link. Pulls from the canonical copy
+    // (srcRank < 0) are free — that data is resident everywhere
+    // (initialization, post-collective broadcast).
     double seconds = 0.0;
-    if (c.srcRank >= 0) {
-        // Charged: the data crosses a link. Pulls from the canonical
-        // copy (srcRank < 0) are free — that data is resident
-        // everywhere (initialization, post-collective broadcast).
-        bool inter = machine_.nodeOf(c.srcRank % nprocs) !=
-                     machine_.nodeOf(dst_proc);
-        seconds = machine_.linkSeconds(c.bytes, inter);
-        if (inter)
-            stats_.bytesInterNode += c.bytes;
-        else
-            stats_.bytesIntraNode += c.bytes;
-        stats_.exchangeBytes += c.bytes;
-        stats_.commTime += seconds;
-    }
+    if (c.srcRank >= 0)
+        seconds = machine_.linkSeconds(c.bytes, crossesNodes(machine_, t));
     timing.pointSeconds = {seconds};
-    stats_.copyTasks++;
     r.pendingUses++;
     appendOp(std::move(t), std::move(timing));
 }
@@ -946,7 +924,7 @@ LowRuntime::executeRetired(const LaunchedTask &task,
             throw DiffuseError(makeError(ErrorCode::ExchangeFault,
                                          "injected exchange fault",
                                          task.name, r.id));
-        shards_.executeCopy(*r.shard, task.copy, canonical);
+        shards_.executeCopy(r.shard, task.copy, canonical);
         return;
     }
     const kir::KernelFunction &fn = task.kernel->fn;
@@ -1194,13 +1172,8 @@ LowRuntime::finishRetired(std::span<StoreRec *const> recs)
                        "store %llu", (unsigned long long)r->id);
         r->pendingUses--;
         if (r->zombie && r->pendingUses == 0) {
-            StoreId sid = r->id;
             zombies_--;
-            recycleAllocation(*r);
-            storeNodes_.erase(stores_, stores_.find(sid));
-            poisoned_.erase(sid);
-            shards_.onStoreDestroyed(sid);
-            stream_.forgetStore(sid);
+            destroyRecord(stores_.find(r->id));
         }
     }
 }
@@ -1220,7 +1193,7 @@ LowRuntime::readScalarValue(StoreId id)
     ensureAllocated(r);
     // Scalar stores are written replicated (canonical) in practice,
     // but a sharded write is legal: gather before reading.
-    shards_.gatherToCanonical(id, r.data.data());
+    shards_.gatherToCanonical(r.shard, r.data.data());
     return *reinterpret_cast<const double *>(r.data.data());
 }
 
@@ -1251,7 +1224,7 @@ LowRuntime::onTaskFailed(const LaunchedTask &task,
         if (!privWrites(arg.priv) && !privReduces(arg.priv))
             continue;
         if (poisoned_.emplace(recs[i]->id, e).second)
-            faultStats_.storesPoisoned++;
+            stats_.storesPoisoned++;
     }
     if (sessionError_.ok())
         sessionError_ = e;
@@ -1282,7 +1255,7 @@ LowRuntime::resetAfterError()
         r.replicatedValid = true;
         r.lastWriteLayout = 0;
         r.lastWritePieces.clear();
-        shards_.onHostWrite(id);
+        shards_.onHostWrite(r.shard);
     }
     poisoned_.clear();
     sessionError_ = Error();

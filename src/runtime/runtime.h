@@ -58,7 +58,12 @@
 namespace diffuse {
 namespace rt {
 
-/** Counters accumulated by the runtime. */
+/**
+ * Counters accumulated by the runtime. Submission-side counters are a
+ * function of each submitted op, added when it is submitted, analyzed
+ * or replayed alike; execution-side ones (materialization, sharding,
+ * the buffer pool, poisoning) accrue as ops retire.
+ */
 struct RuntimeStats
 {
     /**
@@ -94,29 +99,31 @@ struct RuntimeStats
      * copy. Exactly 0 when ranks == 1 (no exchanges exist).
      */
     double exchangeBytes = 0.0;
-    /** Copy tasks submitted to the stream (including free pulls). */
+    /** Copy tasks submitted to the stream (including free pulls),
+     * and the three kinds they split into: rank-to-rank pulls, gathers
+     * into the canonical copy, and free pulls from it. */
     std::uint64_t copyTasks = 0;
+    std::uint64_t rankCopies = 0;
+    std::uint64_t gathers = 0;
+    std::uint64_t hostPulls = 0;
     /** Host buffers (canonical and shard) served by the recycling
      * pool vs. freshly allocated (runtime/buffer_pool.h). */
     std::uint64_t bufferPoolHits = 0;
     std::uint64_t bufferPoolMisses = 0;
-
-    void reset() { *this = RuntimeStats(); }
-};
-
-/**
- * Counters of the failure machinery. Deliberately separate from
- * RuntimeStats: these are diagnostics of fault handling, not of the
- * simulated execution, so parity invariants over RuntimeStats (trace
- * on/off, replay vs. analyzed) hold even under ambient injection.
- */
-struct FaultStats
-{
     /** Stores poisoned by failed or cancelled tasks. */
     std::uint64_t storesPoisoned = 0;
     /** Recycled buffers (canonical or shard) dropped under
      * DIFFUSE_MEM_BUDGET pressure. */
     std::uint64_t budgetEvictions = 0;
+
+    /**
+     * Zero every counter. Exact at a flush boundary, where every
+     * submitted op has been counted and has retired. Between two, ops
+     * the fusion window or a trace speculation still holds are counted
+     * when they are submitted, after the reset, and ops in flight add
+     * their execution-side counts when they retire.
+     */
+    void reset() { *this = RuntimeStats(); }
 };
 
 /** Pieces of an image partition, registered by libraries and
@@ -283,8 +290,6 @@ class LowRuntime : private TaskStream::Runner
     /** The deterministic fault injector (tests arm shots here). */
     FaultInjector &faults() { return faults_; }
 
-    const FaultStats &faultStats() const { return faultStats_; }
-
     /** Session id used to attribute warnings/errors (0 = unset). */
     void setSessionId(std::uint64_t id) { sessionId_ = id; }
 
@@ -295,7 +300,6 @@ class LowRuntime : private TaskStream::Runner
     const StreamStats &streamStats() const { return stream_.stats(); }
     int workers() const { return workers_; }
     int ranks() const { return shards_.ranks(); }
-    const ShardManager &shards() const { return shards_; }
     /** Bytes held by the buffer-recycling pool (bounded by
      * BufferPool::kMaxPooledBytes). */
     std::size_t pooledBytes() const { return buffers_.pooledBytes(); }
@@ -308,8 +312,7 @@ class LowRuntime : private TaskStream::Runner
     /**
      * Begin a program for publication on the drained stream: every
      * submission (compute and Copy) until takeProgram() is one of its
-     * ops, kept whole, with its stat increments attributed to it. A
-     * drain in between does not end it.
+     * ops, kept whole. A drain in between does not end it.
      */
     void beginSubmitCapture();
 
@@ -339,8 +342,8 @@ class LowRuntime : private TaskStream::Runner
      * Start replaying a published program on the drained stream. Its
      * slot s is the store of encoder slot `program->slots[s]`, i.e.
      * `encoder_slots[program->slots[s]]`: each slot is resolved once,
-     * to its record, placement state and history, and every op reads
-     * through that table. `scalars` is the replay's scalar block
+     * to its record (placement state and history included), and every
+     * op reads through that table. `scalars` is the replay's scalar block
      * (TraceProgram::scalarCount values). The program stays referenced
      * until the next one begins.
      */
@@ -349,11 +352,11 @@ class LowRuntime : private TaskStream::Runner
                       std::span<const double> scalars);
 
     /**
-     * Submit program ops [first, last), the next ones in order:
-     * re-apply each op's recorded stat increments, placement and
-     * coherence effects, then hand it to the stream, which places it
-     * on the schedule and retires through the in-flight window exactly
-     * as the analyzed path would have.
+     * Submit program ops [first, last), the next ones in order: count
+     * each op and re-apply its placement and coherence effects, then
+     * hand it to the stream, which places it on the schedule and
+     * retires through the in-flight window exactly as the analyzed
+     * path would have.
      */
     void submitProgramOps(std::size_t first, std::size_t last);
 
@@ -381,11 +384,19 @@ class LowRuntime : private TaskStream::Runner
     }
 
   private:
+    /**
+     * Everything the runtime keeps per store. A record lives in a node
+     * of stores_, so its address — and its placement state's and
+     * history's — is stable while any op names the store; a destroyed
+     * store's record is recycled whole.
+     */
     struct StoreRec
     {
         StoreId id = INVALID_STORE;
-        /** Placement state (ranks > 1; null otherwise). */
-        ShardManager::StoreState *shard = nullptr;
+        /** Placement state (used when ranks > 1). */
+        ShardManager::StoreState shard;
+        /** Access history, read by the stream through its slot. */
+        StoreHistory history;
         /** Slot in the open epoch's program, valid while slotProgram
          * is that program's number. */
         std::uint32_t slot = 0;
@@ -405,6 +416,7 @@ class LowRuntime : private TaskStream::Runner
         /** Destroyed by the application while still in use. */
         bool zombie = false;
     };
+    using StoreMap = std::unordered_map<StoreId, StoreRec>;
 
     StoreRec &rec(StoreId id);
     const StoreRec &rec(StoreId id) const;
@@ -424,11 +436,23 @@ class LowRuntime : private TaskStream::Runner
     std::uint32_t slotOf(StoreRec &r);
 
     /**
-     * Append `task` (store ids already slots) to the open program and
-     * submit it: the stream finds its hazard edges and runs it through
-     * the window. A capture attributes its stat increments to it.
+     * Append `task` (store ids already slots) to the open program,
+     * count it and submit it: the stream finds its hazard edges and
+     * runs it through the window.
      */
     void appendOp(LaunchedTask task, TaskTiming timing);
+
+    /**
+     * Add an op's submission-side counters: everything but the
+     * schedule clocks (folded from the stream) and the execution-side
+     * counters. A function of the op, so an analyzed and a replayed
+     * submission of it count the same.
+     */
+    void count(const ProgramOp &op);
+
+    /** Destroy the store of record `it`, whose ops have all retired:
+     * its buffers return to the pool and the record is recycled. */
+    void destroyRecord(StoreMap::iterator it);
 
     /** Release a retired op's task storage (an uncaptured program). */
     static void releaseOp(ProgramOp &op);
@@ -449,11 +473,12 @@ class LowRuntime : private TaskStream::Runner
     static bool writeCoversStore(const LowArg &arg,
                                  const StoreRec &store);
 
-    /** Point-to-point communication seconds for point `p` of `arg`
-     * (the analytic model; ranks == 1 only — sharded execution
-     * charges the measured Copy tasks instead). */
+    /** Point-to-point communication seconds for point `p` of `arg`,
+     * adding the bytes it moves to `timing` (the analytic model;
+     * ranks == 1 only — sharded execution charges the measured Copy
+     * tasks instead). */
     double commSecondsFor(const LowArg &arg, const StoreRec &store,
-                          int p, int num_points);
+                          int p, int num_points, TaskTiming &timing);
 
     /** Submit one planned exchange as a Copy op (hazard-tracked). */
     void submitCopy(const CopyDesc &c);
@@ -462,15 +487,8 @@ class LowRuntime : private TaskStream::Runner
     void applyCoherence(const LaunchedTask &task,
                         std::span<StoreRec *const> recs);
 
-    /** Add a recorded submission's stat increments (replay). */
-    void addStats(const SubmitStatsDelta &d);
-
     /** Fold the stream's schedule clocks into simTime/busyTime. */
     void foldScheduleClocks();
-
-    /** Capture: attribute the stat increments since the previous op
-     * to `d`. */
-    void attributeStats(SubmitStatsDelta &d);
 
     /** Build executor bindings for point `p`; `recs[i]` is argument
      * i's record. */
@@ -540,7 +558,6 @@ class LowRuntime : private TaskStream::Runner
     MachineConfig machine_;
     ExecutionMode mode_;
     RuntimeStats stats_;
-    using StoreMap = std::unordered_map<StoreId, StoreRec>;
     StoreMap stores_;
     /** Records of destroyed stores, reused by createStore. */
     NodeRecycler<StoreMap> storeNodes_{1024};
@@ -616,15 +633,11 @@ class LowRuntime : private TaskStream::Runner
     /** A capture keeps the open program; else it is discarded at its
      * end, its retired ops released on the way. */
     bool capturing_ = false;
-    /** Stat snapshots for per-submission delta attribution. */
-    RuntimeStats captureStatsMark_;
-    ShardStats captureShardMark_;
 
     std::function<void(StoreId)> hostWriteObserver_;
 
     /** Failure-domain state. */
     FaultInjector faults_;
-    FaultStats faultStats_;
     /** Stores whose contents are undefined, with the root cause.
      * Bounded: cleared by resetAfterError() / store destruction. */
     std::unordered_map<StoreId, Error> poisoned_;

@@ -101,14 +101,14 @@ ShardManager::ShardManager(ExecutionMode mode, int ranks,
     diffuse_assert(ranks_ >= 1, "need at least one rank");
 }
 
-ShardManager::StoreState *
-ShardManager::onStoreCreated(StoreId id, const Rect &shape, DType dtype)
+void
+ShardManager::reset(StoreState &s, StoreId id, const Rect &shape,
+                    DType dtype)
 {
     if (!active())
-        return nullptr;
+        return;
     // A recycled state keeps its lists' capacity: reset every field
     // (its shard buffers went back to the pool on destruction).
-    StoreState &s = storeNodes_.insert(stores_, id)->second;
     s.id = id;
     s.shape = shape;
     s.dtype = dtype;
@@ -124,39 +124,24 @@ ShardManager::onStoreCreated(StoreId id, const Rect &shape, DType dtype)
     // A fresh store's init fill is host-side setup: the canonical
     // copy owns everything and is resident on every rank for free.
     s.hostValid.assign(1, shape);
-    return &s;
 }
 
 void
-ShardManager::onStoreDestroyed(StoreId id)
+ShardManager::release(StoreState &s)
 {
-    auto it = stores_.find(id);
-    if (it == stores_.end())
-        return;
-    for (Shard &sh : it->second.shards)
+    for (Shard &sh : s.shards)
         buffers_.give(std::move(sh.data));
-    storeNodes_.erase(stores_, it);
 }
 
 void
-ShardManager::onHostWrite(StoreId id)
+ShardManager::onHostWrite(StoreState &s)
 {
     if (!active())
         return;
-    StoreState &s = state(id);
     s.hostValid = {s.shape};
     for (Shard &sh : s.shards)
         sh.valid.clear();
     s.hasOwner = false;
-}
-
-ShardManager::StoreState &
-ShardManager::state(StoreId id)
-{
-    auto it = stores_.find(id);
-    diffuse_assert(it != stores_.end(), "unknown sharded store %llu",
-                   (unsigned long long)id);
-    return it->second;
 }
 
 void
@@ -254,10 +239,6 @@ ShardManager::planPull(StoreState &s, int rank, const Rect &piece,
         c.dstRank = rank;
         c.bytes = double(r.volume()) * esize;
         copies.push_back(c);
-        if (src >= 0)
-            stats_.copiesPlanned++;
-        else
-            stats_.hostPulls++;
     };
 
     // Pull from the rank that holds each rectangle. The structured
@@ -345,7 +326,6 @@ ShardManager::planGather(StoreState &s, std::vector<CopyDesc> &copies)
                            c.dstRank = -1;
                            c.bytes = double(o.volume()) * esize;
                            copies.push_back(c);
-                           stats_.gathersPlanned++;
                        });
     }
     // Unwritten remainder: the canonical bytes are already current.
@@ -534,14 +514,10 @@ ShardManager::applyWriteEffects(const LaunchedTask &task,
 }
 
 std::uint64_t
-ShardManager::stateSignature(StoreId id) const
+ShardManager::stateSignature(const StoreState &s) const
 {
     if (!active())
         return 0;
-    auto it = stores_.find(id);
-    if (it == stores_.end())
-        return 0;
-    const StoreState &s = it->second;
     std::uint64_t h = 0x5348415244u; // "SHARD"
     hashCombine64(h, s.hasOwner ? 1 : 0);
     if (s.hasOwner) {
@@ -599,14 +575,10 @@ ShardManager::executeCopy(StoreState &s, const CopyDesc &copy,
 }
 
 void
-ShardManager::gatherToCanonical(StoreId id, std::byte *canonical)
+ShardManager::gatherToCanonical(StoreState &s, std::byte *canonical)
 {
     if (!active() || mode_ != ExecutionMode::Real)
         return;
-    auto it = stores_.find(id);
-    if (it == stores_.end())
-        return;
-    StoreState &s = it->second;
     std::size_t esize = dtypeSize(s.dtype);
     std::vector<Rect> need = uncovered(s.hostValid, s.shape);
     for (int src = 0; src < ranks_ && !need.empty(); src++) {

@@ -44,11 +44,9 @@
 
 #include <cstddef>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "common/geometry.h"
-#include "common/node_recycler.h"
 #include "common/types.h"
 #include "runtime/buffer_pool.h"
 #include "runtime/machine.h"
@@ -56,17 +54,6 @@
 
 namespace diffuse {
 namespace rt {
-
-/**
- * Counters maintained by the shard manager. Byte volumes live in
- * RuntimeStats::exchangeBytes (one accounting site: submitCopy).
- */
-struct ShardStats
-{
-    std::uint64_t copiesPlanned = 0; ///< rank-to-rank pulls
-    std::uint64_t gathersPlanned = 0; ///< shard -> canonical pulls
-    std::uint64_t hostPulls = 0;      ///< canonical -> shard (free)
-};
 
 /** A resolved view of one piece inside a rank's shard buffer. */
 struct ShardView
@@ -76,8 +63,8 @@ struct ShardView
 };
 
 /**
- * Owns per-rank shard buffers and the placement map of every store;
- * plans exchanges at submission (program order) and executes retired
+ * Plans exchanges at submission (program order) over the placement
+ * states the runtime keeps in its store records, and executes retired
  * Copy tasks. Inactive (transparent) when ranks == 1.
  */
 class ShardManager
@@ -91,9 +78,8 @@ class ShardManager
         std::vector<Rect> valid;
     };
 
-    /** A store's placement state. Its address is stable from
-     * onStoreCreated to onStoreDestroyed, so callers resolve it once
-     * and hand it back to the per-task calls below. */
+    /** A store's placement state, kept in the store's record: its
+     * shard buffers (one per rank) and its validity lists. */
     struct StoreState
     {
         StoreId id = INVALID_STORE;
@@ -119,17 +105,20 @@ class ShardManager
     /** Launch-domain point to rank mapping. */
     int rankOf(int point) const { return point % ranks_; }
 
-    /** Returns the new store's state (null when inactive). */
-    StoreState *onStoreCreated(StoreId id, const Rect &shape,
-                               DType dtype);
-    void onStoreDestroyed(StoreId id);
+    /** Make `s` the state of a new store (a no-op when inactive): the
+     * canonical copy owns everything, and no shard has a buffer. */
+    void reset(StoreState &s, StoreId id, const Rect &shape,
+               DType dtype);
+
+    /** Return the shard buffers of a destroyed store to the pool. */
+    void release(StoreState &s);
 
     /**
      * The host wrote the canonical copy (markInitialized, mutable
      * data pointers): the canonical copy becomes the sole owner of
      * everything.
      */
-    void onHostWrite(StoreId id);
+    void onHostWrite(StoreState &s);
 
     /**
      * Plan the exchanges `task` needs before it can run, appending
@@ -161,9 +150,9 @@ class ShardManager
      * Order-sensitive digest of a store's placement state (validity
      * lists, shard bounding boxes, structured-owner hint). Equal
      * signatures mean `planTask` would plan the identical exchanges.
-     * Returns 0 when sharding is inactive or the store is unknown.
+     * Returns 0 when sharding is inactive.
      */
-    std::uint64_t stateSignature(StoreId id) const;
+    std::uint64_t stateSignature(const StoreState &s) const;
 
     /**
      * Execute one retired Copy task of the store `s` (Real mode): the
@@ -179,7 +168,7 @@ class ShardManager
      * its owning shard (Real mode; host readback under a fence —
      * untimed marshalling, unlike the Copy tasks planTask emits).
      */
-    void gatherToCanonical(StoreId id, std::byte *canonical);
+    void gatherToCanonical(StoreState &s, std::byte *canonical);
 
     /**
      * Resolve the shard view of `piece` of store `s` for launch point
@@ -189,22 +178,7 @@ class ShardManager
     ShardView shardView(StoreState &s, int point, const Rect &piece,
                         bool with_pointer);
 
-    const ShardStats &stats() const { return stats_; }
-
-    /** Credit planning counters recorded at capture (trace replay
-     * resubmits the planned copies without re-planning them). */
-    void
-    addReplayedPlans(std::uint64_t copies, std::uint64_t gathers,
-                     std::uint64_t host_pulls)
-    {
-        stats_.copiesPlanned += copies;
-        stats_.gathersPlanned += gathers;
-        stats_.hostPulls += host_pulls;
-    }
-
   private:
-    StoreState &state(StoreId id);
-
     /**
      * Remove `r` from every rectangle of `list` (exact subtract),
      * keeping the list's order: state signatures hash it in order.
@@ -246,11 +220,6 @@ class ShardManager
     ExecutionMode mode_;
     int ranks_;
     BufferPool &buffers_;
-    using StoreMap = std::unordered_map<StoreId, StoreState>;
-    StoreMap stores_;
-    /** States of destroyed stores, reused by onStoreCreated. */
-    NodeRecycler<StoreMap> storeNodes_{1024};
-    ShardStats stats_;
     /** invalidate()'s rebuilt tail, reused across calls. */
     std::vector<Rect> scratch_;
 };

@@ -41,27 +41,6 @@ TaskStream::compactHistory(StoreHistory &h)
     std::erase_if(h.reads, dead);
 }
 
-TaskStream::StoreHistory &
-TaskStream::historyFor(StoreId id)
-{
-    auto it = history_.find(id);
-    if (it != history_.end())
-        return it->second;
-    StoreHistory &h = historyNodes_.insert(history_, id)->second;
-    h.writes.clear();
-    h.reads.clear();
-    h.floors = Floors();
-    return h;
-}
-
-void
-TaskStream::forgetStore(StoreId id)
-{
-    auto it = history_.find(id);
-    if (it != history_.end())
-        historyNodes_.erase(history_, it);
-}
-
 void
 TaskStream::beginProgram(const TraceProgram &program)
 {
@@ -80,10 +59,10 @@ TaskStream::beginProgram(const TraceProgram &program)
 }
 
 void
-TaskStream::addSlot(StoreId id)
+TaskStream::addSlot(StoreId id, StoreHistory &history)
 {
     slotStores_.push_back(id);
-    slotHistory_.push_back(&historyFor(id));
+    slotHistory_.push_back(&history);
 }
 
 void

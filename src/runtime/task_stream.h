@@ -32,12 +32,10 @@
 #include <span>
 #include <string>
 #include <type_traits>
-#include <unordered_map>
 #include <vector>
 
 #include "common/error.h"
 #include "common/geometry.h"
-#include "common/node_recycler.h"
 #include "common/types.h"
 // PartitionDesc is a pure value type over common/geometry.h; carrying
 // it on lowered arguments lets the shard manager plan exchanges
@@ -144,7 +142,7 @@ struct LaunchedTask
     std::vector<std::uint8_t> argCanonical;
 };
 
-/** Cost-model inputs of one submitted task (computed at submission). */
+/** Cost-model results of one submitted task (computed at submission). */
 struct TaskTiming
 {
     /** Per-point seconds: communication + launch + compute. */
@@ -153,6 +151,18 @@ struct TaskTiming
     double collectiveSeconds = 0.0;
     /** Serialized dynamic dependence-analysis seconds. */
     double analysisSeconds = 0.0;
+    /**
+     * What only the cost model of a compute task knows, kept for the
+     * runtime's counters: the HBM bytes of all points, the slowest
+     * point's communication and compute seconds, and the analytic
+     * model's intra- and inter-node bytes (ranks == 1; sharded
+     * execution moves its bytes in Copy tasks instead).
+     */
+    double hbmBytes = 0.0;
+    double commSeconds = 0.0;
+    double computeSeconds = 0.0;
+    double intraNodeBytes = 0.0;
+    double interNodeBytes = 0.0;
 };
 
 /** Counters and clocks maintained by the stream. */
@@ -183,39 +193,12 @@ struct StreamStats
 };
 
 /**
- * Submission-side stat increments attributed to one submission while
- * its epoch is captured: everything `LowRuntime::submit`/`submitCopy`
- * adds to RuntimeStats and ShardStats *except* the schedule clocks
- * (simTime/busyTime), which replay recomputes exactly through the
- * stream, and the execution-side counters (storesMaterialized,
- * tasksSharded), which accrue at retirement either way.
- */
-struct SubmitStatsDelta
-{
-    double bytesHbm = 0.0;
-    double commTime = 0.0;
-    double computeTime = 0.0;
-    double overheadTime = 0.0;
-    double collectiveTime = 0.0;
-    double bytesIntraNode = 0.0;
-    double bytesInterNode = 0.0;
-    double exchangeBytes = 0.0;
-    std::uint64_t collectives = 0;
-    std::uint64_t copyTasks = 0;
-    std::uint64_t indexTasks = 0;
-    std::uint64_t pointTasks = 0;
-    std::uint64_t shardCopies = 0;
-    std::uint64_t shardGathers = 0;
-    std::uint64_t shardHostPulls = 0;
-};
-
-/**
  * One op of an epoch's program: a stream submission — the fully
  * lowered task (pieces expanded, shard bindings and parallel-safety
- * decided), its cost model, its hazard edges as indices into the
- * program's op order, and its stat increments. Store ids inside `task`
- * (and `task.copy`) are the program's slots; its scalars are a range
- * of the run's scalar block.
+ * decided), its cost model and its hazard edges as indices into the
+ * program's op order. Everything the runtime counts for it follows
+ * from the op. Store ids inside `task` (and `task.copy`) are the
+ * program's slots; its scalars are a range of the run's scalar block.
  */
 struct ProgramOp
 {
@@ -226,7 +209,6 @@ struct ProgramOp
     std::uint32_t rawDeps = 0;
     std::uint32_t warDeps = 0;
     std::uint32_t wawDeps = 0;
-    SubmitStatsDelta stats;
     /** A compute op's scalars: [scalarBegin, scalarBegin + scalarCount)
      * of the run's scalar block, which holds every compute op's scalars
      * in submission order — for a replay, its window tasks' scalars in
@@ -255,6 +237,55 @@ struct TraceProgram
     std::vector<std::uint32_t> slots;
     /** Length of the scalar block. */
     std::size_t scalarCount = 0;
+};
+
+/**
+ * Remembered accesses to one store, which the stream reads and writes
+ * through its slot table; the store's owner keeps it, and its address
+ * must stay put while an op of the program in flight names the store.
+ * Writes are kept as a list — a partial write supersedes only what it
+ * overlaps, so earlier writes of other regions stay visible to hazard
+ * detection. An op folds its finish time into its stores' floors when
+ * it retires, so the simulated schedule orders later conflicting
+ * accesses after it; its records are then dead weight, pruned at the
+ * next scan.
+ */
+struct StoreHistory
+{
+    /**
+     * One access, remembered for hazard detection. `pieces` points into
+     * the argument of the op that made the access: a record is only
+     * read while that op is pending (every scan compacts retired
+     * records out first), and a pending op's arguments neither move nor
+     * change.
+     */
+    struct AccessRec
+    {
+        EventId id = NO_EVENT;
+        bool replicated = false;
+        const std::vector<Rect> *pieces = nullptr;
+    };
+
+    /** Finish times of retired accesses: later conflicting accesses
+     * are placed after them. */
+    struct Floors
+    {
+        double write = 0.0;
+        double read = 0.0;
+    };
+
+    std::vector<AccessRec> writes;
+    std::vector<AccessRec> reads;
+    Floors floors;
+
+    /** A new store's history (the lists keep their capacity). */
+    void
+    reset()
+    {
+        writes.clear();
+        reads.clear();
+        floors = Floors();
+    }
 };
 
 /**
@@ -309,8 +340,9 @@ class TaskStream
      */
     void beginProgram(const TraceProgram &program);
 
-    /** Bind the program's next slot to store `id`. */
-    void addSlot(StoreId id);
+    /** Bind the program's next slot to store `id`, whose access
+     * history is `history`. */
+    void addSlot(StoreId id, StoreHistory &history);
 
     /**
      * Submit `op`, the program's next op, just appended: find its
@@ -348,48 +380,11 @@ class TaskStream
     /** Store of each slot of the program in flight. */
     std::span<const StoreId> slotStores() const { return slotStores_; }
 
-    /** Drop dependence history of a destroyed store. */
-    void forgetStore(StoreId id);
-
     const StreamStats &stats() const { return stats_; }
 
   private:
-    /** Finish times of retired accesses to one store: later
-     * conflicting accesses are placed after them. */
-    struct Floors
-    {
-        double write = 0.0;
-        double read = 0.0;
-    };
-
-    /**
-     * One access to a store, remembered for hazard detection. `pieces`
-     * points into the argument of the op that made the access: a
-     * record is only read while that op is pending (every scan compacts
-     * retired records out first), and a pending op's arguments neither
-     * move nor change.
-     */
-    struct AccessRec
-    {
-        EventId id = NO_EVENT;
-        bool replicated = false;
-        const std::vector<Rect> *pieces = nullptr;
-    };
-
-    /**
-     * Remembered accesses to one store. Writes are kept as a list —
-     * a partial write supersedes only what it overlaps, so earlier
-     * writes of other regions stay visible to hazard detection. An op
-     * folds its finish time into its stores' floors when it retires,
-     * so the simulated schedule orders later conflicting accesses after
-     * it; its records are then dead weight, pruned at the next scan.
-     */
-    struct StoreHistory
-    {
-        std::vector<AccessRec> writes;
-        std::vector<AccessRec> reads;
-        Floors floors;
-    };
+    using AccessRec = StoreHistory::AccessRec;
+    using Floors = StoreHistory::Floors;
 
     /** Has the op that made a record retired? A record of an earlier
      * program has: its event is below the base. */
@@ -408,11 +403,6 @@ class TaskStream
      */
     double place(const TaskTiming &timing, int num_points, int proc_hint,
                  double dep_finish);
-
-    using HistoryMap = std::unordered_map<StoreId, StoreHistory>;
-
-    /** The history of `id`, created (from a spare node) on first use. */
-    StoreHistory &historyFor(StoreId id);
 
     /** Any-pair piece overlap between two accesses of one store. */
     static bool overlaps(bool a_replicated,
@@ -442,11 +432,6 @@ class TaskStream
     std::size_t maxPending_;
     Runner *runner_ = nullptr;
 
-    HistoryMap history_;
-    /** Recycled nodes of destroyed stores' histories, so a steady
-     * stream of short-lived stores reaches the allocator rarely. */
-    static constexpr std::size_t kMaxSpare = 1024;
-    NodeRecycler<HistoryMap> historyNodes_{kMaxSpare};
     /** waitStore's collected users, reused across calls. */
     std::vector<std::size_t> users_;
 
@@ -457,7 +442,9 @@ class TaskStream
     std::size_t submitted_ = 0;
     std::size_t retired_ = 0;
     std::size_t head_ = 0;
-    /** Slot table: each slot's store and history. */
+    /** Slot table: each slot's store and history. waitStore matches
+     * by store: a destroyed store's history may serve a store created
+     * while the program is in flight, under a second slot. */
     std::vector<StoreId> slotStores_;
     std::vector<StoreHistory *> slotHistory_;
     /** Per submitted op: its finish time, and how many ops had been

@@ -158,14 +158,14 @@ TEST(Faults, ArmedShotFiresExactlyTheRequestedBurst)
     EXPECT_FALSE(inj.shouldFault(rt::FaultKind::Exchange));
 }
 
-TEST(Faults, InjectorOffByDefaultAndFaultStatsZero)
+TEST(Faults, InjectorOffByDefaultAndFaultCountersZero)
 {
     DiffuseRuntime rt(machine(), realOpts(8, 4));
     EXPECT_FALSE(rt.low().faults().enabled()); // off by default
     (void)runBody(rt);
     EXPECT_FALSE(rt.low().faults().enabled());
     EXPECT_EQ(rt.low().faults().fired(), 0u);
-    EXPECT_EQ(rt.low().faultStats().storesPoisoned, 0u);
+    EXPECT_EQ(rt.runtimeStats().storesPoisoned, 0u);
     EXPECT_EQ(rt.low().streamStats().tasksFailed, 0u);
     EXPECT_EQ(rt.low().streamStats().tasksCancelled, 0u);
     EXPECT_FALSE(rt.failed());
@@ -193,7 +193,7 @@ TEST(Faults, KernelFaultSurfacesStructurallyAndRecoversBitwise)
         ASSERT_TRUE(threw) << "workers " << workers;
         EXPECT_TRUE(rt.failed());
         EXPECT_GT(rt.low().streamStats().tasksFailed, 0u);
-        EXPECT_GT(rt.low().faultStats().storesPoisoned, 0u);
+        EXPECT_GT(rt.runtimeStats().storesPoisoned, 0u);
 
         // The failed state latches: further submissions are refused
         // with the root cause attached, not silently executed. (Store
@@ -610,8 +610,8 @@ TEST(Faults, ConcurrentResetLeavesSiblingsIntact)
     EXPECT_EQ(got_b, expect);
     EXPECT_FALSE(sib_a->failed());
     EXPECT_FALSE(sib_b->failed());
-    EXPECT_EQ(sib_a->low().faultStats().storesPoisoned, 0u);
-    EXPECT_EQ(sib_b->low().faultStats().storesPoisoned, 0u);
+    EXPECT_EQ(sib_a->runtimeStats().storesPoisoned, 0u);
+    EXPECT_EQ(sib_b->runtimeStats().storesPoisoned, 0u);
 
     // The shared caches stayed clean through fault + reset: a fresh
     // session compiles nothing and replays the surviving epochs.
@@ -681,7 +681,7 @@ TEST(Faults, MemBudgetEvictsPoolThenFailsStructurally)
         NDArray b = ctx.zeros(97000, 2.0);
         (void)ctx.toHost(b);
         EXPECT_FALSE(rt.failed());
-        EXPECT_GT(rt.low().faultStats().budgetEvictions, 0u);
+        EXPECT_GT(rt.runtimeStats().budgetEvictions, 0u);
         // A second large live allocation genuinely exceeds the budget:
         // a structured failure, not an OOM abort. A host-read-path
         // allocation failure throws directly — no task failed, nothing

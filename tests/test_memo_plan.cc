@@ -39,7 +39,6 @@ TEST(MemoPlan, CompilerLowersPlanWithKernel)
     auto k = jit.compileSingle(makeAdd());
     ASSERT_NE(k->plan, nullptr);
     EXPECT_EQ(jit.stats().plansLowered, 1);
-    EXPECT_EQ(jit.stats().plansLowered, jit.stats().kernelsCompiled);
     ASSERT_EQ(k->plan->nests.size(), 1u);
     EXPECT_GT(k->plan->stripWidth, 0);
 }
@@ -102,8 +101,6 @@ TEST(MemoPlan, SteadyStateLowersNoFurtherPlans)
     for (int i = 0; i < 8; i++)
         step();
     EXPECT_EQ(rt.compilerStats().plansLowered, after_warmup);
-    EXPECT_EQ(rt.compilerStats().plansLowered,
-              rt.compilerStats().kernelsCompiled);
     EXPECT_GT(rt.memoStats().hits, hits_before);
 }
 

@@ -156,10 +156,10 @@ newsDuring(F &&f)
  * perfbench's solvers_small step (CG, BiCGSTAB and GMG-PCG, 10
  * iterations each, a residual read back per solve) at `ranks`; returns
  * the largest number of operator new calls one step's flushes made
- * after `warm` steps. The warm-up is long because store records and
- * placement states are recycled across steps in no fixed pairing, so
- * their lists reach their largest capacities only after several steps
- * (ten, at ranks 4).
+ * after `warm` steps. The warm-up is long because a destroyed store's
+ * record is recycled into whatever role the next new store plays, so
+ * its placement and coherence lists reach their largest capacities
+ * only after several steps (ten, at ranks 4).
  */
 std::uint64_t
 steadyFlushNews(int ranks, int warm, int steps)

@@ -10,6 +10,8 @@
  *  - fusion/runtime statistics stay per-session while the
  *    cache-population counters are process-wide, also while several
  *    sessions replay the same epochs concurrently;
+ *  - a counter reset inside an epoch one session captures changes
+ *    nothing another session's replays of it count;
  *  - a session replays a program while the session that captured it
  *    still retires it;
  *  - `sharedCache = 0` (the DIFFUSE_SHARED_CACHE opt-out) hands out
@@ -39,6 +41,7 @@
 #include "cunumeric/ndarray.h"
 #include "solvers/solvers.h"
 #include "sparse/csr.h"
+#include "stats_parity.h"
 
 namespace diffuse {
 namespace {
@@ -119,7 +122,6 @@ TEST(Sessions, SecondSessionLowersZeroPlansAndReplaysSharedTrace)
     EXPECT_EQ(r1, expect);
 
     int plans = ctx->compiler().stats().plansLowered;
-    int kernels = ctx->compiler().stats().kernelsCompiled;
     std::uint64_t misses = ctx->memo().stats().misses;
     std::uint64_t captured = s1->fusionStats().traceEpochsCaptured;
     EXPECT_GT(plans, 0);
@@ -133,7 +135,6 @@ TEST(Sessions, SecondSessionLowersZeroPlansAndReplaysSharedTrace)
     auto r2 = runServingBody(*s2);
     EXPECT_EQ(r2, expect);
     EXPECT_EQ(ctx->compiler().stats().plansLowered, plans);
-    EXPECT_EQ(ctx->compiler().stats().kernelsCompiled, kernels);
     EXPECT_EQ(ctx->memo().stats().misses, misses);
     EXPECT_GT(s2->fusionStats().traceEpochsReplayed, 0u);
     EXPECT_EQ(s2->fusionStats().traceEpochsCaptured, 0u);
@@ -152,8 +153,6 @@ TEST(Sessions, EachUniqueKernelLowersExactlyOnceAcrossEightSessions)
     // Steady state compiles each unique kernel exactly once
     // process-wide, regardless of session count.
     EXPECT_EQ(ctx->compiler().stats().plansLowered, plans);
-    EXPECT_EQ(ctx->compiler().stats().plansLowered,
-              ctx->compiler().stats().kernelsCompiled);
     EXPECT_EQ(ctx->sessionsCreated(), 8u);
 }
 
@@ -183,6 +182,55 @@ TEST(Sessions, StatsStayPerSessionWhileCacheCountersAreProcessWide)
     EXPECT_EQ(&s1->memoStats(), &s2->memoStats());
     EXPECT_EQ(s1->context(), s2->context());
     EXPECT_EQ(ctx->memo().stats().misses, misses_after_s1);
+}
+
+TEST(Sessions, StatsResetDuringCaptureKeepsReplaysExact)
+{
+    // Session A resets its counters between two operations of its
+    // second iteration, an epoch it captures; session B then replays
+    // that epoch's program from the shared cache. A replayed op counts
+    // from the op itself, so the reset changes nothing B counts: with
+    // trace on and off every counter of each session is the same, and
+    // B's equal a lone session's.
+    auto body = [](DiffuseRuntime &rt, bool reset) {
+        Context ctx(rt);
+        NDArray x = ctx.random(64, 11);
+        NDArray y = ctx.random(64, 12);
+        for (int i = 0; i < 6; i++) {
+            NDArray t = ctx.add(x, y);
+            if (reset && i == 1)
+                rt.runtimeStats().reset();
+            NDArray w = ctx.mul(t, t);
+            (void)ctx.value(ctx.sum(w));
+        }
+    };
+    auto opts = [](int trace) {
+        DiffuseOptions o = realOpts();
+        o.fusionEnabled = false;
+        o.trace = trace;
+        return o;
+    };
+    rt::RuntimeStats a[2], b[2];
+    for (int trace : {0, 1}) {
+        auto ctx = SharedContext::create(machine());
+        auto sa = ctx->createSession(opts(trace));
+        auto sb = ctx->createSession(opts(trace));
+        body(*sa, true);
+        body(*sb, false);
+        a[trace] = sa->runtimeStats();
+        b[trace] = sb->runtimeStats();
+        if (trace == 1) {
+            EXPECT_GT(sa->fusionStats().traceEpochsCaptured, 0u);
+            EXPECT_GT(sb->fusionStats().traceEpochsReplayed, 0u);
+        }
+    }
+    DiffuseRuntime lone(machine(), opts(1));
+    body(lone, false);
+
+    expectRuntimeStatsEqual(a[1], a[0]);
+    expectRuntimeStatsEqual(b[1], b[0]);
+    expectRuntimeStatsEqual(b[1], lone.runtimeStats());
+    EXPECT_EQ(b[1].indexTasks, 18u);
 }
 
 /** The per-session numbers a shared session must attribute exactly as
@@ -374,7 +422,7 @@ TEST(Sessions, SharedCacheOptOutIsolatesBitForBit)
     EXPECT_EQ(runServingBody(*iso), expect);
     EXPECT_EQ(ctx->compiler().stats().plansLowered, plans);
     EXPECT_EQ(ctx->traceCache().entries(), epochs);
-    EXPECT_GT(iso->compilerStats().kernelsCompiled, 0);
+    EXPECT_GT(iso->compilerStats().plansLowered, 0);
     EXPECT_EQ(iso->fusionStats().traceEpochsReplayed +
                   iso->fusionStats().traceEpochsCaptured,
               warm->fusionStats().traceEpochsReplayed +

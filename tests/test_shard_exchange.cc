@@ -153,7 +153,7 @@ TEST(ShardExchange, SelfOwnedPiecesNeedNoCopy)
     rt.flushWindow();
     (void)w;
     EXPECT_DOUBLE_EQ(rt.runtimeStats().exchangeBytes, 0.0);
-    EXPECT_GT(rt.low().shards().stats().hostPulls, 0u);
+    EXPECT_GT(rt.runtimeStats().hostPulls, 0u);
 }
 
 TEST(ShardExchange, MisalignedReadPullsExactOverlap)
@@ -249,7 +249,7 @@ TEST(ShardExchange, ReductionGathersAndReplicates)
     double gathered = rt.runtimeStats().exchangeBytes - before;
     EXPECT_GT(gathered, 0.0);
     EXPECT_LE(gathered, double(n) * 8.0);
-    EXPECT_GT(rt.low().shards().stats().gathersPlanned, 0u);
+    EXPECT_GT(rt.runtimeStats().gathers, 0u);
 }
 
 TEST(ShardExchange, HostReadbackSeesShardWrites)
@@ -319,8 +319,7 @@ TEST(ShardExchange, InterferingAliasedAssignStaysBitIdentical)
 TEST(BufferPool, HoldsAtMostTheCapAndCountsHitsMissesEvictions)
 {
     rt::RuntimeStats stats;
-    rt::FaultStats faults;
-    rt::BufferPool pool(stats, faults);
+    rt::BufferPool pool(stats);
     // Never touched, these buffers cost address space, not memory.
     const std::size_t half = rt::BufferPool::kMaxPooledBytes / 2 + 1;
     rt::RawBuffer a = pool.take(half);
@@ -336,7 +335,7 @@ TEST(BufferPool, HoldsAtMostTheCapAndCountsHitsMissesEvictions)
     EXPECT_EQ(pool.pooledBytes(), 0u);
     pool.give(std::move(c));
     pool.evictAll();
-    EXPECT_EQ(faults.budgetEvictions, 1u);
+    EXPECT_EQ(stats.budgetEvictions, 1u);
     EXPECT_EQ(pool.pooledBytes(), 0u);
 }
 
@@ -344,8 +343,7 @@ TEST(BufferPool, HoldsAtMostTheCapAndCountsHitsMissesEvictions)
 TEST(BufferPool, LargeBuffersAreHugePageAlignedAndPoolWhole)
 {
     rt::RuntimeStats stats;
-    rt::FaultStats faults;
-    rt::BufferPool pool(stats, faults);
+    rt::BufferPool pool(stats);
     // Not a whole number of huge pages: alloc() rounds the mapping up,
     // but size() and the pool key stay the requested bytes.
     const std::size_t bytes = rt::RawBuffer::kHugePageThreshold + 4104;
@@ -414,7 +412,7 @@ TEST(BufferPool, MemBudgetEvictsPooledShardBuffers)
         }
         const std::size_t pooled = rt.low().pooledBytes();
         ASSERT_GT(pooled, 0u);
-        ASSERT_EQ(rt.low().faultStats().budgetEvictions, 0u);
+        ASSERT_EQ(rt.runtimeStats().budgetEvictions, 0u);
         // A canonical allocation that fits next to x and y, but not
         // next to the pooled shard buffers too: the pool is evicted,
         // shard buffers and all, and the allocation succeeds.
@@ -424,7 +422,7 @@ TEST(BufferPool, MemBudgetEvictsPooledShardBuffers)
         NDArray z = ctx.zeros(coord_t(room / sizeof(double)), 1.0);
         (void)ctx.toHost(z);
         EXPECT_FALSE(rt.failed());
-        EXPECT_GT(rt.low().faultStats().budgetEvictions, 0u);
+        EXPECT_GT(rt.runtimeStats().budgetEvictions, 0u);
         EXPECT_EQ(rt.low().pooledBytes(), 0u);
     }
     unsetenv("DIFFUSE_MEM_BUDGET");

@@ -73,6 +73,7 @@ struct StreamFixture : rt::TaskStream::Runner
 {
     rt::TaskStream stream;
     rt::TraceProgram program;
+    rt::StoreHistory history[kStores];
     std::vector<std::string> order;
 
     explicit StreamFixture(std::size_t max_pending = 256)
@@ -89,7 +90,7 @@ struct StreamFixture : rt::TaskStream::Runner
         program.ops.clear();
         stream.beginProgram(program);
         for (StoreId s = 0; s < kStores; s++)
-            stream.addSlot(s);
+            stream.addSlot(s, history[s]);
     }
 
     Error

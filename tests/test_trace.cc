@@ -22,6 +22,7 @@
 #include "cunumeric/ndarray.h"
 #include "solvers/solvers.h"
 #include "sparse/csr.h"
+#include "stats_parity.h"
 
 namespace diffuse {
 namespace {
@@ -83,15 +84,7 @@ expectStatsParity(const FusionStats (&fstats)[2],
     EXPECT_EQ(fstats[0].windowSize, fstats[1].windowSize);
     EXPECT_EQ(fstats[0].windowGrowths, fstats[1].windowGrowths);
     EXPECT_EQ(fstats[0].blocks, fstats[1].blocks);
-    EXPECT_EQ(rstats[0].indexTasks, rstats[1].indexTasks);
-    EXPECT_EQ(rstats[0].pointTasks, rstats[1].pointTasks);
-    EXPECT_EQ(rstats[0].simTime, rstats[1].simTime);
-    EXPECT_EQ(rstats[0].busyTime, rstats[1].busyTime);
-    // Accumulated through recorded per-submission deltas: equal to
-    // rounding (FP addition is not associative), unlike the schedule
-    // clocks above, which replay recomputes exactly.
-    EXPECT_DOUBLE_EQ(rstats[0].computeTime, rstats[1].computeTime);
-    EXPECT_DOUBLE_EQ(rstats[0].bytesHbm, rstats[1].bytesHbm);
+    expectRuntimeStatsEqual(rstats[0], rstats[1]);
 }
 
 TEST(TraceReplay, SteadyStateReplaysBitwiseWithStatsParity)
@@ -116,7 +109,7 @@ TEST(TraceReplay, SteadyStateReplaysBitwiseWithStatsParity)
         }
         fstats[trace] = rt.fusionStats();
         rstats[trace] = rt.runtimeStats();
-        kernels[trace] = rt.compilerStats().kernelsCompiled;
+        kernels[trace] = rt.compilerStats().plansLowered;
         if (trace == 1) {
             replayed = rt.fusionStats().traceEpochsReplayed;
             captured = rt.fusionStats().traceEpochsCaptured;
@@ -720,11 +713,13 @@ TEST(TraceReplay, LongShardedEpochsKeepStreamAndScheduleParity)
     EXPECT_EQ(s1.busyTime, s0.busyTime);
     EXPECT_EQ(s1.collectiveTime, s0.collectiveTime);
 
-    const rt::RuntimeStats &r0 = off.runtime, &r1 = on.runtime;
-    EXPECT_EQ(r1.simTime, r0.simTime);
-    EXPECT_EQ(r1.busyTime, r0.busyTime);
-    EXPECT_EQ(r1.copyTasks, r0.copyTasks);
-    EXPECT_EQ(r1.exchangeBytes, r0.exchangeBytes);
+    // Every runtime counter, the exchange kinds included: a replayed
+    // op counts exactly what its analyzed submission counted.
+    expectRuntimeStatsEqual(on.runtime, off.runtime);
+    EXPECT_GT(off.runtime.rankCopies, 0u);
+    EXPECT_EQ(off.runtime.rankCopies + off.runtime.gathers +
+                  off.runtime.hostPulls,
+              off.runtime.copyTasks);
 }
 
 TEST(TraceReplay, BypassedLongEpochKeepsStreamAndScheduleParity)
