@@ -63,8 +63,8 @@ DiffuseRuntime::DiffuseRuntime(std::shared_ptr<SharedContext> shared,
                         ? options.trace != 0
                         : envInt("DIFFUSE_TRACE", 1, 0, 1) != 0;
     if (traceEnabled_) {
-        low_.setHostWriteObserver(
-            [this](StoreId id) { traceOnHostWrite(id); });
+        low_.setHostAccessObserver(
+            [this](StoreId id) { traceOnHostAccess(id); });
     }
     traceBeginEpoch();
 }
@@ -87,11 +87,10 @@ DiffuseRuntime::~DiffuseRuntime()
 }
 
 StoreId
-DiffuseRuntime::createStore(const Point &shape, DType dtype, double init,
-                            const std::string &name)
+DiffuseRuntime::createStore(const Point &shape, DType dtype, double init)
 {
     StoreId id = low_.createStore(shape, dtype, init);
-    stores_.add(id, Rect::fromShape(shape), dtype, name);
+    stores_.add(id, Rect::fromShape(shape), dtype);
     return id;
 }
 
@@ -476,16 +475,6 @@ DiffuseRuntime::releaseTaskRefs(const IndexTask &task)
     }
 }
 
-void
-DiffuseRuntime::destroyIfDead(StoreId id)
-{
-    const StoreMeta &meta = stores_.get(id);
-    if (meta.appRefs == 0 && meta.windowRefs == 0) {
-        low_.destroyStore(id);
-        stores_.remove(id);
-    }
-}
-
 // ---------------------------------------------------------------------
 // Trace-memoized window replay
 // ---------------------------------------------------------------------
@@ -687,7 +676,7 @@ DiffuseRuntime::traceSwitchToBypass()
 }
 
 void
-DiffuseRuntime::traceOnHostWrite(StoreId id)
+DiffuseRuntime::traceOnHostAccess(StoreId id)
 {
     if (traceMode_ == TraceMode::Idle ||
         traceMode_ == TraceMode::Bypassed) {
@@ -699,8 +688,9 @@ DiffuseRuntime::traceOnHostWrite(StoreId id)
         // The accessor reads store state the moment this observer
         // returns, so the deferred prefix must reach the runtime NOW
         // — draining lazily would hand the host bytes that predate
-        // tasks the analyzed path had already submitted. The write
-        // makes this epoch untraceable either way.
+        // tasks the analyzed path had already submitted. The access
+        // makes this epoch untraceable either way: a replay could not
+        // stop between its tasks for the host to see the store.
         traceMode_ = TraceMode::Bypassed;
         traceCands_.clear();
         traceDrainPending();
@@ -763,7 +753,6 @@ DiffuseRuntime::traceFinalizeCapture()
         traceRec_->growths = traceEpochGrowths_;
         if (ctx_->traceCache().store(std::move(traceRec_)))
             fusionStats_.traceEpochsCaptured++;
-        fusionStats_.traceEntries = ctx_->traceCache().entries();
     } else if (low_.capturing()) {
         low_.endSubmitCapture();
     }

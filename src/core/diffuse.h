@@ -130,8 +130,6 @@ struct FusionStats
     std::uint64_t traceAborts = 0;
     /** Replays rejected by state/liveness validation. */
     std::uint64_t traceValidationFailures = 0;
-    /** Current trace-cache population (gauge, survives reset). */
-    std::uint64_t traceEntries = 0;
     /** Wall-clock submission seconds through the analyzed pipeline
      * (planner + memoizer + lowering + hazard analysis). */
     double plannedSubmitSeconds = 0.0;
@@ -142,10 +140,8 @@ struct FusionStats
     reset()
     {
         int keep = windowSize;
-        std::uint64_t entries = traceEntries;
         *this = FusionStats();
         windowSize = keep;
-        traceEntries = entries;
     }
 };
 
@@ -183,7 +179,7 @@ class DiffuseRuntime
      * caller. Real-mode allocations materialize lazily on first use.
      */
     StoreId createStore(const Point &shape, DType dtype = DType::F64,
-                        double init = 0.0, const std::string &name = "");
+                        double init = 0.0);
 
     void retainApp(StoreId id);
     void releaseApp(StoreId id);
@@ -296,8 +292,6 @@ class DiffuseRuntime
     /** Drop window references of an emitted task; free dead stores. */
     void releaseTaskRefs(const IndexTask &task);
 
-    void destroyIfDead(StoreId id);
-
     /** Apply a (possibly deferred) application release. */
     void applyRelease(StoreId id);
 
@@ -365,10 +359,10 @@ class DiffuseRuntime
      * traceQueue_. */
     void traceReplayUnit(const TraceUnit &unit);
 
-    /** Host acquired mutable access to `id` (LowRuntime observer).
-     * Mid-speculation this drains the deferred prefix eagerly, before
-     * the accessor reads store state. */
-    void traceOnHostWrite(StoreId id);
+    /** Host code accesses `id`, to read or to write it (LowRuntime
+     * observer). Mid-speculation this drains the deferred prefix
+     * eagerly, before the accessor reads store state. */
+    void traceOnHostAccess(StoreId id);
 
     /** Shared (or private) caches + pool. Declared first: low_ and
      * planner_ borrow from it during construction. */

@@ -1,7 +1,5 @@
 #include "partition.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 
 namespace diffuse {
@@ -151,129 +149,6 @@ PartitionDesc::toString() const
         return strprintf("Image{%llu}", (unsigned long long)image);
     }
     return "?";
-}
-
-namespace {
-
-/** Floor division, correct for negative numerators. */
-coord_t
-floorDiv(coord_t a, coord_t b)
-{
-    coord_t q = a / b;
-    return (a % b != 0 && (a < 0) != (b < 0)) ? q - 1 : q;
-}
-
-} // namespace
-
-void
-ownersOf(const PartitionDesc &owner, const Rect &owner_domain,
-         const Rect &store_shape, const Rect &query,
-         const std::vector<Rect> *pieces, std::vector<PieceOverlap> &out)
-{
-    diffuse_assert(owner.kind != PartitionDesc::Kind::None,
-                   "replication has no per-point owners");
-
-    // Structured fast path: invert the tiling. The overlapping grid
-    // range comes from division; work is proportional to overlaps
-    // found, never to the launch-point count.
-    bool structured = owner.kind == PartitionDesc::Kind::Tiling;
-    if (structured && owner.proj == PROJ_DROP_COL &&
-        owner_domain.hi[1] - owner_domain.lo[1] > 1) {
-        structured = false; // many points per grid cell: not invertible
-    }
-    if (!structured) {
-        diffuse_assert(pieces != nullptr,
-                       "unstructured owner needs explicit pieces");
-        for (std::size_t q = 0; q < pieces->size(); q++) {
-            Rect r = (*pieces)[q].intersect(query);
-            if (!r.empty())
-                out.push_back({int(q), r});
-        }
-        return;
-    }
-
-    // Clamp the query to the viewed region: elements outside it are
-    // owned by no launch point.
-    Rect view(owner.offset, owner.offset + owner.extent);
-    Rect q = query.intersect(view).intersect(store_shape);
-    if (q.empty())
-        return;
-
-    int gdim = owner.tile.dim;
-    coord_t glo[MAX_DIM], ghi[MAX_DIM]; // inclusive grid index range
-    for (int i = 0; i < gdim; i++) {
-        diffuse_assert(owner.tile[i] >= 1, "degenerate tile extent");
-        glo[i] = floorDiv(q.lo[i] - owner.offset[i], owner.tile[i]);
-        ghi[i] = floorDiv(q.hi[i] - 1 - owner.offset[i], owner.tile[i]);
-    }
-    // Intersect with the grid cells the projection actually produces.
-    auto clamp_dim = [&](int i, coord_t lo, coord_t hi_excl) {
-        glo[i] = std::max(glo[i], lo);
-        ghi[i] = std::min(ghi[i], hi_excl - 1);
-    };
-    switch (owner.proj) {
-      case PROJ_IDENTITY:
-        for (int i = 0; i < gdim; i++)
-            clamp_dim(i, owner_domain.lo[i], owner_domain.hi[i]);
-        break;
-      case PROJ_ROWS_2D:
-        clamp_dim(0, owner_domain.lo[0], owner_domain.hi[0]);
-        clamp_dim(1, 0, 1);
-        break;
-      case PROJ_COLS_2D:
-        clamp_dim(0, 0, 1);
-        clamp_dim(1, owner_domain.lo[0], owner_domain.hi[0]);
-        break;
-      case PROJ_DROP_COL:
-        clamp_dim(0, owner_domain.lo[0], owner_domain.hi[0]);
-        break;
-      default:
-        diffuse_panic("unknown projection id %u", owner.proj);
-    }
-    for (int i = 0; i < gdim; i++) {
-        if (ghi[i] < glo[i])
-            return;
-    }
-
-    Point g = Point::zero(gdim);
-    for (int i = 0; i < gdim; i++)
-        g[i] = glo[i];
-    while (true) {
-        // Piece of grid cell g, clipped to the query.
-        Rect piece;
-        piece.lo = g * owner.tile + owner.offset;
-        piece.hi = (g + Point::one(gdim)) * owner.tile + owner.offset;
-        Rect r = piece.intersect(q);
-        if (!r.empty()) {
-            // Map the grid cell back to its launch-domain point.
-            Point p;
-            switch (owner.proj) {
-              case PROJ_IDENTITY:
-                p = g;
-                break;
-              case PROJ_ROWS_2D:
-                p = Point(g[0]);
-                break;
-              case PROJ_COLS_2D:
-                p = Point(g[1]);
-                break;
-              case PROJ_DROP_COL:
-                p = Point(g[0], owner_domain.lo[1]);
-                break;
-              default:
-                diffuse_panic("unknown projection id %u", owner.proj);
-            }
-            out.push_back({int(linearize(owner_domain, p)), r});
-        }
-        int i = gdim - 1;
-        for (; i >= 0; i--) {
-            if (++g[i] <= ghi[i])
-                break;
-            g[i] = glo[i];
-        }
-        if (i < 0)
-            break;
-    }
 }
 
 std::uint64_t

@@ -162,41 +162,6 @@ struct PartitionDesc
 std::uint64_t layoutKeyFor(const PartitionDesc &part,
                            const Rect &launch_domain);
 
-// ---------------------------------------------------------------------
-// Exchange planning
-// ---------------------------------------------------------------------
-
-/**
- * One overlap between a queried rectangle and the piece owned by one
- * launch-domain point of a partition.
- */
-struct PieceOverlap
-{
-    int point = 0; ///< linearized owner launch-domain point
-    Rect rect;     ///< the overlapping sub-rectangle (non-empty)
-};
-
-/**
- * Exchange planning primitive: which points of `owner` hold data
- * overlapping `query`, and which sub-rectangle each contributes.
- *
- * For Tiling partitions with invertible projections the owners are
- * found *structurally*: the overlapping tile-index range is computed
- * by division, so cost is proportional to the overlaps produced —
- * constant per rectangle — never to the number of launch points
- * (paper §4.2.1's constant-time partition reasoning extended to piece
- * intersection). Image and non-invertible cases fall back to a scan
- * of `pieces` (the runtime's unstructured piece list; may be null
- * only for structured partitions).
- *
- * None partitions mean replication; callers resolve those against the
- * canonical copy and must not ask here (asserts).
- */
-void ownersOf(const PartitionDesc &owner, const Rect &owner_domain,
-              const Rect &store_shape, const Rect &query,
-              const std::vector<Rect> *pieces,
-              std::vector<PieceOverlap> &out);
-
 } // namespace diffuse
 
 #endif // DIFFUSE_CORE_PARTITION_H

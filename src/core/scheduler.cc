@@ -15,17 +15,15 @@ lowerGroup(const ExecutionGroup &group, const StoreTable &stores,
     low.numPoints = int(task.launchDomain.volume());
     low.scalars = task.scalars;
     low.name = task.name;
-    // The shard manager plans exchanges structurally from the
-    // partition + launch domain (constant-time owner lookup).
-    low.launchDomain = task.launchDomain;
 
+    // The structured partition stays in Diffuse's IR: the runtime
+    // gets its pieces and, as the layout key, only its identity.
     for (const StoreArg &arg : task.args) {
         rt::LowArg out;
         out.store = arg.store;
         out.priv = arg.priv;
         out.redop = arg.redop;
         out.layoutKey = layoutKeyFor(arg.part, task.launchDomain);
-        out.part = arg.part;
         switch (arg.part.kind) {
           case PartitionDesc::Kind::None:
             out.replicated = true;

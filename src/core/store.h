@@ -29,7 +29,6 @@ struct StoreMeta
     int appRefs = 0;
     /** References held by tasks pending in the window (runtime side). */
     int windowRefs = 0;
-    std::string name;
 };
 
 /** Registry of live stores at the Diffuse layer. */
@@ -37,13 +36,11 @@ class StoreTable
 {
   public:
     void
-    add(StoreId id, const Rect &shape, DType dtype,
-        const std::string &name)
+    add(StoreId id, const Rect &shape, DType dtype)
     {
         StoreMeta m;
         m.shape = shape;
         m.dtype = dtype;
-        m.name = name;
         m.appRefs = 1;
         table_.emplace(id, std::move(m));
     }

@@ -335,18 +335,19 @@ LowRuntime::shardStates(std::span<StoreRec *const> recs)
     return shardArgs_;
 }
 
-double *
-LowRuntime::dataF64(StoreId id)
+std::byte *
+LowRuntime::hostData(StoreId id, DType dtype, const char *type_name)
 {
-    if (hostWriteObserver_)
-        hostWriteObserver_(id);
+    if (hostAccessObserver_)
+        hostAccessObserver_(id);
     stream_.waitStore(id);
     throwIfPoisoned(id);
     StoreRec &r = rec(id);
-    if (r.dtype != DType::F64)
+    if (r.dtype != dtype)
         throw DiffuseError(makeError(
             ErrorCode::InvalidArgument,
-            strprintf("store %llu is not f64", (unsigned long long)id),
+            strprintf("store %llu is not %s", (unsigned long long)id,
+                      type_name),
             std::string(), id));
     ensureAllocated(r);
     if (r.data.empty())
@@ -360,52 +361,34 @@ LowRuntime::dataF64(StoreId id)
     // pointer as a host write (the canonical copy becomes the owner).
     shards_.gatherToCanonical(r.shard, r.data.data());
     shards_.onHostWrite(r.shard);
-    return reinterpret_cast<double *>(r.data.data());
+    return r.data.data();
+}
+
+double *
+LowRuntime::dataF64(StoreId id)
+{
+    return reinterpret_cast<double *>(hostData(id, DType::F64, "f64"));
 }
 
 std::int32_t *
 LowRuntime::dataI32(StoreId id)
 {
-    if (hostWriteObserver_)
-        hostWriteObserver_(id);
-    stream_.waitStore(id);
-    throwIfPoisoned(id);
-    StoreRec &r = rec(id);
-    if (r.dtype != DType::I32)
-        throw DiffuseError(makeError(
-            ErrorCode::InvalidArgument,
-            strprintf("store %llu is not i32", (unsigned long long)id),
-            std::string(), id));
-    ensureAllocated(r);
-    shards_.gatherToCanonical(r.shard, r.data.data());
-    shards_.onHostWrite(r.shard);
-    return reinterpret_cast<std::int32_t *>(r.data.data());
+    return reinterpret_cast<std::int32_t *>(
+        hostData(id, DType::I32, "i32"));
 }
 
 std::int64_t *
 LowRuntime::dataI64(StoreId id)
 {
-    if (hostWriteObserver_)
-        hostWriteObserver_(id);
-    stream_.waitStore(id);
-    throwIfPoisoned(id);
-    StoreRec &r = rec(id);
-    if (r.dtype != DType::I64)
-        throw DiffuseError(makeError(
-            ErrorCode::InvalidArgument,
-            strprintf("store %llu is not i64", (unsigned long long)id),
-            std::string(), id));
-    ensureAllocated(r);
-    shards_.gatherToCanonical(r.shard, r.data.data());
-    shards_.onHostWrite(r.shard);
-    return reinterpret_cast<std::int64_t *>(r.data.data());
+    return reinterpret_cast<std::int64_t *>(
+        hostData(id, DType::I64, "i64"));
 }
 
 void
 LowRuntime::markInitialized(StoreId id)
 {
-    if (hostWriteObserver_)
-        hostWriteObserver_(id);
+    if (hostAccessObserver_)
+        hostAccessObserver_(id);
     stream_.waitStore(id);
     // A host-side (re)initialization redefines every element: the
     // store is healthy again even if an earlier failure poisoned it.
@@ -1181,6 +1164,8 @@ LowRuntime::finishRetired(std::span<StoreRec *const> recs)
 double
 LowRuntime::readScalarValue(StoreId id)
 {
+    if (hostAccessObserver_)
+        hostAccessObserver_(id);
     stream_.waitStore(id);
     throwIfPoisoned(id);
     StoreRec &r = rec(id);

@@ -221,7 +221,9 @@ class LowRuntime : private TaskStream::Runner
     /**
      * Raw data access (Real mode; host initialization and readback).
      * Fences the store: every in-flight task touching it retires
-     * first.
+     * first. Throws DiffuseError: InvalidArgument on a dtype
+     * mismatch, StoreError when the store has no allocation
+     * (Simulated mode), StorePoisoned after an upstream failure.
      */
     double *dataF64(StoreId id);
     std::int32_t *dataI32(StoreId id);
@@ -372,15 +374,17 @@ class LowRuntime : private TaskStream::Runner
     std::uint64_t storeStateSignature(StoreId id) const;
 
     /**
-     * Observer invoked whenever host code acquires mutable access to
-     * a store (dataF64/I32/I64, markInitialized). The trace layer
-     * uses it to stop speculating/capturing epochs whose stores are
-     * mutated behind the submission stream's back.
+     * Observer invoked whenever host code accesses a store
+     * (dataF64/I32/I64, markInitialized, readScalarValue), before the
+     * accessor fences it. The trace layer uses it to submit the
+     * epoch's deferred tasks before the host sees the store, and to
+     * stop recording epochs whose stores the host touches behind the
+     * submission stream's back.
      */
     void
-    setHostWriteObserver(std::function<void(StoreId)> fn)
+    setHostAccessObserver(std::function<void(StoreId)> fn)
     {
-        hostWriteObserver_ = std::move(fn);
+        hostAccessObserver_ = std::move(fn);
     }
 
   private:
@@ -555,6 +559,11 @@ class LowRuntime : private TaskStream::Runner
     /** Throw StorePoisoned if `id`'s contents are undefined. */
     void throwIfPoisoned(StoreId id) const;
 
+    /** The typed accessors' one body: notify the observer, fence the
+     * store, check poison, dtype and allocation, gather the shards
+     * into the canonical allocation and make it the sole owner. */
+    std::byte *hostData(StoreId id, DType dtype, const char *type_name);
+
     MachineConfig machine_;
     ExecutionMode mode_;
     RuntimeStats stats_;
@@ -634,7 +643,7 @@ class LowRuntime : private TaskStream::Runner
      * end, its retired ops released on the way. */
     bool capturing_ = false;
 
-    std::function<void(StoreId)> hostWriteObserver_;
+    std::function<void(StoreId)> hostAccessObserver_;
 
     /** Failure-domain state. */
     FaultInjector faults_;

@@ -112,10 +112,6 @@ ShardManager::reset(StoreState &s, StoreId id, const Rect &shape,
     s.id = id;
     s.shape = shape;
     s.dtype = dtype;
-    s.hasOwner = false;
-    s.ownerPart = PartitionDesc();
-    s.ownerDomain = Rect();
-    s.ownerPieces.clear();
     s.shards.resize(std::size_t(ranks_));
     for (Shard &sh : s.shards) {
         sh.rect = Rect();
@@ -141,7 +137,6 @@ ShardManager::onHostWrite(StoreState &s)
     s.hostValid = {s.shape};
     for (Shard &sh : s.shards)
         sh.valid.clear();
-    s.hasOwner = false;
 }
 
 void
@@ -241,54 +236,13 @@ ShardManager::planPull(StoreState &s, int rank, const Rect &piece,
         copies.push_back(c);
     };
 
-    // Pull from the rank that holds each rectangle. The structured
-    // owner map finds candidate sources in constant time per overlap;
-    // validity lists confirm (they are the ground truth — a newer
-    // write may have stolen part of the mapped piece).
-    auto pull_from = [&](int src, std::vector<Rect> &rem) {
-        if (src == rank || rem.empty())
-            return;
-        consumeCovered(rem, s.shards[std::size_t(src)].valid,
-                       [&](const Rect &o) { emit(src, o); });
-    };
-
-    if (s.hasOwner) {
-        std::vector<PieceOverlap> overlaps;
-        std::vector<Rect> still;
-        for (const Rect &n : need) {
-            overlaps.clear();
-            ownersOf(s.ownerPart, s.ownerDomain, s.shape, n,
-                     &s.ownerPieces, overlaps);
-            std::vector<Rect> rem = {n};
-            for (const PieceOverlap &o : overlaps) {
-                // Narrow the remainder to the mapped source rank.
-                std::vector<Rect> sub;
-                for (const Rect &r : rem) {
-                    Rect hit = r.intersect(o.rect);
-                    if (!hit.empty()) {
-                        std::vector<Rect> one = {hit};
-                        pull_from(rankOf(o.point), one);
-                        for (const Rect &left : one)
-                            sub.push_back(left);
-                        rectSubtract(r, hit, sub);
-                    } else {
-                        sub.push_back(r);
-                    }
-                }
-                rem = std::move(sub);
-                if (rem.empty())
-                    break;
-            }
-            for (const Rect &r : rem)
-                still.push_back(r);
-        }
-        need = std::move(still);
+    // Pull each rectangle from the ranks whose validity lists hold it,
+    // in rank order: the lists are the ground truth of placement.
+    for (int src = 0; src < ranks_ && !need.empty(); src++) {
+        if (src != rank)
+            consumeCovered(need, s.shards[std::size_t(src)].valid,
+                           [&](const Rect &o) { emit(src, o); });
     }
-
-    // Generic scan: the correctness backstop for whatever the
-    // structured hint missed (stolen ownership, image partitions).
-    for (int src = 0; src < ranks_ && !need.empty(); src++)
-        pull_from(src, need);
 
     // The canonical copy serves the rest for free: its data is
     // resident everywhere (initialization, post-collective results).
@@ -472,7 +426,6 @@ ShardManager::applyWriteEffects(const LaunchedTask &task,
             s.hostValid = {s.shape};
             for (Shard &sh : s.shards)
                 sh.valid.clear();
-            s.hasOwner = false;
             continue;
         }
         if (!privWrites(a.priv))
@@ -482,7 +435,6 @@ ShardManager::applyWriteEffects(const LaunchedTask &task,
                 s.hostValid = {s.shape};
                 for (Shard &sh : s.shards)
                     sh.valid.clear();
-                s.hasOwner = false;
             } else {
                 for (const Rect &piece : a.pieces) {
                     if (piece.empty())
@@ -506,10 +458,6 @@ ShardManager::applyWriteEffects(const LaunchedTask &task,
             }
             markValid(s.shards[std::size_t(r)].valid, piece);
         }
-        s.hasOwner = true;
-        s.ownerPart = a.part;
-        s.ownerDomain = task.launchDomain;
-        s.ownerPieces = a.pieces;
     }
 }
 
@@ -519,12 +467,6 @@ ShardManager::stateSignature(const StoreState &s) const
     if (!active())
         return 0;
     std::uint64_t h = 0x5348415244u; // "SHARD"
-    hashCombine64(h, s.hasOwner ? 1 : 0);
-    if (s.hasOwner) {
-        hashCombine64(h, s.ownerPart.structuralHash());
-        hashCombineRect(h, s.ownerDomain);
-        hashCombineRects(h, s.ownerPieces);
-    }
     hashCombineRects(h, s.hostValid);
     for (const Shard &sh : s.shards) {
         hashCombineRect(h, sh.rect);

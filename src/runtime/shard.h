@@ -9,10 +9,10 @@
  * per writing point, in that point's rank's shard. Before a task can
  * run, every piece it reads must be resident in its rank's shard; the
  * ShardManager plans exactly which rectangles must be pulled from
- * which owner (constant-time structured intersection via ownersOf()
- * when the owner layout is a Tiling) and emits them as Copy tasks,
- * which the runtime schedules through the TaskStream under the same
- * RAW/WAR/WAW hazard machinery as compute tasks.
+ * which owner (found in the per-rank validity lists, rank by rank,
+ * then in the canonical copy) and emits them as Copy tasks, which the
+ * runtime schedules through the TaskStream under the same RAW/WAR/WAW
+ * hazard machinery as compute tasks.
  *
  * This is legion-mini's analogue of Legion's instance mapping +
  * copy-materialization: the paper's fused-vs-unfused communication
@@ -85,12 +85,6 @@ class ShardManager
         StoreId id = INVALID_STORE;
         Rect shape;
         DType dtype = DType::F64;
-        /** Structured owner map of the last sharded write (a hint:
-         * validity lists are the ground truth). */
-        bool hasOwner = false;
-        PartitionDesc ownerPart;
-        Rect ownerDomain;
-        std::vector<Rect> ownerPieces;
         std::vector<Shard> shards; ///< one per rank
         /** Validity of the canonical (host-replicated) copy. */
         std::vector<Rect> hostValid;
@@ -148,8 +142,9 @@ class ShardManager
 
     /**
      * Order-sensitive digest of a store's placement state (validity
-     * lists, shard bounding boxes, structured-owner hint). Equal
-     * signatures mean `planTask` would plan the identical exchanges.
+     * lists and shard bounding boxes, all that `planTask` reads of
+     * it). Equal signatures mean `planTask` would plan the identical
+     * exchanges.
      * Returns 0 when sharding is inactive.
      */
     std::uint64_t stateSignature(const StoreState &s) const;

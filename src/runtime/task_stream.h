@@ -37,11 +37,6 @@
 #include "common/error.h"
 #include "common/geometry.h"
 #include "common/types.h"
-// PartitionDesc is a pure value type over common/geometry.h; carrying
-// it on lowered arguments lets the shard manager plan exchanges
-// structurally (constant-time owner lookup) instead of scanning
-// pieces. This is the one core -> runtime type dependency.
-#include "core/partition.h"
 #include "runtime/machine.h"
 
 namespace diffuse {
@@ -74,12 +69,6 @@ struct LowArg
     bool absolute = false;
     /** Identity of (partition, launch domain); 0 is reserved. */
     std::uint64_t layoutKey = 0;
-    /**
-     * The structured partition this argument was lowered from (None
-     * for replicated access and runtime-internal tasks). Lets the
-     * shard manager find piece owners in constant time.
-     */
-    PartitionDesc part;
     /** Sub-rectangle accessed by each launch-domain point. */
     std::vector<Rect> pieces;
     /** Optional per-point irregular element counts (CSR nnz). */
@@ -117,8 +106,6 @@ struct LaunchedTask
     std::vector<LowArg> args;
     std::vector<double> scalars;
     std::string name;
-    /** Launch domain the pieces were enumerated from (Compute). */
-    Rect launchDomain;
     /** Exchange descriptor (Copy tasks only). */
     CopyDesc copy;
     /**

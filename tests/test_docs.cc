@@ -8,7 +8,10 @@
  *    docs/env_reference.md, and every documented knob must still be
  *    read somewhere;
  *  - every repository-relative path referenced from README.md or
- *    docs/*.md (markdown links and backticked paths) must exist.
+ *    docs/*.md (markdown links and backticked paths) must exist;
+ *  - the lower layers (src/runtime, src/kernel, src/common) include
+ *    no header of the Diffuse layer (src/core): lowering hands the
+ *    runtime pieces, never Diffuse's partitions.
  *
  * The source tree location comes from the DIFFUSE_SOURCE_DIR compile
  * definition (set by CMake); the checks are skipped gracefully if the
@@ -55,6 +58,24 @@ slurp(const fs::path &p)
     return out.str();
 }
 
+/** C++ sources (.cc, .h, .cpp) under the tree's directory `dir`. */
+std::vector<fs::path>
+sourceFiles(const std::string &dir)
+{
+    std::vector<fs::path> out;
+    fs::path root = sourceDir() / dir;
+    if (!fs::exists(root))
+        return out;
+    for (const auto &entry : fs::recursive_directory_iterator(root)) {
+        if (!entry.is_regular_file())
+            continue;
+        fs::path ext = entry.path().extension();
+        if (ext == ".cc" || ext == ".h" || ext == ".cpp")
+            out.push_back(entry.path());
+    }
+    return out;
+}
+
 /** DIFFUSE_* knobs read through envInt()/getenv() under `dirs`. */
 std::set<std::string>
 knobsUsed(const std::vector<std::string> &dirs)
@@ -62,17 +83,8 @@ knobsUsed(const std::vector<std::string> &dirs)
     std::set<std::string> out;
     std::regex use(R"((envInt|getenv)\s*\(\s*"(DIFFUSE_[A-Z0-9_]+)\")");
     for (const std::string &dir : dirs) {
-        fs::path root = sourceDir() / dir;
-        if (!fs::exists(root))
-            continue;
-        for (const auto &entry :
-             fs::recursive_directory_iterator(root)) {
-            if (!entry.is_regular_file())
-                continue;
-            fs::path ext = entry.path().extension();
-            if (ext != ".cc" && ext != ".h" && ext != ".cpp")
-                continue;
-            std::string text = slurp(entry.path());
+        for (const fs::path &file : sourceFiles(dir)) {
+            std::string text = slurp(file);
             for (std::sregex_iterator
                      it(text.begin(), text.end(), use),
                  end;
@@ -204,6 +216,22 @@ TEST(Docs, ReferencedFilesExist)
                 << ", which does not exist";
         }
     }
+}
+
+TEST(Docs, LowerLayersIncludeNoCoreHeader)
+{
+    if (!sourceTreePresent())
+        GTEST_SKIP() << "source tree not present";
+    std::regex core_include(R"(#\s*include\s*["<](\.\./)*core/)");
+    std::size_t files = 0;
+    for (const char *dir : {"src/runtime", "src/kernel", "src/common"}) {
+        for (const fs::path &file : sourceFiles(dir)) {
+            files++;
+            EXPECT_FALSE(std::regex_search(slurp(file), core_include))
+                << file.string() << " includes a core/ header";
+        }
+    }
+    ASSERT_GT(files, 0u);
 }
 
 } // namespace

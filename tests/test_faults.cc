@@ -709,7 +709,7 @@ TEST(Faults, MemBudgetEvictsPoolThenFailsStructurally)
 TEST(Faults, DoubleDestroyIsAStructuredStoreError)
 {
     StoreTable t;
-    t.add(7, Rect::fromShape(Point(coord_t(4))), DType::F64, "x");
+    t.add(7, Rect::fromShape(Point(coord_t(4))), DType::F64);
     EXPECT_TRUE(t.releaseApp(7));
     bool threw = false;
     try {
@@ -744,6 +744,30 @@ TEST(Faults, HostAccessorShapeAndDtypeErrorsAreStructured)
     // never happened, so work continues.
     EXPECT_FALSE(rt.failed());
     EXPECT_EQ(ctx.toHost(a), std::vector<double>(8, 1.0));
+}
+
+TEST(Faults, SimulatedHostAccessorsThrowStoreError)
+{
+    // Simulated mode materializes no allocation: every typed accessor
+    // refuses structurally rather than handing out a null pointer.
+    DiffuseOptions o = realOpts();
+    o.mode = rt::ExecutionMode::Simulated;
+    DiffuseRuntime rt(machine(), o);
+    auto code_of = [&](auto access, DType dtype) {
+        StoreId id = rt.createStore(Point(coord_t(4)), dtype);
+        try {
+            (void)(rt.low().*access)(id);
+        } catch (const DiffuseError &e) {
+            return e.code();
+        }
+        return ErrorCode::None;
+    };
+    EXPECT_EQ(code_of(&rt::LowRuntime::dataF64, DType::F64),
+              ErrorCode::StoreError);
+    EXPECT_EQ(code_of(&rt::LowRuntime::dataI32, DType::I32),
+              ErrorCode::StoreError);
+    EXPECT_EQ(code_of(&rt::LowRuntime::dataI64, DType::I64),
+              ErrorCode::StoreError);
 }
 
 TEST(Faults, WarnIsRateLimitedAndThreadSafe)

@@ -200,8 +200,7 @@ TEST(Memoizer, IsomorphicStreamsShareKeys)
     // stream (S7 read and written by T3) is not.
     StoreTable stores;
     for (StoreId s = 1; s <= 7; s++)
-        stores.add(s, Rect::fromShape(Point(coord_t(8))), DType::F64,
-                   "s");
+        stores.add(s, Rect::fromShape(Point(coord_t(8))), DType::F64);
     auto live = [](StoreId) { return true; };
     Memoizer memo;
 
@@ -231,7 +230,7 @@ TEST(Memoizer, IsomorphicStreamsShareKeys)
 TEST(Memoizer, KeyIncludesPrivilegesPartitionsAndScalars)
 {
     StoreTable stores;
-    stores.add(1, Rect::fromShape(Point(coord_t(8))), DType::F64, "s");
+    stores.add(1, Rect::fromShape(Point(coord_t(8))), DType::F64);
     auto live = [](StoreId) { return true; };
     Memoizer memo;
 

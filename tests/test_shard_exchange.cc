@@ -1,9 +1,8 @@
 /**
  * @file
- * Sharded-execution tests: the structured exchange planner
- * (ownersOf), measured exchange volumes of the shard manager
- * (self-owned pieces are free, misaligned reads pull exactly the
- * overlap), Copy-task hazard ordering through the TaskStream, and
+ * Sharded-execution tests: measured exchange volumes of the shard
+ * manager (self-owned pieces are free, misaligned reads pull exactly
+ * the overlap), Copy-task hazard ordering through the TaskStream, and
  * host readback through gathers.
  */
 
@@ -14,7 +13,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "core/partition.h"
 #include "cunumeric/ndarray.h"
 #include "runtime/runtime.h"
 
@@ -23,108 +21,6 @@ namespace {
 
 using num::Context;
 using num::NDArray;
-
-// ---------------------------------------------------------------------
-// ownersOf: structured (constant-time) owner lookup
-// ---------------------------------------------------------------------
-
-std::vector<PieceOverlap>
-owners(const PartitionDesc &part, const Rect &domain, const Rect &shape,
-       const Rect &query, const std::vector<Rect> *pieces = nullptr)
-{
-    std::vector<PieceOverlap> out;
-    ownersOf(part, domain, shape, query, pieces, out);
-    return out;
-}
-
-TEST(OwnersOf, Tiling1dCrossingTiles)
-{
-    // 16 elements tiled by 4 over 4 points; query [3, 9) crosses
-    // tiles 0, 1 and 2.
-    PartitionDesc part = PartitionDesc::tiling(
-        Point(coord_t(4)), Point(coord_t(0)), Point(coord_t(16)));
-    Rect domain(Point(coord_t(0)), Point(coord_t(4)));
-    Rect shape = Rect::fromShape(Point(coord_t(16)));
-    auto got = owners(part, domain, shape,
-                      Rect(Point(coord_t(3)), Point(coord_t(9))));
-    ASSERT_EQ(got.size(), 3u);
-    EXPECT_EQ(got[0].point, 0);
-    EXPECT_EQ(got[0].rect, Rect(Point(coord_t(3)), Point(coord_t(4))));
-    EXPECT_EQ(got[1].point, 1);
-    EXPECT_EQ(got[1].rect, Rect(Point(coord_t(4)), Point(coord_t(8))));
-    EXPECT_EQ(got[2].point, 2);
-    EXPECT_EQ(got[2].rect, Rect(Point(coord_t(8)), Point(coord_t(9))));
-}
-
-TEST(OwnersOf, TilingRespectsViewOffset)
-{
-    // A view [2, 14) of a 16-element store, tiled by 6: elements
-    // outside the view are owned by nobody.
-    PartitionDesc part = PartitionDesc::tiling(
-        Point(coord_t(6)), Point(coord_t(2)), Point(coord_t(12)));
-    Rect domain(Point(coord_t(0)), Point(coord_t(2)));
-    Rect shape = Rect::fromShape(Point(coord_t(16)));
-    auto got = owners(part, domain, shape,
-                      Rect(Point(coord_t(0)), Point(coord_t(16))));
-    ASSERT_EQ(got.size(), 2u);
-    EXPECT_EQ(got[0].rect, Rect(Point(coord_t(2)), Point(coord_t(8))));
-    EXPECT_EQ(got[1].rect, Rect(Point(coord_t(8)), Point(coord_t(14))));
-    // Query entirely outside the viewed region: empty.
-    EXPECT_TRUE(owners(part, domain, shape,
-                       Rect(Point(coord_t(0)), Point(coord_t(2))))
-                    .empty());
-}
-
-TEST(OwnersOf, EmptyIntersection)
-{
-    PartitionDesc part = PartitionDesc::tiling(
-        Point(coord_t(4)), Point(coord_t(0)), Point(coord_t(8)));
-    Rect domain(Point(coord_t(0)), Point(coord_t(2)));
-    Rect shape = Rect::fromShape(Point(coord_t(8)));
-    EXPECT_TRUE(owners(part, domain, shape,
-                       Rect(Point(coord_t(5)), Point(coord_t(5))))
-                    .empty());
-}
-
-TEST(OwnersOf, RowTiled2d)
-{
-    // 8x6 matrix, 1-D launch domain of 4 points selecting row blocks
-    // of 2 (PROJ_ROWS_2D). Query rows 3..5 hits points 1 and 2.
-    PartitionDesc part =
-        PartitionDesc::tiling(Point(2, 6), Point(coord_t(0), 0),
-                              Point(coord_t(8), 6), PROJ_ROWS_2D);
-    Rect domain(Point(coord_t(0)), Point(coord_t(4)));
-    Rect shape = Rect::fromShape(Point(coord_t(8), 6));
-    auto got =
-        owners(part, domain, shape, Rect(Point(3, 1), Point(5, 4)));
-    ASSERT_EQ(got.size(), 2u);
-    EXPECT_EQ(got[0].point, 1);
-    EXPECT_EQ(got[0].rect, Rect(Point(3, 1), Point(4, 4)));
-    EXPECT_EQ(got[1].point, 2);
-    EXPECT_EQ(got[1].rect, Rect(Point(4, 1), Point(5, 4)));
-}
-
-TEST(OwnersOf, ImagePartitionFallsBackToPieces)
-{
-    // Image partitions have no structure: owners come from the
-    // runtime's piece list, overlapping pieces both reported.
-    PartitionDesc part = PartitionDesc::imagePartition(7);
-    Rect domain(Point(coord_t(0)), Point(coord_t(3)));
-    Rect shape = Rect::fromShape(Point(coord_t(10)));
-    std::vector<Rect> pieces = {
-        Rect(Point(coord_t(0)), Point(coord_t(4))),
-        Rect(Point(coord_t(3)), Point(coord_t(7))),
-        Rect(Point(coord_t(9)), Point(coord_t(9))), // empty
-    };
-    auto got = owners(part, domain, shape,
-                      Rect(Point(coord_t(3)), Point(coord_t(5))),
-                      &pieces);
-    ASSERT_EQ(got.size(), 2u);
-    EXPECT_EQ(got[0].point, 0);
-    EXPECT_EQ(got[0].rect, Rect(Point(coord_t(3)), Point(coord_t(4))));
-    EXPECT_EQ(got[1].point, 1);
-    EXPECT_EQ(got[1].rect, Rect(Point(coord_t(3)), Point(coord_t(5))));
-}
 
 // ---------------------------------------------------------------------
 // Measured exchange volumes (Real mode, ranks == gpus)

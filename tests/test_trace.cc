@@ -142,7 +142,7 @@ TEST(TraceReplay, KillSwitchDisablesTheLayer)
         solverishIteration(rt, ctx, x, y);
     EXPECT_EQ(rt.fusionStats().traceEpochsReplayed, 0u);
     EXPECT_EQ(rt.fusionStats().traceEpochsCaptured, 0u);
-    EXPECT_EQ(rt.fusionStats().traceEntries, 0u);
+    EXPECT_EQ(rt.context()->traceCache().entries(), 0u);
 }
 
 TEST(TraceReplay, LoopVariantScalarsRebind)
@@ -397,6 +397,30 @@ TEST(TraceReplay, HostWriteMidSpeculationDrainsEagerly)
         rt.flushWindow();
         (trace ? got : expect) = bits(ctx.toHost(y));
     }
+    EXPECT_EQ(got, expect);
+}
+
+TEST(TraceReplay, LowLevelScalarReadMidEpochMatchesTraceOff)
+{
+    // A repeated epoch defers its submissions while it speculates. A
+    // low-level scalar read between a submit and the flush must still
+    // see the producer: the read drains the deferred events first.
+    std::vector<double> expect, got;
+    for (int trace : {0, 1}) {
+        DiffuseOptions o = realOpts(trace);
+        o.fusionEnabled = false;
+        o.maxWindow = 1;
+        DiffuseRuntime rt(rt::MachineConfig::withGpus(4), o);
+        Context ctx(rt);
+        NDArray x = ctx.zeros(32, 2.0);
+        std::vector<double> &reads = trace ? got : expect;
+        for (int i = 0; i < 5; i++) {
+            NDArray d = ctx.dot(x, x);
+            reads.push_back(rt.low().readScalarValue(d.store()));
+            rt.flushWindow();
+        }
+    }
+    EXPECT_EQ(expect, std::vector<double>(5, 128.0));
     EXPECT_EQ(got, expect);
 }
 
